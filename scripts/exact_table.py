@@ -13,11 +13,11 @@ from restime.taylor import evaluate_expression, generate_expression
 from restime.core import DomainError
 
 
-def column(dist, n, threads):
+def column(dist, n):
     mom = exact_moments(dist, max_central_order=16)
     rows = [("ratio", ratio_variance_from_moments(mom, n))]
     for m in range(1, 9):
-        expr = generate_expression(m, threads=threads)
+        expr = generate_expression(m)
         rows.append((f"S{m}", evaluate_expression(expr, mom, n)))
     try:
         rows.append(("exact", exact_variance_small(dist, n)))
@@ -29,7 +29,6 @@ def column(dist, n, threads):
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--digits", type=int, default=16)
-    ap.add_argument("--threads", type=int, default=4)
     args = ap.parse_args()
 
     grid = [
@@ -39,7 +38,7 @@ def main():
     for dist, sizes in grid:
         for n in sizes:
             print(f"\n{dist}  N={n}")
-            for label, value in column(dist, n, args.threads):
+            for label, value in column(dist, n):
                 print(f"  {label:<6}{format_rational(value, args.digits)}")
 
 

@@ -27,7 +27,7 @@ def main():
     ap.add_argument("--threads", type=int, default=4)
     args = ap.parse_args()
 
-    expr8 = generate_expression(8, threads=args.threads)
+    expr8 = generate_expression(8)
     print(f"{'dist':<9}{'N':>6}{'reference':>14}{'ratio dev':>11}"
           f"{'S8 dev':>11}{'S8(exact) z':>13}")
     for name in args.dists:

@@ -101,7 +101,13 @@ def cmd_estimate(args: argparse.Namespace) -> None:
     _write_output(args, report.to_json())
 
 
+def _check_threads(args: argparse.Namespace) -> None:
+    if args.threads < 1:
+        raise ParseError(f"--threads must be >= 1, got {args.threads}")
+
+
 def cmd_gen_expr(args: argparse.Namespace) -> None:
+    _check_threads(args)
     expr = taylor.generate_expression(args.order, threads=args.threads)
     if args.format == "json":
         _write_output(args, expr.to_json())
@@ -124,15 +130,16 @@ def cmd_exact(args: argparse.Namespace) -> None:
         lines.append(f"taylor{m},{format_rational(value, args.digits)}")
     try:
         exact = mc.exact_variance_small(dist, args.n)
-    except DomainError:
-        # too large to enumerate; the row is simply absent
-        pass
+    except DomainError as exc:
+        # not enumerable (infinite support or a tractability guard); say why
+        print(f"note: exact row omitted: {exc}", file=sys.stderr)
     else:
         lines.append(f"exact,{format_rational(exact, args.digits)}")
     _write_output(args, "\n".join(lines))
 
 
 def cmd_mc(args: argparse.Namespace) -> None:
+    _check_threads(args)
     dist = DistributionSpec.parse(args.dist)
     sizes = _parse_sizes(args.n)
     labels = ("ratio", f"taylor{args.order}")

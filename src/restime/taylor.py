@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -31,6 +30,29 @@ from .core import (
 )
 
 
+def _pattern_slots(k: int, l: int) -> list[tuple[tuple[int, int], ...]]:
+    """Canonical (sorted) slot tuples of every repetition pattern for sizes k, l."""
+    if k < 1 or l < 1:
+        raise DomainError("both index set sizes must be >= 1")
+    pairs = [(a, b) for a in range(k, -1, -1) for b in range(l, -1, -1) if a + b >= 2]
+    found: list[tuple[tuple[int, int], ...]] = []
+
+    def rec(i0: int, kr: int, lr: int, slots: list[tuple[int, int]]):
+        if kr == 0 and lr == 0:
+            if any(a and b for a, b in slots):
+                # slots arrive in non-increasing order; reversed is canonical
+                found.append(tuple(reversed(slots)))
+            return
+        for i in range(i0, len(pairs)):
+            a, b = pairs[i]
+            if a <= kr and b <= lr:
+                rec(i, kr - a, lr - b, slots + [(a, b)])
+
+    rec(0, k, l, [])
+    found.sort()
+    return found
+
+
 def enumerate_patterns(k: int, l: int) -> list[IndexPattern]:
     """All canonical repetition patterns for index sets of sizes k and l.
 
@@ -39,23 +61,7 @@ def enumerate_patterns(k: int, l: int) -> list[IndexPattern]:
     once has zero expectation) and at least one slot must straddle both sets,
     otherwise the two products are independent and the covariance vanishes.
     """
-    if k < 1 or l < 1:
-        raise DomainError("both index set sizes must be >= 1")
-    pairs = [(a, b) for a in range(k, -1, -1) for b in range(l, -1, -1) if a + b >= 2]
-    found: list[IndexPattern] = []
-
-    def rec(i0: int, kr: int, lr: int, slots: list[tuple[int, int]]):
-        if kr == 0 and lr == 0:
-            if any(a and b for a, b in slots):
-                found.append(IndexPattern(slots=tuple(slots)))
-            return
-        for i in range(i0, len(pairs)):
-            a, b = pairs[i]
-            if a <= kr and b <= lr:
-                rec(i, kr - a, lr - b, slots + [(a, b)])
-
-    rec(0, k, l, [])
-    return sorted(found, key=lambda p: p.slots)
+    return [IndexPattern(slots=slots) for slots in _pattern_slots(k, l)]
 
 
 @dataclass(frozen=True)
@@ -70,6 +76,26 @@ class Coefficient:
         if self.mu_exponent:
             return acc * mu**self.mu_exponent
         return acc
+
+
+@lru_cache(maxsize=None)
+def _doubled_coefficient(
+    mults: tuple[int, ...], pair_term_times_n: bool
+) -> tuple[tuple[int, int], ...]:
+    """Twice the n_poly of coefficient(mults), as (exponent, integer) pairs.
+
+    mults must be sorted.  Doubling clears the only denominator, the 2 of
+    k!/2, so every entry is an integer.
+    """
+    k = sum(mults)
+    pairs = sum(comb(a, 2) for a in mults)
+    sign = -1 if k % 2 else 1
+    poly: dict[int, int] = {}
+    if pairs:
+        shift = 1 - k if pair_term_times_n else -k
+        poly[shift] = poly.get(shift, 0) + 2 * sign * factorial(k - 2) * pairs
+    poly[-k] = poly.get(-k, 0) - sign * factorial(k)
+    return tuple(sorted((e, q) for e, q in poly.items() if q != 0))
 
 
 def coefficient(multiplicities, pair_term_times_n: bool = True) -> Coefficient:
@@ -88,17 +114,10 @@ def coefficient(multiplicities, pair_term_times_n: bool = True) -> Coefficient:
     mults = tuple(sorted(int(a) for a in multiplicities))
     if not mults or any(a < 1 for a in mults):
         raise DomainError("multiplicities must be positive integers")
-    k = sum(mults)
-    pairs = sum(comb(a, 2) for a in mults)
-    sign = -1 if k % 2 else 1
-    poly: dict[int, Fraction] = {}
-    if pairs:
-        shift = 1 - k if pair_term_times_n else -k
-        poly[shift] = poly.get(shift, Fraction(0)) + sign * Fraction(factorial(k - 2) * pairs)
-    poly[-k] = poly.get(-k, Fraction(0)) - sign * Fraction(factorial(k), 2)
+    poly = _doubled_coefficient(mults, pair_term_times_n)
     return Coefficient(
-        n_poly=tuple(sorted((e, q) for e, q in poly.items() if q != 0)),
-        mu_exponent=-(k - 1),
+        n_poly=tuple((e, Fraction(q, 2)) for e, q in poly),
+        mu_exponent=-(sum(mults) - 1),
     )
 
 
@@ -110,16 +129,51 @@ def sigma_pattern(p: IndexPattern) -> tuple[tuple[int, tuple[tuple[int, int], ..
     independent index labels; the order-1 central moment vanishes and order
     0 contributes 1, so the marginal part may drop out entirely.
     """
-    combined = Counter(a + b for a, b in p.slots)
-    part_a = Counter(a for a, _ in p.slots if a > 0)
-    part_b = Counter(b for _, b in p.slots if b > 0)
+    return _sigma_slots(p.slots)
+
+
+def _sigma_slots(slots: tuple[tuple[int, int], ...]):
+    """sigma_pattern for canonical slots, without building an IndexPattern."""
+    combined: dict[int, int] = {}
+    for a, b in slots:
+        combined[a + b] = combined.get(a + b, 0) + 1
     # every slot has a + b >= 2, so the joint product never sees order 1
     out = [(1, tuple(sorted(combined.items())))]
-    if 1 not in part_a and 1 not in part_b:
-        powers = Counter(part_a)
-        powers.update(part_b)
+    if all(a != 1 and b != 1 for a, b in slots):
+        powers: dict[int, int] = {}
+        for m in itertools.chain.from_iterable(slots):
+            if m:
+                powers[m] = powers.get(m, 0) + 1
         out.append((-1, tuple(sorted(powers.items()))))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _falling_factorial(d: int) -> tuple[tuple[int, int], ...]:
+    """N*(N-1)*...*(N-d+1) as (exponent, integer coefficient) pairs."""
+    poly: dict[int, int] = {0: 1}
+    for t in range(d):
+        nxt: dict[int, int] = {}
+        for e, q in poly.items():
+            nxt[e + 1] = nxt.get(e + 1, 0) + q
+            if t:
+                nxt[e] = nxt.get(e, 0) - q * t
+        poly = nxt
+    return tuple(poly.items())
+
+
+def _pattern_count_int(slots: tuple[tuple[int, int], ...]) -> dict[int, int]:
+    """pattern_count with integer coefficients, for canonical slots."""
+    # k!l!/prod(a!b!) counts position assignments to d labeled slots; swapping
+    # identical slots never fixes an assignment, so every division is exact
+    scalar = factorial(sum(a for a, _ in slots)) * factorial(sum(b for _, b in slots))
+    repeats: dict[tuple[int, int], int] = {}
+    for slot in slots:
+        scalar //= factorial(slot[0]) * factorial(slot[1])
+        repeats[slot] = repeats.get(slot, 0) + 1
+    for size in repeats.values():
+        scalar //= factorial(size)
+    return {e: scalar * q for e, q in _falling_factorial(len(slots))}
 
 
 def pattern_count(p: IndexPattern) -> dict[int, Fraction]:
@@ -129,54 +183,59 @@ def pattern_count(p: IndexPattern) -> dict[int, Fraction]:
     multinomials distribute positions within each index set; orderings of
     identical slots are divided out.
     """
-    slots = p.slots
-    scalar = Fraction(factorial(p.k) * factorial(p.l))
-    for a, b in slots:
-        scalar /= factorial(a) * factorial(b)
-    for size in Counter(slots).values():
-        scalar /= factorial(size)
-    poly: dict[int, Fraction] = {0: scalar}
-    for t in range(len(slots)):
-        nxt: dict[int, Fraction] = {}
-        for e, q in poly.items():
-            nxt[e + 1] = nxt.get(e + 1, Fraction(0)) + q
-            if t:
-                nxt[e] = nxt.get(e, Fraction(0)) - q * t
-        poly = nxt
-    return poly
+    return {e: Fraction(q) for e, q in _pattern_count_int(p.slots).items()}
+
+
+# one raw term: num / (4 * k! * l!) * N^-n_exponent * mu^mu_exponent * prod(mu_m^c_m)
+_Row = tuple[int, int, int, tuple[tuple[int, int], ...]]
+
+
+def _build_block(k: int, l: int) -> tuple[_Row, ...]:
+    """Raw (unmerged) terms of one (k, l) pair of expansion orders, as integer rows."""
+    g = 2 - k - l  # mu exponents of the two coefficients, 1 - k and 1 - l
+    rows: list[_Row] = []
+    for slots in _pattern_slots(k, l):
+        ca = _doubled_coefficient(tuple(sorted(a for a, _ in slots if a > 0)), True)
+        cb = _doubled_coefficient(tuple(sorted(b for _, b in slots if b > 0)), True)
+        count = _pattern_count_int(slots)
+        npoly: dict[int, int] = {}
+        for ea, qa in ca:
+            for eb, qb in cb:
+                for ec, qc in count.items():
+                    e = ea + eb + ec
+                    npoly[e] = npoly.get(e, 0) + qa * qb * qc
+        for sign, powers in _sigma_slots(slots):
+            for e, q in npoly.items():
+                if q:
+                    rows.append((sign * q, -e, g, powers))
+    return tuple(rows)
 
 
 @lru_cache(maxsize=None)
-def _block(k: int, l: int) -> tuple[Term, ...]:
-    """Raw (unmerged) terms contributed by one (k, l) pair of expansion orders."""
-    inv_kl = Fraction(1, factorial(k) * factorial(l))
-    terms: list[Term] = []
-    for p in enumerate_patterns(k, l):
-        ca = coefficient(tuple(a for a, _ in p.slots if a > 0))
-        cb = coefficient(tuple(b for _, b in p.slots if b > 0))
-        count = pattern_count(p)
-        g = ca.mu_exponent + cb.mu_exponent
-        npoly: dict[int, Fraction] = {}
-        for ea, qa in ca.n_poly:
-            for eb, qb in cb.n_poly:
-                for ec, qc in count.items():
-                    e = ea + eb + ec
-                    npoly[e] = npoly.get(e, Fraction(0)) + qa * qb * qc
-        for sign, powers in sigma_pattern(p):
-            for e, q in npoly.items():
-                coef = q * sign * inv_kl
-                if coef:
-                    terms.append(
-                        Term(coef=coef, n_exponent=-e, mu_exponent=g, moment_powers=powers)
-                    )
-    return tuple(terms)
+def _block(k: int, l: int) -> tuple[_Row, ...]:
+    """Cached raw rows of the (k, l) block.
+
+    Cov(A, B) = Cov(B, A) makes the (l, k) block the same multiset of terms
+    as the (k, l) block, so only k <= l is ever built.
+    """
+    if k > l:
+        return _block(l, k)
+    return _build_block(k, l)
 
 
 def expression_blocks(order: int) -> dict[tuple[int, int], tuple[Term, ...]]:
     """Per-(k, l) contributions for all 1 <= k, l <= order."""
     if order < 1:
         raise DomainError("order must be >= 1")
-    return {(k, l): _block(k, l) for k in range(1, order + 1) for l in range(1, order + 1)}
+    return {
+        (k, l): tuple(
+            Term(coef=Fraction(num, 4 * factorial(k) * factorial(l)), n_exponent=e,
+                 mu_exponent=g, moment_powers=powers)
+            for num, e, g, powers in _block(k, l)
+        )
+        for k in range(1, order + 1)
+        for l in range(1, order + 1)
+    }
 
 
 _EXPR_CACHE: dict[int, VarianceExpression] = {}
@@ -185,21 +244,28 @@ _EXPR_CACHE: dict[int, VarianceExpression] = {}
 def generate_expression(order: int, threads: int = 1) -> VarianceExpression:
     """Merged, canonically ordered variance expression of the given order.
 
-    Generation is exact rational and cached per order.  threads > 1 builds
-    the (k, l) blocks concurrently; the result is identical for any thread
-    count because blocks are merged by normalization, not in arrival order.
+    Generation is exact and cached per order.  Raw terms are summed as
+    integers over the common denominator 4 * (order!)^2, each off-diagonal
+    (k, l) block counted twice, and the sums pass through
+    normalize_expression.  threads is accepted and has no effect.
     """
     if order < 1:
         raise DomainError("order must be >= 1")
     if order in _EXPR_CACHE:
         return _EXPR_CACHE[order]
-    kl = [(k, l) for k in range(1, order + 1) for l in range(1, order + 1)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            blocks = list(pool.map(lambda pair: _block(*pair), kl))
-    else:
-        blocks = [_block(*pair) for pair in kl]
-    terms = tuple(itertools.chain.from_iterable(blocks))
+    top = factorial(order)
+    acc: dict[tuple, int] = {}
+    for k in range(1, order + 1):
+        for l in range(k, order + 1):
+            scale = (top // factorial(k)) * (top // factorial(l)) * (1 if k == l else 2)
+            for num, e, g, powers in _block(k, l):
+                key = (e, g, powers)
+                acc[key] = acc.get(key, 0) + num * scale
+    denom = 4 * top * top
+    terms = tuple(
+        Term(coef=Fraction(q, denom), n_exponent=e, mu_exponent=g, moment_powers=powers)
+        for (e, g, powers), q in acc.items()
+    )
     expr = normalize_expression(VarianceExpression(order=order, terms=terms))
     _EXPR_CACHE[order] = expr
     return expr

@@ -147,15 +147,34 @@ def write_steps_csv(steps: Iterable[int], fh: TextIO) -> None:
 
 
 def read_steps_csv(fh: Iterable[str]) -> list[int]:
-    """Read the CSV written by write_steps_csv."""
+    """Read the CSV written by write_steps_csv; blank lines are skipped.
+
+    Every step must be an integer >= 1.  Errors name the line in the file.
+    """
     lines = [ln.strip() for ln in fh]
-    lines = [ln for ln in lines if ln]
-    if not lines or lines[0] != "steps":
+    body = [ln for ln in lines if ln]
+    if not body or body[0] != "steps":
         raise ParseError("expected a 'steps' header on the first line")
+    try:
+        steps = list(map(int, body[1:]))
+    except ValueError:
+        steps = None
+    if steps is None or (steps and min(steps) < 1):
+        # some line is bad: the slower line-by-line pass names the first one
+        return _checked_steps(lines)
+    return steps
+
+
+def _checked_steps(lines: list[str]) -> list[int]:
+    numbered = ((lineno, ln) for lineno, ln in enumerate(lines, start=1) if ln)
+    next(numbered)  # the header
     steps = []
-    for lineno, ln in enumerate(lines[1:], start=2):
+    for lineno, ln in numbered:
         try:
-            steps.append(int(ln))
+            step = int(ln)
         except ValueError as exc:
             raise ParseError(f"line {lineno}: expected an integer, got {ln!r}") from exc
+        if step < 1:
+            raise ParseError(f"line {lineno}: residence steps must be >= 1, got {ln!r}")
+        steps.append(step)
     return steps

@@ -77,6 +77,17 @@ class TestEstimate:
         path.write_text("steps\nfour\n")
         assert main(["estimate", "--rts", str(path)]) == 2
 
+    @pytest.mark.parametrize("step", ["0", "-3"])
+    def test_nonpositive_step_is_parse_error(self, tmp_path, capsys, step):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"steps\n2\n\n{step}\n5\n")
+        assert main(["estimate", "--rts", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: line 4: residence steps must be >= 1, got '{step}'"
+        ]
+
 
 class TestGenExpr:
     def test_text_output(self, capsys):
@@ -88,6 +99,13 @@ class TestGenExpr:
         payload = json.loads(capsys.readouterr().out)
         assert payload["order"] == 2
         assert len(payload["terms"]) == 9
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_is_usage_error(self, capsys, threads):
+        assert main(["gen-expr", "--order", "1", "--threads", threads]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: --threads must be >= 1, got {threads}"]
 
     def test_threads_flag_gives_same_text(self, capsys):
         assert main(["gen-expr", "--order", "3"]) == 0
@@ -113,6 +131,21 @@ class TestExact:
         assert main(["exact", "--dist", "geom:p=1/2", "--n", "5", "--orders", "1,2"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert all(not line.startswith("exact") for line in lines)
+
+    def test_guard_trip_notes_missing_row(self, capsys):
+        # 1000 support points trip the work guard on the third draw
+        assert main(["exact", "--dist", "uniform:a=1,b=1000", "--n", "6",
+                     "--orders", "1,2"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == (
+            "estimator,value\n"
+            "ratio,2470.365434565435\n"
+            "taylor1,3472.218750000000\n"
+            "taylor2,4434.794949841825\n"
+        )
+        assert captured.err.splitlines() == [
+            "note: exact row omitted: enumeration work exceeded the tractability guard"
+        ]
 
     def test_digits_flag(self, capsys):
         assert main(["exact", "--dist", "geom:p=1/20", "--n", "30",
@@ -150,6 +183,14 @@ class TestMc:
 
     def test_bad_sizes(self, capsys):
         assert main(["mc", "--dist", "geom:p=1/2", "--n", "ten"]) == 2
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_is_usage_error(self, capsys, threads):
+        argv = ["mc", "--dist", "geom:p=1/2", "--n", "12", "--reps", "50", "--threads", threads]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: --threads must be >= 1, got {threads}"]
 
 
 class TestAutocorr:

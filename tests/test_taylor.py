@@ -1,5 +1,7 @@
+import hashlib
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +25,19 @@ from restime.taylor import (
 from .oracles import count_tuples_by_pattern, fd_partial
 
 EXPECTED_TERM_COUNTS = {1: 1, 2: 9, 3: 32, 4: 79, 5: 173, 6: 352, 7: 671, 8: 1235}
+
+# sha256 of generate_expression(m).to_json(), as produced by the original
+# Fraction-based generator; any change to a coefficient or the ordering shows
+EXPRESSION_SHA256 = {
+    1: "6a373f009cef95b62d5dac3679d846a12c1c0b0e776d2ec8cda0fc7b9ced8b26",
+    2: "dc0849edbb6675b6a3a7c0822c5df7b31bfd0510d7fdb83feab38962fdd22e4a",
+    3: "e11267ac3764f83c162339c7838f0b2c4d5313f952de35c3fdf0638968ba41ce",
+    4: "cfbb15d0726774883de88edb1a055de4d358d86bd2dc19fecd3d94bc68313a9b",
+    5: "45930c3c9af0dd464c00778b2f057bd405aeeeff1a0773a8ad9c1ec55f26e74b",
+    6: "600c493ee178767c238789df10d30d12e24ea5b09aead4c5f85be5ee32608ad6",
+    7: "9ec81302a8498333ff00de7daaf84d35d7adde537396ef8a6835929291be02e7",
+    8: "3533826cc2748d2f91655ff0a88084e247e30dc79ae47a29544226b7bf69448c",
+}
 
 
 def eval_count(p: IndexPattern, n: int) -> Fraction:
@@ -157,6 +172,24 @@ class TestGenerate:
         taylor_mod._EXPR_CACHE.pop(3, None)
         threaded = generate_expression(3, threads=4)
         assert serial == threaded
+
+    def test_expression_digests(self):
+        for order, digest in EXPRESSION_SHA256.items():
+            text = generate_expression(order).to_json()
+            assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_raw_terms_and_block_symmetry(self):
+        import restime.taylor as taylor_mod
+
+        blocks = expression_blocks(8)
+        assert sum(len(terms) for terms in blocks.values()) == 52677
+        # only k <= l is built and (l, k) shares it; Cov(A, B) = Cov(B, A)
+        # makes a direct build of (l, k) the same multiset of raw terms
+        for k in range(1, 9):
+            for l in range(1, 9):
+                direct = Counter(taylor_mod._build_block(k, l))
+                assert direct == Counter(taylor_mod._block(k, l))
+                assert direct == Counter(taylor_mod._build_block(l, k))
 
     def test_nesting_consistency(self):
         blocks = expression_blocks(3)

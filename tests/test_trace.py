@@ -192,3 +192,14 @@ class TestCsv:
     def test_empty_file(self):
         with pytest.raises(ParseError):
             read_steps_csv(io.StringIO(""))
+
+    def test_line_numbers_count_blank_lines(self):
+        with pytest.raises(ParseError, match="line 5: expected an integer"):
+            read_steps_csv(io.StringIO("\nsteps\n3\n\nx\n"))
+
+    def test_first_bad_line_is_named(self):
+        with pytest.raises(ParseError, match="line 3: residence steps must be >= 1, got '0'"):
+            read_steps_csv(io.StringIO("steps\n3\n0\nx\n"))
+
+    def test_header_only_is_empty(self):
+        assert read_steps_csv(io.StringIO("steps\n")) == []
