@@ -24,7 +24,6 @@ def main():
     ap.add_argument("--sizes", nargs="+", type=int, default=[30, 158, 1902])
     ap.add_argument("--replicates", type=int, default=100_000)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--threads", type=int, default=4)
     args = ap.parse_args()
 
     expr8 = generate_expression(8)
@@ -40,7 +39,7 @@ def main():
             seed=args.seed,
             estimators=("ratio", "taylor8"),
         )
-        for row in run_experiment(cfg, threads=args.threads):
+        for row in run_experiment(cfg):
             ref = row.reference_var
             s8 = float(evaluate_expression(expr8, mom, row.n))
             z = (s8 - ref) / row.reference_var_se

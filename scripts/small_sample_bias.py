@@ -17,7 +17,6 @@ def main():
                     default=[10, 30, 100, 300, 1000, 3000])
     ap.add_argument("--replicates", type=int, default=20_000)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--threads", type=int, default=4)
     args = ap.parse_args()
 
     dist = DistributionSpec.parse(args.dist)
@@ -31,7 +30,7 @@ def main():
     labels = cfg.estimators
     header = f"{'N':>6}{'reference':>14}" + "".join(f"{k:>12}" for k in labels)
     print(header)
-    for row in run_experiment(cfg, threads=args.threads):
+    for row in run_experiment(cfg):
         cells = "".join(
             f"{row.means[k] / row.reference_var:>12.4f}" for k in labels
         )

@@ -11,7 +11,6 @@ from .core import (
     DistributionSpec,
     DomainError,
     EstimateReport,
-    IndexPattern,
     MomentVector,
     OccupancyTrace,
     ParseError,
@@ -24,7 +23,6 @@ from .core import (
 )
 from .estimators import (
     build_report,
-    inspection_identity_check,
     mean_residence_steps,
     mean_residual_steps,
     ratio_variance_from_moments,
@@ -36,7 +34,7 @@ from .estimators import (
 from .mc import ExperimentConfig, ExperimentRow, exact_variance_small, run_experiment, sample
 from .moments import central_from_raw, exact_moments, raw_from_central, sample_moments
 from .taylor import (
-    brute_force_truncated_variance,
+    IndexPattern,
     coefficient,
     enumerate_patterns,
     evaluate_expression,
@@ -73,7 +71,6 @@ __all__ = [
     "Term",
     "VarianceExpression",
     "__version__",
-    "brute_force_truncated_variance",
     "build_report",
     "central_from_raw",
     "coefficient",
@@ -87,7 +84,6 @@ __all__ = [
     "format_fixed",
     "format_rational",
     "generate_expression",
-    "inspection_identity_check",
     "mean_residence_steps",
     "mean_residual_steps",
     "normalize_expression",

@@ -73,7 +73,15 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
         sizes = tuple(int(tok) for tok in text.split(","))
     except ValueError as exc:
         raise ParseError(f"bad size list {text!r}") from exc
+    for n in sizes:
+        _check_range("--n", n, 1)
     return sizes
+
+
+def _check_range(flag: str, value: int, lo: int, hi: int | None = None) -> None:
+    if value < lo or (hi is not None and value > hi):
+        bound = f">= {lo}" if hi is None else f"within {lo}..{hi}"
+        raise ParseError(f"{flag} must be {bound}, got {value}")
 
 
 def cmd_extract(args: argparse.Namespace) -> None:
@@ -91,6 +99,8 @@ def cmd_estimate(args: argparse.Namespace) -> None:
     with open(args.rts, "r", encoding="utf-8") as fh:
         steps = trace.read_steps_csv(fh)
     sample = ResidenceSample(steps=tuple(steps), dt=args.dt)
+    if args.method != "ratio":
+        _check_range("--order", args.order, 1, 8)
     if args.method == "ratio":
         methods: tuple[str, ...] = ("ratio",)
     elif args.method == "taylor":
@@ -101,13 +111,9 @@ def cmd_estimate(args: argparse.Namespace) -> None:
     _write_output(args, report.to_json())
 
 
-def _check_threads(args: argparse.Namespace) -> None:
-    if args.threads < 1:
-        raise ParseError(f"--threads must be >= 1, got {args.threads}")
-
-
 def cmd_gen_expr(args: argparse.Namespace) -> None:
-    _check_threads(args)
+    _check_range("--threads", args.threads, 1)
+    _check_range("--order", args.order, 1)
     expr = taylor.generate_expression(args.order, threads=args.threads)
     if args.format == "json":
         _write_output(args, expr.to_json())
@@ -118,8 +124,7 @@ def cmd_gen_expr(args: argparse.Namespace) -> None:
 def cmd_exact(args: argparse.Namespace) -> None:
     dist = DistributionSpec.parse(args.dist)
     orders = _parse_orders(args.orders)
-    if args.n < 1:
-        raise ParseError("--n must be >= 1")
+    _check_range("--n", args.n, 1)
     mom = moments.exact_moments(dist, max_central_order=2 * max(orders))
     lines = ["estimator,value"]
     ratio = estimators.ratio_variance_from_moments(mom, args.n)
@@ -139,9 +144,11 @@ def cmd_exact(args: argparse.Namespace) -> None:
 
 
 def cmd_mc(args: argparse.Namespace) -> None:
-    _check_threads(args)
+    _check_range("--threads", args.threads, 1)
     dist = DistributionSpec.parse(args.dist)
     sizes = _parse_sizes(args.n)
+    _check_range("--reps", args.reps, 2)
+    _check_range("--order", args.order, 1, 8)
     labels = ("ratio", f"taylor{args.order}")
     cfg = mc.ExperimentConfig(
         dist=dist,
@@ -168,10 +175,7 @@ def cmd_autocorr(args: argparse.Namespace) -> None:
     policy = trace.ExtractionPolicy(boundary=args.boundary)
     with open(args.input, "r", encoding="utf-8") as fh:
         traces = trace.parse_traces(fh)
-    per_trace = []
-    for tr in traces:
-        filtered = trace.filter_transient_escapes(tr, cfg)
-        per_trace.append(list(trace.extract_residences(filtered, policy)))
+    per_trace = trace.per_trace_residences(traces, cfg, policy)
     rows = estimators.rt_autocorrelation(per_trace, args.max_lag)
     lines = ["lag,mean_r,sd_r"]
     for lag, mean_r, sd_r in rows:

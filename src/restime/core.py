@@ -9,7 +9,7 @@ across threads.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -36,6 +36,13 @@ def _decode(v, exact):
     return float(v)
 
 
+def _is_positive_int(x) -> bool:
+    try:
+        return x == int(x) and x >= 1
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
 @dataclass(frozen=True)
 class ResidenceSample:
     """Positive integer residence durations x_i, in time-step units."""
@@ -47,10 +54,15 @@ class ResidenceSample:
         steps = tuple(self.steps)
         if not steps:
             raise DomainError("sample must contain at least one residence")
-        for x in steps:
-            if x != int(x) or x < 1:
-                raise DomainError(f"residence durations must be integers >= 1, got {x!r}")
-        object.__setattr__(self, "steps", tuple(int(x) for x in steps))
+        try:
+            ints = tuple(map(int, steps))
+        except (TypeError, ValueError, OverflowError):
+            ints = None
+        if ints != steps or min(ints) < 1:
+            # some value is bad: the slower scan names the first one
+            bad = next(x for x in steps if not _is_positive_int(x))
+            raise DomainError(f"residence durations must be integers >= 1, got {bad!r}")
+        object.__setattr__(self, "steps", ints)
         if self.dt is not None and not self.dt > 0:
             raise DomainError("dt must be positive")
 
@@ -200,43 +212,6 @@ class DistributionSpec:
 
 
 @dataclass(frozen=True)
-class IndexPattern:
-    """Canonical multiset of per-index multiplicity pairs (a_r, b_r).
-
-    Slot r records that one shared index label appears a_r times in the
-    first index set and b_r times in the second.  Canonical form keeps the
-    slots sorted; only multiplicities matter, never the labels themselves.
-    """
-
-    slots: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        slots = tuple(sorted((int(a), int(b)) for a, b in self.slots))
-        if not slots:
-            raise DomainError("pattern needs at least one slot")
-        if any(a < 0 or b < 0 or a + b < 2 for a, b in slots):
-            raise DomainError("every slot needs total multiplicity >= 2")
-        if not any(a >= 1 and b >= 1 for a, b in slots):
-            raise DomainError("at least one slot must appear in both index sets")
-        object.__setattr__(self, "slots", slots)
-
-    @property
-    def k(self) -> int:
-        return sum(a for a, _ in self.slots)
-
-    @property
-    def l(self) -> int:
-        return sum(b for _, b in self.slots)
-
-    def to_json(self) -> str:
-        return json.dumps({"slots": [list(s) for s in self.slots]})
-
-    @classmethod
-    def from_json(cls, text: str) -> "IndexPattern":
-        return cls(slots=tuple(tuple(s) for s in json.loads(text)["slots"]))
-
-
-@dataclass(frozen=True)
 class Term:
     """One monomial q * N^-e * mu^g * prod(mu_m^c_m)."""
 
@@ -244,9 +219,6 @@ class Term:
     n_exponent: int
     mu_exponent: int
     moment_powers: tuple[tuple[int, int], ...]
-
-    def sort_key(self):
-        return (self.n_exponent, self.mu_exponent, self.moment_powers)
 
     def text(self) -> str:
         parts = [str(self.coef), f"N^-{self.n_exponent}"]
@@ -352,24 +324,7 @@ class EstimateReport:
     mRT_sd_time: float | None = None
 
     def to_json(self) -> str:
-        d = {
-            "n": self.n,
-            "dt": self.dt,
-            "methods": list(self.methods),
-            "mrt_steps": self.mrt_steps,
-            "mrt_var_steps": self.mrt_var_steps,
-            "mrt_sd_steps": self.mrt_sd_steps,
-            "mRT_steps": self.mRT_steps,
-            "mRT_var_steps": self.mRT_var_steps,
-            "mRT_sd_steps": self.mRT_sd_steps,
-            "mrt_time": self.mrt_time,
-            "mrt_var_time": self.mrt_var_time,
-            "mrt_sd_time": self.mrt_sd_time,
-            "mRT_time": self.mRT_time,
-            "mRT_var_time": self.mRT_var_time,
-            "mRT_sd_time": self.mRT_sd_time,
-        }
-        return json.dumps(d, indent=2)
+        return json.dumps(asdict(self), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "EstimateReport":

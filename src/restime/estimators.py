@@ -49,23 +49,27 @@ def var_mean_residence(s: ResidenceSample, exact: bool = False):
 def var_mrt_ratio(s: ResidenceSample, exact: bool = False):
     """Delta-method variance of the residual-time statistic from raw moments.
 
-    Algebraically (m4 - 2*m2*m3/m1 + m2^3/m1^2) / (4*N*m1^2), evaluated
-    here as a mean of squares, which is the identical quantity and cannot
-    go negative under rounding.
+    Exact mode evaluates ratio_variance_from_moments on the rational plug-in
+    moments; float mode is ratio_variance_rows on a single row.
     """
-    n = s.n
     if exact:
-        xs = [Fraction(x) for x in s.steps]
-        m1 = sum(xs) / n
-        t = (sum(x * x for x in xs) / n) / m1
-        bracket = sum((x * x - t * x) ** 2 for x in xs) / n
-        return bracket / (4 * n * m1 * m1)
-    x = np.asarray(s.steps, dtype=np.float64)
-    m1 = float(x.mean())
+        return ratio_variance_from_moments(sample_moments(s, 2, exact=True), s.n)
+    x = np.asarray(s.steps, dtype=np.float64)[None, :]
     x2 = x * x
-    t = float(x2.mean()) / m1
-    bracket = float(np.mean((x2 - t * x) ** 2))
-    return bracket / (4.0 * n * m1 * m1)
+    return float(ratio_variance_rows(x, x2, x.mean(axis=1), x2.mean(axis=1))[0])
+
+
+def ratio_variance_rows(x: np.ndarray, x2: np.ndarray, m1: np.ndarray, m2: np.ndarray):
+    """Float delta-method estimator for each row of x, one sample per row.
+
+    x2 = x*x, and m1, m2 are the row means of x and x2.  Algebraically
+    (m4 - 2*m2*m3/m1 + m2^3/m1^2) / (4*N*m1^2), evaluated here as a mean of
+    squares, which is the identical quantity and cannot go negative under
+    rounding.
+    """
+    n = x.shape[1]
+    resid = x2 - (m2 / m1)[:, None] * x
+    return (resid * resid).mean(axis=1) / (4.0 * n * m1 * m1)
 
 
 def ratio_variance_from_moments(mom: MomentVector, n: int):
@@ -80,6 +84,17 @@ def ratio_variance_from_moments(mom: MomentVector, n: int):
     return bracket / (4 * n * m1 * m1)
 
 
+# estimator label -> series order, 0 standing for the delta-method ratio
+_LABEL_ORDERS = {"ratio": 0, **{f"taylor{m}": m for m in range(1, 9)}}
+
+
+def _series_order(label: str) -> int:
+    """Order of a 'taylorM' label (M in 1..8), or 0 for 'ratio'."""
+    if label not in _LABEL_ORDERS:
+        raise DomainError(f"unknown estimator label {label!r}")
+    return _LABEL_ORDERS[label]
+
+
 def var_mrt_taylor(s: ResidenceSample, order: int = 8, exact: bool = False):
     """Series variance estimator of the given order on plug-in sample moments."""
     if not 1 <= order <= 8:
@@ -87,26 +102,6 @@ def var_mrt_taylor(s: ResidenceSample, order: int = 8, exact: bool = False):
     expr = generate_expression(order)
     mom = sample_moments(s, max_central_order=2 * order, exact=exact)
     return evaluate_expression(expr, mom, s.n)
-
-
-def inspection_identity_check(s: ResidenceSample, exact: bool = False):
-    """Residual of the length-bias identity linking mrT, mRT and the spread.
-
-    mrT = (mean^2 + biased variance) / (2 * mean) + 1/2 holds algebraically
-    for every sample, so the residual is zero up to arithmetic error.
-    """
-    n = s.n
-    if exact:
-        total = sum(s.steps)
-        mean = Fraction(total, n)
-        v = Fraction(sum((n * x - total) ** 2 for x in s.steps), n**3)
-        rhs = (mean * mean + v) / (2 * mean) + Fraction(1, 2)
-        return abs(mean_residual_steps(s, exact=True) - rhs)
-    x = np.asarray(s.steps, dtype=np.float64)
-    mean = float(x.mean())
-    v = float(x.var())
-    rhs = (mean * mean + v) / (2.0 * mean) + 0.5
-    return abs(mean_residual_steps(s) - rhs)
 
 
 def rt_autocorrelation(per_trace_rts, max_lag: int) -> list[tuple[int, float, float]]:
@@ -158,12 +153,8 @@ def build_report(
     mrt = mean_residual_steps(s)
     mrt_var: dict[str, float] = {}
     for label in methods:
-        if label == "ratio":
-            value = float(var_mrt_ratio(s))
-        elif label.startswith("taylor") and label[len("taylor") :].isdigit():
-            value = float(var_mrt_taylor(s, order=int(label[len("taylor") :])))
-        else:
-            raise DomainError(f"unknown estimator label {label!r}")
+        order = _series_order(label)
+        value = float(var_mrt_taylor(s, order) if order else var_mrt_ratio(s))
         if value < 0:
             raise DomainError(f"estimator {label} produced a negative variance")
         mrt_var[label] = value

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -11,6 +10,8 @@ import numpy as np
 
 from . import taylor
 from .core import DistributionSpec, DomainError, ResidenceSample
+from .estimators import _series_order, ratio_variance_rows
+from .moments import row_moments
 
 
 def replicate_stream(seed: int, index: int) -> np.random.Generator:
@@ -36,16 +37,6 @@ def sample(dist: DistributionSpec, n: int, rng: np.random.Generator) -> Residenc
     return ResidenceSample(steps=tuple(int(v) for v in values))
 
 
-def _parse_estimator(label: str) -> tuple[str, int]:
-    if label == "ratio":
-        return ("ratio", 0)
-    if label.startswith("taylor"):
-        suffix = label[len("taylor") :]
-        if suffix.isdigit() and int(suffix) >= 1:
-            return ("taylor", int(suffix))
-    raise DomainError(f"unknown estimator label {label!r}")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Replicate experiment: distribution, sample sizes, replicate count, seed."""
@@ -64,7 +55,7 @@ class ExperimentConfig:
         if self.replicates < 2:
             raise DomainError("need at least 2 replicates")
         for label in self.estimators:
-            _parse_estimator(label)
+            _series_order(label)
 
 
 @dataclass(frozen=True)
@@ -83,23 +74,18 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[ExperimentRo
 
     Replicate i always uses its own counter-based stream (seed, i), and
     per-replicate results land in arrays indexed by i, so the output is
-    bit-identical for any thread count and any chunk layout.
+    bit-identical for any chunk layout.  threads is accepted and has no
+    effect.
     """
-    kinds = [_parse_estimator(lbl) for lbl in cfg.estimators]
-    max_order = max([order for _, order in kinds] + [0])
-    exprs = {order: taylor.generate_expression(order) for _, order in kinds if order}
+    orders = [_series_order(lbl) for lbl in cfg.estimators]
+    exprs = {order: taylor.generate_expression(order) for order in orders if order}
     rows = []
     for n in cfg.sizes:
         f_vals = np.empty(cfg.replicates)
         est_vals = {lbl: np.empty(cfg.replicates) for lbl in cfg.estimators}
         chunk = int(min(4096, max(16, 2_000_000 // n)))
-        spans = [
-            (lo, min(lo + chunk, cfg.replicates))
-            for lo in range(0, cfg.replicates, chunk)
-        ]
-
-        def work(span, n=n):
-            lo, hi = span
+        for lo in range(0, cfg.replicates, chunk):
+            hi = min(lo + chunk, cfg.replicates)
             x = np.empty((hi - lo, n))
             for i in range(lo, hi):
                 x[i - lo] = _draw_array(cfg.dist, n, replicate_stream(cfg.seed, i))
@@ -107,32 +93,13 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[ExperimentRo
             s1 = x.sum(axis=1)
             s2 = x2.sum(axis=1)
             f_vals[lo:hi] = 0.5 + s2 / (2.0 * s1)
-            m1 = s1 / n
-            central: dict[int, np.ndarray] = {}
-            if max_order:
-                d = x - m1[:, None]
-                p = d * d
-                central[2] = p.mean(axis=1)
-                for m in range(3, 2 * max_order + 1):
-                    p = p * d
-                    central[m] = p.mean(axis=1)
-            for lbl, (kind, order) in zip(cfg.estimators, kinds):
-                if kind == "ratio":
-                    t = (s2 / n) / m1
-                    resid = x2 - t[:, None] * x
-                    bracket = (resid * resid).mean(axis=1)
-                    est_vals[lbl][lo:hi] = bracket / (4.0 * n * m1 * m1)
+            m1, central = row_moments(x, s1, 2 * max(orders, default=0))
+            for lbl, order in zip(cfg.estimators, orders):
+                if order:
+                    est = taylor.evaluate_expression_batch(exprs[order], m1, central, n)
                 else:
-                    est_vals[lbl][lo:hi] = taylor.evaluate_expression_batch(
-                        exprs[order], m1, central, n
-                    )
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(work, spans))
-        else:
-            for span in spans:
-                work(span)
+                    est = ratio_variance_rows(x, x2, m1, s2 / n)
+                est_vals[lbl][lo:hi] = est
 
         r = cfg.replicates
         ref = float(np.var(f_vals, ddof=1))

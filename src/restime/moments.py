@@ -14,8 +14,7 @@ def sample_moments(s: ResidenceSample, max_central_order: int = 4, exact: bool =
     """Plug-in moments of a sample: raw orders 1..4, central orders 2..max.
 
     Central moments use the biased 1/N form throughout.  Exact mode stays
-    rational; float mode centers before taking powers, since expanding raw
-    power sums cancels catastrophically once the mean is large.
+    rational; float mode is row_moments on a single row.
     """
     if max_central_order < 2:
         raise DomainError("need central moments at least to order 2")
@@ -32,15 +31,28 @@ def sample_moments(s: ResidenceSample, max_central_order: int = 4, exact: bool =
         }
         return MomentVector(mean=mean, central=central, raw=raw, exact=True)
     x = np.asarray(s.steps, dtype=np.float64)
-    mean = float(x.mean())
     raw = {j: float(np.mean(x**j)) for j in range(1, 5)}
-    d = x - mean
-    central = {}
-    p = d.copy()
-    for m in range(2, max_central_order + 1):
-        p = p * d
-        central[m] = float(p.mean())
-    return MomentVector(mean=mean, central=central, raw=raw, exact=False)
+    rows = x[None, :]
+    mean, central = row_moments(rows, rows.sum(axis=1), max_central_order)
+    central = {m: float(v[0]) for m, v in central.items()}
+    return MomentVector(mean=float(mean[0]), central=central, raw=raw, exact=False)
+
+
+def row_moments(x: np.ndarray, sums: np.ndarray, max_order: int):
+    """Mean and biased central moments 2..max_order of each row of x.
+
+    sums holds the row sums of x.  Centering comes before the powers, since
+    expanding raw power sums cancels catastrophically once the mean is large.
+    """
+    mean = sums / x.shape[1]
+    central: dict[int, np.ndarray] = {}
+    if max_order >= 2:
+        d = x - mean[:, None]
+        p = d
+        for m in range(2, max_order + 1):
+            p = p * d
+            central[m] = p.mean(axis=1)
+    return mean, central
 
 
 def _eulerian_rows(nmax: int) -> list[list[int]]:

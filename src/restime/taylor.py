@@ -12,7 +12,7 @@ one tuple at a time.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -22,12 +22,48 @@ import numpy as np
 
 from .core import (
     DomainError,
-    IndexPattern,
     MomentVector,
     Term,
     VarianceExpression,
     normalize_expression,
 )
+
+
+@dataclass(frozen=True)
+class IndexPattern:
+    """Canonical multiset of per-index multiplicity pairs (a_r, b_r).
+
+    Slot r records that one shared index label appears a_r times in the
+    first index set and b_r times in the second.  Canonical form keeps the
+    slots sorted; only multiplicities matter, never the labels themselves.
+    """
+
+    slots: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        slots = tuple(sorted((int(a), int(b)) for a, b in self.slots))
+        if not slots:
+            raise DomainError("pattern needs at least one slot")
+        if any(a < 0 or b < 0 or a + b < 2 for a, b in slots):
+            raise DomainError("every slot needs total multiplicity >= 2")
+        if not any(a >= 1 and b >= 1 for a, b in slots):
+            raise DomainError("at least one slot must appear in both index sets")
+        object.__setattr__(self, "slots", slots)
+
+    @property
+    def k(self) -> int:
+        return sum(a for a, _ in self.slots)
+
+    @property
+    def l(self) -> int:
+        return sum(b for _, b in self.slots)
+
+    def to_json(self) -> str:
+        return json.dumps({"slots": [list(s) for s in self.slots]})
+
+    @classmethod
+    def from_json(cls, text: str) -> "IndexPattern":
+        return cls(slots=tuple(tuple(s) for s in json.loads(text)["slots"]))
 
 
 def _pattern_slots(k: int, l: int) -> list[tuple[tuple[int, int], ...]]:
@@ -79,9 +115,7 @@ class Coefficient:
 
 
 @lru_cache(maxsize=None)
-def _doubled_coefficient(
-    mults: tuple[int, ...], pair_term_times_n: bool
-) -> tuple[tuple[int, int], ...]:
+def _doubled_coefficient(mults: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     """Twice the n_poly of coefficient(mults), as (exponent, integer) pairs.
 
     mults must be sorted.  Doubling clears the only denominator, the 2 of
@@ -90,15 +124,12 @@ def _doubled_coefficient(
     k = sum(mults)
     pairs = sum(comb(a, 2) for a in mults)
     sign = -1 if k % 2 else 1
-    poly: dict[int, int] = {}
-    if pairs:
-        shift = 1 - k if pair_term_times_n else -k
-        poly[shift] = poly.get(shift, 0) + 2 * sign * factorial(k - 2) * pairs
-    poly[-k] = poly.get(-k, 0) - sign * factorial(k)
-    return tuple(sorted((e, q) for e, q in poly.items() if q != 0))
+    if not pairs:
+        return ((-k, -sign * factorial(k)),)
+    return ((-k, -sign * factorial(k)), (1 - k, 2 * sign * factorial(k - 2) * pairs))
 
 
-def coefficient(multiplicities, pair_term_times_n: bool = True) -> Coefficient:
+def coefficient(multiplicities) -> Coefficient:
     """Derivative coefficient for one multiplicity pattern of one index set.
 
     For multiplicities (a_1..a_d) with k = sum(a_r) and P = sum(C(a_r, 2)),
@@ -107,14 +138,11 @@ def coefficient(multiplicities, pair_term_times_n: bool = True) -> Coefficient:
         (-1)^k * N^-k * mu^-(k-1) * (N * (k-2)! * P - k!/2)
 
     with the P part absent whenever P = 0 (in particular for k = 1).
-    pair_term_times_n=False drops the factor N on the P part; that variant
-    fails the finite-difference cross-check whenever an index repeats and
-    exists only for comparison.
     """
     mults = tuple(sorted(int(a) for a in multiplicities))
     if not mults or any(a < 1 for a in mults):
         raise DomainError("multiplicities must be positive integers")
-    poly = _doubled_coefficient(mults, pair_term_times_n)
+    poly = _doubled_coefficient(mults)
     return Coefficient(
         n_poly=tuple((e, Fraction(q, 2)) for e, q in poly),
         mu_exponent=-(sum(mults) - 1),
@@ -195,8 +223,8 @@ def _build_block(k: int, l: int) -> tuple[_Row, ...]:
     g = 2 - k - l  # mu exponents of the two coefficients, 1 - k and 1 - l
     rows: list[_Row] = []
     for slots in _pattern_slots(k, l):
-        ca = _doubled_coefficient(tuple(sorted(a for a, _ in slots if a > 0)), True)
-        cb = _doubled_coefficient(tuple(sorted(b for _, b in slots if b > 0)), True)
+        ca = _doubled_coefficient(tuple(sorted(a for a, _ in slots if a > 0)))
+        cb = _doubled_coefficient(tuple(sorted(b for _, b in slots if b > 0)))
         count = _pattern_count_int(slots)
         npoly: dict[int, int] = {}
         for ea, qa in ca:
@@ -334,65 +362,3 @@ def evaluate_expression_batch(
             term = term * powers[(m, c)]
         out += term
     return out
-
-
-def brute_force_truncated_variance(mom: MomentVector, n: int, order: int):
-    """Direct enumeration of the truncated double sum, with no pattern grouping.
-
-    Every ordered pair of index tuples is visited and its covariance is
-    evaluated from the central-moment factorization on the spot.  Cost grows
-    as n^(2*order), so inputs are guarded.
-    """
-    if n > 6 or order > 4:
-        raise DomainError("brute force is guarded to n <= 6 and order <= 4")
-    if n < 1 or order < 1:
-        raise DomainError("need n >= 1 and order >= 1")
-    exact = mom.exact
-    zero = Fraction(0) if exact else 0.0
-    one = Fraction(1) if exact else 1.0
-
-    def mu_c(m: int):
-        if m == 0:
-            return one
-        if m == 1:
-            return zero
-        if m not in mom.central:
-            raise DomainError(f"central order {m} required")
-        return mom.central[m]
-
-    def product_expect(counts: Counter):
-        val = one
-        for c in counts.values():
-            f = mu_c(c)
-            if f == 0:
-                return zero
-            val = val * f
-        return val
-
-    coeff_cache: dict[tuple[int, ...], object] = {}
-
-    def coeff_value(tup):
-        mults = tuple(sorted(Counter(tup).values()))
-        if mults not in coeff_cache:
-            coeff_cache[mults] = coefficient(mults).evaluate(n, mom.mean)
-        return coeff_cache[mults]
-
-    labels = range(n)
-    total = zero
-    for k in range(1, order + 1):
-        for l in range(1, order + 1):
-            denom = Fraction(1, factorial(k) * factorial(l))
-            scale = denom if exact else float(denom)
-            for i_tuple in itertools.product(labels, repeat=k):
-                ci = coeff_value(i_tuple)
-                cnt_i = Counter(i_tuple)
-                ei = product_expect(cnt_i)
-                for j_tuple in itertools.product(labels, repeat=l):
-                    cnt_j = Counter(j_tuple)
-                    joint = cnt_i.copy()
-                    joint.update(cnt_j)
-                    sigma = product_expect(joint) - ei * product_expect(cnt_j)
-                    if sigma == 0:
-                        continue
-                    total = total + scale * ci * coeff_value(j_tuple) * sigma
-    return total

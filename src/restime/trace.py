@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, TextIO
-
-import numpy as np
+from itertools import chain
+from typing import Iterable, Iterator, TextIO
 
 from .core import DomainError, OccupancyTrace, ParseError, ResidenceSample
 
@@ -84,24 +83,6 @@ def filter_transient_escapes(x: OccupancyTrace, cfg: FilterConfig) -> OccupancyT
     return OccupancyTrace(bits=tuple(bits))
 
 
-def _filter_by_convolution(x: OccupancyTrace, cfg: FilterConfig) -> OccupancyTrace:
-    """Window-sum construction of the same filter, kept for cross-validation.
-
-    Convolve with a ones vector of k elements, clamp to 1, convolve again,
-    keep positions where the second convolution reaches k, and trim the
-    k-1 leading elements of the doubly expanded result.
-    """
-    k = cfg.k
-    n = len(x.bits)
-    if n == 0:
-        return x
-    v = np.ones(k, dtype=np.int64)
-    c1 = np.minimum(np.convolve(np.asarray(x.bits, dtype=np.int64), v), 1)
-    c2 = np.convolve(c1, v)
-    out = (c2[k - 1 : k - 1 + n] >= k).astype(int)
-    return OccupancyTrace(bits=tuple(int(b) for b in out))
-
-
 def extract_residences(x: OccupancyTrace, policy: ExtractionPolicy) -> list[int]:
     """Lengths of maximal 1-runs in temporal order.
 
@@ -124,6 +105,14 @@ def extract_residences(x: OccupancyTrace, policy: ExtractionPolicy) -> list[int]
     return [e - s + 1 for s, e in runs]
 
 
+def per_trace_residences(
+    traces: Iterable[OccupancyTrace], cfg: FilterConfig, policy: ExtractionPolicy
+) -> Iterator[list[int]]:
+    """Yield each trace's residences, after filtering, in trace order."""
+    for t in traces:
+        yield extract_residences(filter_transient_escapes(t, cfg), policy)
+
+
 def collect_sample(
     traces: Iterable[OccupancyTrace],
     cfg: FilterConfig,
@@ -131,12 +120,10 @@ def collect_sample(
     dt: float | None = None,
 ) -> ResidenceSample:
     """Filter each trace, extract residences, and pool them into one sample."""
-    steps: list[int] = []
-    for t in traces:
-        steps.extend(extract_residences(filter_transient_escapes(t, cfg), policy))
+    steps = tuple(chain.from_iterable(per_trace_residences(traces, cfg, policy)))
     if not steps:
         raise DomainError("no residences found in the given traces")
-    return ResidenceSample(steps=tuple(steps), dt=dt)
+    return ResidenceSample(steps=steps, dt=dt)
 
 
 def write_steps_csv(steps: Iterable[int], fh: TextIO) -> None:

@@ -3,9 +3,10 @@
 Everything here is deliberately written from first principles, without
 importing any package internals, so a shared bug cannot hide: finite
 differences for derivative coefficients, explicit enumeration (by tuple
-and by weighted multiset) for exact variances and pattern counts, a plain
-scan for the gap filter, and partial sums with rigorous tail bounds for
-geometric moments.
+and by weighted multiset) for exact variances and pattern counts, a
+direct double sum for the truncated series, a plain scan and a window-sum
+construction for the gap filter, and partial sums with rigorous tail
+bounds for geometric moments.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from math import comb, factorial
+
+import numpy as np
 
 
 def statistic(xs):
@@ -154,3 +157,116 @@ def count_tuples_by_pattern(n: int, k: int, l: int) -> dict[tuple, int]:
             slots = tuple(sorted((ci.get(x, 0), cj.get(x, 0)) for x in labels))
             counts[slots] += 1
     return dict(counts)
+
+
+def filter_by_convolution(bits, k: int) -> tuple[int, ...]:
+    """Window-sum construction of the gap filter.
+
+    Convolve with a ones vector of k elements, clamp to 1, convolve again,
+    keep positions where the second convolution reaches k, and trim the
+    k-1 leading elements of the doubly expanded result.
+    """
+    n = len(bits)
+    if n == 0:
+        return tuple(bits)
+    v = np.ones(k, dtype=np.int64)
+    c1 = np.minimum(np.convolve(np.asarray(bits, dtype=np.int64), v), 1)
+    c2 = np.convolve(c1, v)
+    return tuple(int(b) for b in c2[k - 1 : k - 1 + n] >= k)
+
+
+def inspection_identity_rhs(steps, exact: bool = False):
+    """Right-hand side of the length-bias identity for the mean residual time.
+
+    mrT = (mean^2 + biased variance) / (2 * mean) + 1/2 holds algebraically
+    for every sample, so this equals the residual-time statistic up to
+    arithmetic error.
+    """
+    n = len(steps)
+    if exact:
+        total = sum(steps)
+        mean = Fraction(total, n)
+        v = Fraction(sum((n * x - total) ** 2 for x in steps), n**3)
+        return (mean * mean + v) / (2 * mean) + Fraction(1, 2)
+    x = np.asarray(steps, dtype=np.float64)
+    mean = float(x.mean())
+    v = float(x.var())
+    return (mean * mean + v) / (2.0 * mean) + 0.5
+
+
+def uncorrected_coefficient(multiplicities, n: int, mu: Fraction) -> Fraction:
+    """The derivative coefficient without the factor N on its pair part.
+
+    (-1)^k * N^-k * mu^-(k-1) * ((k-2)! * P - k!/2), with k = sum(a_r) and
+    P = sum(C(a_r, 2)).  It fails the finite-difference check whenever an
+    index repeats, and exists only to show that the check can fail.
+    """
+    k = sum(multiplicities)
+    pairs = sum(comb(a, 2) for a in multiplicities)
+    pair_part = factorial(k - 2) * pairs if pairs else 0
+    scale = (-1) ** k * Fraction(n) ** -k * Fraction(mu) ** (1 - k)
+    return scale * (pair_part - Fraction(factorial(k), 2))
+
+
+def brute_force_truncated_variance(mom, n: int, order: int, coefficient):
+    """Direct enumeration of the truncated double sum, with no pattern grouping.
+
+    Every ordered pair of index tuples is visited and its covariance is
+    evaluated from the central-moment factorization on the spot.  mom needs
+    mean, central and exact attributes; coefficient(multiplicities) must
+    return an object whose evaluate(n, mean) gives the derivative
+    coefficient.  Cost grows as n^(2*order), so inputs are guarded.
+    """
+    if n > 6 or order > 4:
+        raise ValueError("brute force is guarded to n <= 6 and order <= 4")
+    if n < 1 or order < 1:
+        raise ValueError("need n >= 1 and order >= 1")
+    exact = mom.exact
+    zero = Fraction(0) if exact else 0.0
+    one = Fraction(1) if exact else 1.0
+
+    def mu_c(m: int):
+        if m == 0:
+            return one
+        if m == 1:
+            return zero
+        if m not in mom.central:
+            raise ValueError(f"central order {m} required")
+        return mom.central[m]
+
+    def product_expect(counts: Counter):
+        val = one
+        for c in counts.values():
+            f = mu_c(c)
+            if f == 0:
+                return zero
+            val = val * f
+        return val
+
+    coeff_cache: dict[tuple[int, ...], object] = {}
+
+    def coeff_value(tup):
+        mults = tuple(sorted(Counter(tup).values()))
+        if mults not in coeff_cache:
+            coeff_cache[mults] = coefficient(mults).evaluate(n, mom.mean)
+        return coeff_cache[mults]
+
+    labels = range(n)
+    total = zero
+    for k in range(1, order + 1):
+        for l in range(1, order + 1):
+            denom = Fraction(1, factorial(k) * factorial(l))
+            scale = denom if exact else float(denom)
+            for i_tuple in itertools.product(labels, repeat=k):
+                ci = coeff_value(i_tuple)
+                cnt_i = Counter(i_tuple)
+                ei = product_expect(cnt_i)
+                for j_tuple in itertools.product(labels, repeat=l):
+                    cnt_j = Counter(j_tuple)
+                    joint = cnt_i.copy()
+                    joint.update(cnt_j)
+                    sigma = product_expect(joint) - ei * product_expect(cnt_j)
+                    if sigma == 0:
+                        continue
+                    total = total + scale * ci * coeff_value(j_tuple) * sigma
+    return total

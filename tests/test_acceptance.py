@@ -21,7 +21,6 @@ from restime.core import (
     format_rational,
 )
 from restime.estimators import (
-    inspection_identity_check,
     mean_residual_steps,
     ratio_variance_from_moments,
     var_mrt_ratio,
@@ -36,14 +35,21 @@ from restime.mc import (
 )
 from restime.moments import exact_moments, raw_from_central
 from restime.taylor import (
-    brute_force_truncated_variance,
     coefficient,
     evaluate_expression,
     generate_expression,
 )
-from restime.trace import FilterConfig, _filter_by_convolution, filter_transient_escapes
+from restime.trace import FilterConfig, filter_transient_escapes
 
-from .oracles import fd_partial, gap_fill_reference, multiset_enumeration_variance
+from .oracles import (
+    brute_force_truncated_variance,
+    fd_partial,
+    filter_by_convolution,
+    gap_fill_reference,
+    inspection_identity_rhs,
+    multiset_enumeration_variance,
+    uncorrected_coefficient,
+)
 
 GEOM_005 = DistributionSpec.geometric(Fraction(1, 20))
 GEOM_05 = DistributionSpec.geometric(Fraction(1, 2))
@@ -148,7 +154,7 @@ def test_criterion_3():
         mom = _random_moment_vector(rng, 6)
         for n in (2, 3, 4):
             for order in (1, 2, 3):
-                direct = brute_force_truncated_variance(mom, n, order)
+                direct = brute_force_truncated_variance(mom, n, order, coefficient)
                 summed = evaluate_expression(generate_expression(order), mom, n)
                 rel = abs(float(direct - summed)) / max(abs(float(summed)), 1e-30)
                 worst = max(worst, rel)
@@ -180,7 +186,7 @@ def test_criterion_4():
                 worst = max(worst, abs(fd - got) / scale)
     # the uncorrected repeated-index form must be refuted by the same oracle
     fd2 = fd_partial((2,), 3, Fraction(1), h)
-    alt = coefficient((2,), pair_term_times_n=False).evaluate(3, Fraction(1))
+    alt = uncorrected_coefficient((2,), 3, Fraction(1))
     spur = abs(fd2 - alt) / abs(fd2)
     ok = worst <= Fraction(1, 10**6) and spur > Fraction(1, 2)
     assert verdict(
@@ -240,9 +246,10 @@ def test_criterion_6():
     for i in range(1000):
         n = max(1, int(round(10.0 ** size_rng.uniform(0.0, 4.0))))
         s = sample(dists[i % 4], n, replicate_stream(6, i))
-        rel = inspection_identity_check(s) / mean_residual_steps(s)
+        mrt = mean_residual_steps(s)
+        rel = abs(mrt - inspection_identity_rhs(s.steps)) / mrt
         worst = max(worst, rel)
-        if inspection_identity_check(s, exact=True) != 0:
+        if mean_residual_steps(s, exact=True) != inspection_identity_rhs(s.steps, exact=True):
             exact_ok = False
     ok = worst < 1e-12 and exact_ok
     assert verdict(
@@ -272,7 +279,7 @@ def test_criterion_7():
                 checked += 1
                 if (
                     out.bits != tuple(gap_fill_reference(bits, k))
-                    or out.bits != _filter_by_convolution(trace, cfg).bits
+                    or out.bits != filter_by_convolution(bits, k)
                     or filter_transient_escapes(out, cfg).bits != out.bits
                     or any(b > o for b, o in zip(bits, out.bits))
                 ):

@@ -207,6 +207,37 @@ class TestAutocorr:
         assert main(["autocorr", "--input", trace_file, "--max-lag", "8"]) == 1
 
 
+MC = ["mc", "--dist", "geom:p=1/2", "--n", "12", "--reps", "50"]
+
+
+class TestOutOfRangeFlags:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["gen-expr", "--order", "0"], "--order must be >= 1, got 0"),
+            (["estimate", "--method", "taylor", "--order", "0"], "--order must be within 1..8, got 0"),
+            (["estimate", "--method", "both", "--order", "0"], "--order must be within 1..8, got 0"),
+            (["estimate", "--method", "taylor", "--order", "12"], "--order must be within 1..8, got 12"),
+            (["estimate", "--method", "both", "--order", "12"], "--order must be within 1..8, got 12"),
+            (MC + ["--order", "0"], "--order must be within 1..8, got 0"),
+            (MC + ["--order", "9"], "--order must be within 1..8, got 9"),
+            (MC + ["--order", "12"], "--order must be within 1..8, got 12"),
+            (MC + ["--n", "0"], "--n must be >= 1, got 0"),
+            (MC + ["--reps", "1"], "--reps must be >= 2, got 1"),
+        ],
+    )
+    def test_usage_error(self, rts_file, capsys, argv, message):
+        if argv[0] == "estimate":
+            argv = argv + ["--rts", rts_file]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
+
+    def test_ratio_ignores_order(self, rts_file, capsys):
+        assert main(["estimate", "--rts", rts_file, "--method", "ratio", "--order", "12"]) == 0
+
+
 class TestUsage:
     def test_unknown_subcommand(self, capsys):
         assert main(["bogus"]) == 2

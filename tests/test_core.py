@@ -7,7 +7,6 @@ from restime.core import (
     DistributionSpec,
     DomainError,
     EstimateReport,
-    IndexPattern,
     MomentVector,
     OccupancyTrace,
     ParseError,
@@ -18,6 +17,7 @@ from restime.core import (
     format_rational,
     normalize_expression,
 )
+from restime.taylor import IndexPattern
 
 
 class TestResidenceSample:
@@ -34,6 +34,28 @@ class TestResidenceSample:
     def test_rejects_bad_steps(self, bad):
         with pytest.raises(DomainError):
             ResidenceSample(steps=(1, bad))
+
+    @pytest.mark.parametrize(
+        "steps, message",
+        [
+            ((), "sample must contain at least one residence"),
+            ((3, 2.5, 0), "residence durations must be integers >= 1, got 2.5"),
+            ((1, "3"), "residence durations must be integers >= 1, got '3'"),
+            ((4, 0, 2.5), "residence durations must be integers >= 1, got 0"),
+            ((2, -7), "residence durations must be integers >= 1, got -7"),
+            ((1, None), "residence durations must be integers >= 1, got None"),
+            ((1, float("nan")), "residence durations must be integers >= 1, got nan"),
+        ],
+    )
+    def test_validation_names_first_bad_value(self, steps, message):
+        with pytest.raises(DomainError) as info:
+            ResidenceSample(steps=steps)
+        assert str(info.value) == message
+
+    def test_integral_floats_and_bools_become_ints(self):
+        s = ResidenceSample(steps=[2.0, True, 5])
+        assert s.steps == (2, 1, 5)
+        assert all(type(x) is int for x in s.steps)
 
     def test_rejects_bad_dt(self):
         with pytest.raises(DomainError):

@@ -9,7 +9,6 @@ from restime import mc
 from restime.core import DistributionSpec, DomainError, ResidenceSample
 from restime.estimators import (
     build_report,
-    inspection_identity_check,
     mean_residence_steps,
     mean_residual_steps,
     ratio_variance_from_moments,
@@ -20,7 +19,7 @@ from restime.estimators import (
 )
 from restime.moments import exact_moments, sample_moments
 
-from .oracles import autocorr_direct, statistic
+from .oracles import autocorr_direct, inspection_identity_rhs, statistic
 
 samples = st.lists(st.integers(min_value=1, max_value=200), min_size=1, max_size=60)
 
@@ -148,15 +147,19 @@ def test_variance_estimators_nonnegative_on_samples(steps):
 
 class TestIdentity:
     def test_small_sample_float(self):
-        assert inspection_identity_check(ResidenceSample(steps=(1, 2, 3))) < 1e-15
+        s = ResidenceSample(steps=(1, 2, 3))
+        assert abs(mean_residual_steps(s) - inspection_identity_rhs(s.steps)) < 1e-15
 
     def test_single_value_exact(self):
-        assert inspection_identity_check(ResidenceSample(steps=(5,)), exact=True) == 0
+        rhs = inspection_identity_rhs((5,), exact=True)
+        assert abs(mean_residual_steps(ResidenceSample(steps=(5,)), exact=True) - rhs) == 0
 
     @given(samples)
     @settings(max_examples=60)
     def test_exact_identity_everywhere(self, steps):
-        assert inspection_identity_check(ResidenceSample(steps=tuple(steps)), exact=True) == 0
+        s = ResidenceSample(steps=tuple(steps))
+        rhs = inspection_identity_rhs(s.steps, exact=True)
+        assert abs(mean_residual_steps(s, exact=True) - rhs) == 0
 
 
 class TestAutocorrelation:
@@ -237,6 +240,11 @@ class TestReport:
     def test_unknown_method(self):
         with pytest.raises(DomainError):
             build_report(ResidenceSample(steps=(2, 5, 3)), methods=("midpoint",))
+
+    @pytest.mark.parametrize("label", ["taylor0", "taylor9", "taylor12", "taylor", "taylor08"])
+    def test_rejects_series_labels_outside_one_to_eight(self, label):
+        with pytest.raises(DomainError):
+            build_report(ResidenceSample(steps=(2, 5, 3)), methods=(label,))
 
     def test_json_payload_is_complete(self):
         rep = build_report(ResidenceSample(steps=(2, 5, 3)), dt=0.2)

@@ -73,6 +73,14 @@ class TestConfig:
         )
         assert cfg.estimators == ("taylor3",)
 
+    @pytest.mark.parametrize("label", ["taylor0", "taylor9", "taylor12"])
+    def test_labels_share_the_report_grammar(self, label):
+        # the same labels build_report rejects
+        with pytest.raises(DomainError):
+            ExperimentConfig(
+                dist=GEOM_HALF, sizes=(10,), replicates=10, seed=0, estimators=(label,)
+            )
+
 
 class TestRunExperiment:
     def test_minimal_run(self):

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from restime import mc
-from restime.core import DistributionSpec, DomainError, IndexPattern, MomentVector
+from restime.core import DistributionSpec, DomainError, MomentVector
 from restime.moments import exact_moments, raw_from_central
 from restime.taylor import (
-    brute_force_truncated_variance,
+    IndexPattern,
     coefficient,
     enumerate_patterns,
     evaluate_expression,
@@ -22,7 +22,12 @@ from restime.taylor import (
     sigma_pattern,
 )
 
-from .oracles import count_tuples_by_pattern, fd_partial
+from .oracles import (
+    brute_force_truncated_variance,
+    count_tuples_by_pattern,
+    fd_partial,
+    uncorrected_coefficient,
+)
 
 EXPECTED_TERM_COUNTS = {1: 1, 2: 9, 3: 32, 4: 79, 5: 173, 6: 352, 7: 671, 8: 1235}
 
@@ -102,7 +107,7 @@ class TestCoefficient:
         assert abs(fd - good) / abs(good) < Fraction(1, 10**6)
         # dropping the factor N from the pair part zeroes this coefficient,
         # which the finite difference refutes
-        bad = coefficient((2,), pair_term_times_n=False).evaluate(n, mu)
+        bad = uncorrected_coefficient((2,), n, mu)
         assert bad == 0
         assert abs(fd - bad) > abs(good) / 2
 
@@ -273,15 +278,15 @@ class TestEvaluate:
 class TestBruteForce:
     def test_guards(self):
         mom = MomentVector(mean=Fraction(2), central={2: Fraction(1)}, raw={}, exact=True)
-        with pytest.raises(DomainError):
-            brute_force_truncated_variance(mom, 7, 2)
-        with pytest.raises(DomainError):
-            brute_force_truncated_variance(mom, 3, 5)
+        with pytest.raises(ValueError):
+            brute_force_truncated_variance(mom, 7, 2, coefficient)
+        with pytest.raises(ValueError):
+            brute_force_truncated_variance(mom, 3, 5, coefficient)
 
     def test_order_one_is_single_term(self):
         rng = random.Random(5)
         mom = random_moment_vector(rng, 2)
-        v = brute_force_truncated_variance(mom, 4, 1)
+        v = brute_force_truncated_variance(mom, 4, 1, coefficient)
         assert v == mom.central[2] / 16
 
     def test_zero_moments(self):
@@ -291,12 +296,12 @@ class TestBruteForce:
             raw={},
             exact=True,
         )
-        assert brute_force_truncated_variance(mom, 3, 4) == 0
+        assert brute_force_truncated_variance(mom, 3, 4, coefficient) == 0
 
     def test_matches_generated_expression(self):
         rng = random.Random(29)
         for n, order in ((3, 2), (2, 3), (4, 2)):
             mom = random_moment_vector(rng, 2 * order)
-            direct = brute_force_truncated_variance(mom, n, order)
+            direct = brute_force_truncated_variance(mom, n, order, coefficient)
             via_expr = evaluate_expression(generate_expression(order), mom, n)
             assert direct == via_expr

@@ -7,16 +7,16 @@ from restime.core import DomainError, OccupancyTrace, ParseError
 from restime.trace import (
     ExtractionPolicy,
     FilterConfig,
-    _filter_by_convolution,
     collect_sample,
     extract_residences,
     filter_transient_escapes,
     parse_traces,
+    per_trace_residences,
     read_steps_csv,
     write_steps_csv,
 )
 
-from .oracles import gap_fill_reference
+from .oracles import filter_by_convolution, gap_fill_reference
 
 DROP = ExtractionPolicy(boundary="drop")
 INCLUDE = ExtractionPolicy(boundary="include")
@@ -106,6 +106,15 @@ class TestCollect:
         assert collect_sample(traces, FilterConfig(k=1), INCLUDE).steps == (1, 1, 2)
         assert collect_sample(traces, FilterConfig(k=2), INCLUDE).steps == (3, 2)
 
+    def test_per_trace_residences_keeps_traces_apart(self):
+        traces = [
+            OccupancyTrace(bits=(1, 0, 1)),
+            OccupancyTrace(bits=()),
+            OccupancyTrace(bits=(0, 1, 1, 0)),
+        ]
+        assert list(per_trace_residences(traces, FilterConfig(k=2), INCLUDE)) == [[3], [], [2]]
+        assert list(per_trace_residences(traces, FilterConfig(k=1), DROP)) == [[], [], [2]]
+
     def test_interior_run_survives_both_policies(self):
         # bounded by 0s on both sides, so nothing about it is censored
         traces = [OccupancyTrace(bits=(0, 1, 0))]
@@ -136,7 +145,7 @@ def test_filter_matches_reference_and_convolution(bits, k):
     cfg = FilterConfig(k=k)
     out = filter_transient_escapes(t, cfg)
     assert out.bits == gap_fill_reference(bits, k)
-    assert out.bits == _filter_by_convolution(t, cfg).bits
+    assert out.bits == filter_by_convolution(bits, k)
 
 
 @given(bits=bit_traces, k=st.integers(min_value=1, max_value=8))
