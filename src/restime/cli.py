@@ -2,13 +2,15 @@
 
 Subcommands: extract, estimate, gen-expr, exact, mc, autocorr.  Data goes to
 stdout (or --out); diagnostics go to stderr.  Exit codes: 2 for usage errors
-(unknown flags, malformed inputs), 1 for domain errors (e.g. empty sample).
+(unknown flags, out-of-range flag values, unreadable or malformed inputs), 1
+for domain errors (e.g. empty sample, a step beyond float range).
 """
 
 from __future__ import annotations
 
 import argparse
 import io
+import math
 import sys
 
 from . import estimators, mc, moments, taylor, trace
@@ -44,12 +46,18 @@ def _add_filter_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _filter_config(args: argparse.Namespace) -> trace.FilterConfig:
+    _check_positive("--tstar", args.tstar)
+    _check_positive("--dt", args.dt)
     if args.k is not None:
+        _check_range("--k", args.k, 1)
         return trace.FilterConfig(k=args.k)
     if args.tstar is not None:
         if args.dt is None:
             raise ParseError("--tstar needs --dt to derive the step tolerance")
-        return trace.FilterConfig.from_times(args.tstar, args.dt)
+        try:
+            return trace.FilterConfig.from_times(args.tstar, args.dt)
+        except DomainError as exc:
+            raise ParseError(f"--tstar and --dt: {exc}") from exc
     return trace.FilterConfig(k=1)
 
 
@@ -84,6 +92,11 @@ def _check_range(flag: str, value: int, lo: int, hi: int | None = None) -> None:
         raise ParseError(f"{flag} must be {bound}, got {value}")
 
 
+def _check_positive(flag: str, value: float | None) -> None:
+    if value is not None and not (math.isfinite(value) and value > 0):
+        raise ParseError(f"{flag} must be finite and > 0, got {value}")
+
+
 def cmd_extract(args: argparse.Namespace) -> None:
     cfg = _filter_config(args)
     policy = trace.ExtractionPolicy(boundary=args.boundary)
@@ -96,25 +109,22 @@ def cmd_extract(args: argparse.Namespace) -> None:
 
 
 def cmd_estimate(args: argparse.Namespace) -> None:
+    _check_positive("--dt", args.dt)
+    if args.method != "ratio":
+        _check_range("--order", args.order, 1, 8)
     with open(args.rts, "r", encoding="utf-8") as fh:
         steps = trace.read_steps_csv(fh)
     sample = ResidenceSample(steps=tuple(steps), dt=args.dt)
-    if args.method != "ratio":
-        _check_range("--order", args.order, 1, 8)
-    if args.method == "ratio":
-        methods: tuple[str, ...] = ("ratio",)
-    elif args.method == "taylor":
-        methods = (f"taylor{args.order}",)
-    else:
-        methods = ("ratio", f"taylor{args.order}")
+    series = f"taylor{args.order}"
+    methods = {"ratio": ("ratio",), "taylor": (series,), "both": ("ratio", series)}[args.method]
     report = estimators.build_report(sample, dt=args.dt, methods=methods)
     _write_output(args, report.to_json())
 
 
 def cmd_gen_expr(args: argparse.Namespace) -> None:
     _check_range("--threads", args.threads, 1)
-    _check_range("--order", args.order, 1)
-    expr = taylor.generate_expression(args.order, threads=args.threads)
+    _check_range("--order", args.order, 1, 8)
+    expr = taylor.generate_expression(args.order)
     if args.format == "json":
         _write_output(args, expr.to_json())
     else:
@@ -125,6 +135,7 @@ def cmd_exact(args: argparse.Namespace) -> None:
     dist = DistributionSpec.parse(args.dist)
     orders = _parse_orders(args.orders)
     _check_range("--n", args.n, 1)
+    _check_range("--digits", args.digits, 1)
     mom = moments.exact_moments(dist, max_central_order=2 * max(orders))
     lines = ["estimator,value"]
     ratio = estimators.ratio_variance_from_moments(mom, args.n)
@@ -157,7 +168,7 @@ def cmd_mc(args: argparse.Namespace) -> None:
         seed=args.seed,
         estimators=labels,
     )
-    rows = mc.run_experiment(cfg, threads=args.threads)
+    rows = mc.run_experiment(cfg)
     header = ["N", "reference_var", "reference_var_se"]
     for lbl in labels:
         header += [f"est_{lbl}_mean", f"est_{lbl}_se"]
@@ -172,6 +183,7 @@ def cmd_mc(args: argparse.Namespace) -> None:
 
 def cmd_autocorr(args: argparse.Namespace) -> None:
     cfg = _filter_config(args)
+    _check_range("--max-lag", args.max_lag, 0)
     policy = trace.ExtractionPolicy(boundary=args.boundary)
     with open(args.input, "r", encoding="utf-8") as fh:
         traces = trace.parse_traces(fh)
@@ -247,13 +259,10 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         args.func(args)
-    except ParseError as exc:
+    except (ParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DomainError, ValueError) as exc:
+    except (DomainError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -2,8 +2,7 @@
 
 Two scalar regimes coexist throughout the package: exact rationals
 (fractions.Fraction) for reference computations, plain 64-bit floats
-everywhere else.  All types here are immutable values and safe to share
-across threads.
+everywhere else.  All types here are immutable values.
 """
 
 from __future__ import annotations

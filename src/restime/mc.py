@@ -69,13 +69,12 @@ class ExperimentRow:
     ses: dict[str, float]
 
 
-def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[ExperimentRow]:
+def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
     """Reference variance of the point statistic versus estimator means.
 
     Replicate i always uses its own counter-based stream (seed, i), and
     per-replicate results land in arrays indexed by i, so the output is
-    bit-identical for any chunk layout.  threads is accepted and has no
-    effect.
+    bit-identical for any chunk layout.
     """
     orders = [_series_order(lbl) for lbl in cfg.estimators]
     exprs = {order: taylor.generate_expression(order) for order in orders if order}

@@ -109,9 +109,7 @@ class Coefficient:
 
     def evaluate(self, n: int, mu):
         acc = sum(q * Fraction(n) ** e for e, q in self.n_poly)
-        if self.mu_exponent:
-            return acc * mu**self.mu_exponent
-        return acc
+        return acc * mu**self.mu_exponent if self.mu_exponent else acc
 
 
 @lru_cache(maxsize=None)
@@ -269,13 +267,13 @@ def expression_blocks(order: int) -> dict[tuple[int, int], tuple[Term, ...]]:
 _EXPR_CACHE: dict[int, VarianceExpression] = {}
 
 
-def generate_expression(order: int, threads: int = 1) -> VarianceExpression:
+def generate_expression(order: int) -> VarianceExpression:
     """Merged, canonically ordered variance expression of the given order.
 
     Generation is exact and cached per order.  Raw terms are summed as
     integers over the common denominator 4 * (order!)^2, each off-diagonal
     (k, l) block counted twice, and the sums pass through
-    normalize_expression.  threads is accepted and has no effect.
+    normalize_expression.
     """
     if order < 1:
         raise DomainError("order must be >= 1")
@@ -299,66 +297,56 @@ def generate_expression(order: int, threads: int = 1) -> VarianceExpression:
     return expr
 
 
-def evaluate_expression(expr: VarianceExpression, mom: MomentVector, n: int):
-    """Substitute moments and N into an expression; exact when mom is exact."""
-    if n < 1:
-        raise DomainError("N must be >= 1")
-    needed = {m for t in expr.terms for m, _ in t.moment_powers}
-    missing = sorted(needed - set(mom.central))
+def _needed_central(expr: VarianceExpression, central, convert) -> dict:
+    """The central moments expr uses, each passed through convert once."""
+    needed = sorted({m for t in expr.terms for m, _ in t.moment_powers})
+    missing = [m for m in needed if m not in central]
     if missing:
-        raise DomainError(f"moment vector lacks central orders {missing}")
-    if mom.exact:
-        total = Fraction(0)
-        n_frac = Fraction(n)
-        mu = Fraction(mom.mean)
-        for t in expr.terms:
-            val = t.coef * n_frac ** (-t.n_exponent)
-            if t.mu_exponent:
-                val *= mu**t.mu_exponent
-            for m, c in t.moment_powers:
-                val *= Fraction(mom.central[m]) ** c
-            total += val
-        return total
-    total = 0.0
-    mu = float(mom.mean)
+        raise DomainError(f"central orders {missing} missing")
+    return {m: convert(central[m]) for m in needed}
+
+
+def _evaluate(expr: VarianceExpression, n: int, mean, central: dict, num):
+    """The one series evaluator: substitute moments and N into expr.
+
+    num is Fraction or float and converts each coefficient and N.  mean and
+    central hold Fractions, Python floats or float64 arrays, and ** acts on
+    them as given, so every regime keeps its own pow.  Each distinct power
+    is computed once; the operations run in one fixed order, term by term.
+    """
+    total = num(0)
+    nn = num(n)
+    mu_pows, powers = {}, {}
     for t in expr.terms:
-        val = float(t.coef) * float(n) ** (-t.n_exponent)
+        val = num(t.coef) * nn ** (-t.n_exponent)
         if t.mu_exponent:
-            val *= mu**t.mu_exponent
-        for m, c in t.moment_powers:
-            val *= float(mom.central[m]) ** c
+            if t.mu_exponent not in mu_pows:
+                mu_pows[t.mu_exponent] = mean**t.mu_exponent
+            val *= mu_pows[t.mu_exponent]
+        for key in t.moment_powers:
+            if key not in powers:
+                powers[key] = central[key[0]] ** key[1]
+            val *= powers[key]
         total += val
     return total
 
 
+def evaluate_expression(expr: VarianceExpression, mom: MomentVector, n: int):
+    """Substitute moments and N into an expression; exact when mom is exact."""
+    if n < 1:
+        raise DomainError("N must be >= 1")
+    num = Fraction if mom.exact else float
+    return _evaluate(expr, n, num(mom.mean), _needed_central(expr, mom.central, num), num)
+
+
 def evaluate_expression_batch(
-    expr: VarianceExpression,
-    mean: np.ndarray,
-    central: dict[int, np.ndarray],
-    n: int,
+    expr: VarianceExpression, mean: np.ndarray, central: dict[int, np.ndarray], n: int
 ) -> np.ndarray:
     """Float evaluation across many moment vectors at once.
 
     mean is a 1-d array, central maps order to a same-shape array; one value
-    per input row comes back.  Power arrays are cached per (order, count)
-    so an order-8 expression touches each needed power exactly once.
+    per input row comes back.
     """
     mean = np.asarray(mean, dtype=np.float64)
-    missing = sorted({m for t in expr.terms for m, _ in t.moment_powers} - set(central))
-    if missing:
-        raise DomainError(f"central orders {missing} missing")
-    out = np.zeros_like(mean)
-    mu_pows: dict[int, np.ndarray] = {}
-    powers: dict[tuple[int, int], np.ndarray] = {}
-    for t in expr.terms:
-        term = np.full_like(mean, float(t.coef) * float(n) ** (-t.n_exponent))
-        if t.mu_exponent:
-            if t.mu_exponent not in mu_pows:
-                mu_pows[t.mu_exponent] = mean**t.mu_exponent
-            term = term * mu_pows[t.mu_exponent]
-        for m, c in t.moment_powers:
-            if (m, c) not in powers:
-                powers[(m, c)] = np.asarray(central[m], dtype=np.float64) ** c
-            term = term * powers[(m, c)]
-        out += term
-    return out
+    central = _needed_central(expr, central, lambda v: np.asarray(v, dtype=np.float64))
+    return np.zeros_like(mean) + _evaluate(expr, n, mean, central, float)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator, TextIO
@@ -23,8 +24,8 @@ class FilterConfig:
     @classmethod
     def from_times(cls, tstar: float, dt: float) -> "FilterConfig":
         """Window from an absence threshold tstar and time step dt, k = round(tstar/dt)."""
-        if dt <= 0 or tstar <= 0:
-            raise DomainError("tstar and dt must be positive")
+        if not (dt > 0 and tstar > 0 and math.isfinite(tstar / dt)):
+            raise DomainError("tstar and dt must be positive and tstar/dt finite")
         k = round(tstar / dt)
         if k < 1:
             raise DomainError("tstar shorter than half a time step leaves no window")

@@ -86,7 +86,7 @@ def _table_column(dist: DistributionSpec, n: int):
     mom = exact_moments(dist, max_central_order=16)
     values = [ratio_variance_from_moments(mom, n)]
     values += [
-        evaluate_expression(generate_expression(m, threads=4), mom, n)
+        evaluate_expression(generate_expression(m), mom, n)
         for m in range(1, 9)
     ]
     return values
@@ -201,7 +201,7 @@ MC_SIZES = (30, 158, 1902)
 
 
 def test_criterion_5():
-    expr8 = generate_expression(8, threads=4)
+    expr8 = generate_expression(8)
     failures = []
     clauses = 0
     for dist in MC_GRID:
@@ -213,7 +213,7 @@ def test_criterion_5():
             seed=0,
             estimators=("ratio", "taylor8"),
         )
-        rows = run_experiment(cfg, threads=4)
+        rows = run_experiment(cfg)
         for row in rows:
             ref = row.reference_var
             s8_exact = float(evaluate_expression(expr8, mom, row.n))

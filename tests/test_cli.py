@@ -208,13 +208,16 @@ class TestAutocorr:
 
 
 MC = ["mc", "--dist", "geom:p=1/2", "--n", "12", "--reps", "50"]
+EXACT = ["exact", "--dist", "geom:p=1/2", "--n", "3", "--orders", "1"]
+NO_WINDOW = "--tstar and --dt: tstar shorter than half a time step leaves no window"
+RATIO_OVERFLOW = "--tstar and --dt: tstar and dt must be positive and tstar/dt finite"
 
 
 class TestOutOfRangeFlags:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["gen-expr", "--order", "0"], "--order must be >= 1, got 0"),
+            (["gen-expr", "--order", "0"], "--order must be within 1..8, got 0"),
             (["estimate", "--method", "taylor", "--order", "0"], "--order must be within 1..8, got 0"),
             (["estimate", "--method", "both", "--order", "0"], "--order must be within 1..8, got 0"),
             (["estimate", "--method", "taylor", "--order", "12"], "--order must be within 1..8, got 12"),
@@ -224,11 +227,30 @@ class TestOutOfRangeFlags:
             (MC + ["--order", "12"], "--order must be within 1..8, got 12"),
             (MC + ["--n", "0"], "--n must be >= 1, got 0"),
             (MC + ["--reps", "1"], "--reps must be >= 2, got 1"),
+            (["gen-expr", "--order", "9"], "--order must be within 1..8, got 9"),
+            (["extract", "--k", "0"], "--k must be >= 1, got 0"),
+            (["autocorr", "--k", "0"], "--k must be >= 1, got 0"),
+            (["extract", "--tstar", "0", "--dt", "0.1"], "--tstar must be finite and > 0, got 0.0"),
+            (["autocorr", "--tstar", "-1", "--dt", "0.1"], "--tstar must be finite and > 0, got -1.0"),
+            (["extract", "--tstar", "inf", "--dt", "0.1"], "--tstar must be finite and > 0, got inf"),
+            (["extract", "--tstar", "0.2", "--dt", "0"], "--dt must be finite and > 0, got 0.0"),
+            (["autocorr", "--tstar", "0.2", "--dt", "nan"], "--dt must be finite and > 0, got nan"),
+            (["extract", "--k", "2", "--dt", "-0.5"], "--dt must be finite and > 0, got -0.5"),
+            (["extract", "--tstar", "0.01", "--dt", "0.1"], NO_WINDOW),
+            (["autocorr", "--tstar", "0.04", "--dt", "0.1"], NO_WINDOW),
+            (["extract", "--tstar", "1e308", "--dt", "1e-10"], RATIO_OVERFLOW),
+            (["estimate", "--dt", "0"], "--dt must be finite and > 0, got 0.0"),
+            (["estimate", "--dt", "-0.1"], "--dt must be finite and > 0, got -0.1"),
+            (["estimate", "--dt", "inf"], "--dt must be finite and > 0, got inf"),
+            (EXACT + ["--digits", "0"], "--digits must be >= 1, got 0"),
+            (["autocorr", "--max-lag", "-1"], "--max-lag must be >= 0, got -1"),
         ],
     )
-    def test_usage_error(self, rts_file, capsys, argv, message):
+    def test_usage_error(self, rts_file, trace_file, capsys, argv, message):
         if argv[0] == "estimate":
             argv = argv + ["--rts", rts_file]
+        if argv[0] in ("extract", "autocorr"):
+            argv = argv + ["--input", trace_file]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -236,6 +258,34 @@ class TestOutOfRangeFlags:
 
     def test_ratio_ignores_order(self, rts_file, capsys):
         assert main(["estimate", "--rts", rts_file, "--method", "ratio", "--order", "12"]) == 0
+
+
+class TestInputFailures:
+    @pytest.mark.parametrize(
+        "argv, content",
+        [
+            (["extract", "--input"], b"0 1 1 0\n\xfe 1\n"),
+            (["estimate", "--rts"], b"steps\n2\n\xff\n3\n"),
+            (["autocorr", "--input"], b"0 1 1 0 1 0\n1 \xc3\n"),
+        ],
+    )
+    def test_invalid_utf8_is_usage_error(self, tmp_path, capsys, argv, content):
+        path = tmp_path / "input.txt"
+        path.write_bytes(content)
+        assert main(argv + [str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: 'utf-8' codec can't decode byte")
+
+    @pytest.mark.parametrize("method", ["ratio", "taylor", "both"])
+    def test_step_beyond_float_range_is_domain_error(self, tmp_path, capsys, method):
+        path = tmp_path / "huge.csv"
+        path.write_text("steps\n3\n" + "9" * 401 + "\n5\n")
+        assert main(["estimate", "--rts", str(path), "--method", method]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: int too large to convert to float"]
 
 
 class TestUsage:

@@ -2,18 +2,26 @@
 
 Each case runs the CLI in-process and compares the SHA-256 of its stdout
 with a digest recorded before the float kernels, the estimator-label
-grammar and the per-trace loop were consolidated.  A refactor that claims
-to keep the numbers must keep these digests.  Inputs come from a seeded
+grammar and the per-trace loop were consolidated.  A second set pins the
+series evaluator at every order 1..8 as float scalar, float batch and exact
+rational.  A refactor that claims to keep the numbers must keep these
+digests.  Inputs come from a seeded
 random.Random, whose random() and getrandbits() streams are reproducible
 across Python versions.
 """
 
 import hashlib
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from restime.cli import main
+from restime.core import DistributionSpec, ResidenceSample
+from restime.estimators import var_mrt_taylor
+from restime.moments import exact_moments
+from restime.taylor import evaluate_expression, evaluate_expression_batch, generate_expression
 
 
 def _traces() -> str:
@@ -30,11 +38,15 @@ def _traces() -> str:
     return "\n".join(lines) + "\n"
 
 
-def _steps_csv() -> str:
-    """300 heavy-tailed residence steps under a 'steps' header."""
+def _steps() -> list[int]:
+    """300 heavy-tailed residence steps."""
     rng = random.Random(7)
-    steps = [1 + rng.getrandbits(4) * rng.getrandbits(3) for _ in range(300)]
-    return "steps\n" + "".join(f"{x}\n" for x in steps)
+    return [1 + rng.getrandbits(4) * rng.getrandbits(3) for _ in range(300)]
+
+
+def _steps_csv() -> str:
+    """The _steps sample under a 'steps' header."""
+    return "steps\n" + "".join(f"{x}\n" for x in _steps())
 
 
 CASES = {
@@ -81,3 +93,65 @@ def test_stdout_digest(name, tmp_path, capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _moment_rows():
+    """Mean and central moments 2..16 of 64 seeded samples of 30, one row each.
+
+    The moments are computed in plain Python floats, so the arrays do not
+    depend on any numpy reduction.
+    """
+    rng = random.Random(11)
+    means, central = [], {m: [] for m in range(2, 17)}
+    for _ in range(64):
+        scale = rng.getrandbits(5)
+        xs = [1 + rng.getrandbits(3) * scale + rng.getrandbits(2) for _ in range(30)]
+        mean = sum(xs) / 30
+        means.append(mean)
+        for m in central:
+            central[m].append(sum((x - mean) ** m for x in xs) / 30)
+    return np.array(means), {m: np.array(v) for m, v in central.items()}
+
+
+def _float_scalar() -> bytes:
+    sample = ResidenceSample(steps=tuple(_steps()))
+    return ",".join(var_mrt_taylor(sample, m).hex() for m in range(1, 9)).encode()
+
+
+def _float_batch() -> bytes:
+    mean, central = _moment_rows()
+    return b"".join(
+        evaluate_expression_batch(generate_expression(m), mean, central, 30).tobytes()
+        for m in range(1, 9)
+    )
+
+
+def _exact() -> bytes:
+    mom = exact_moments(DistributionSpec.geometric(Fraction(1, 20)), 16)
+    return ",".join(
+        str(evaluate_expression(generate_expression(m), mom, 30)) for m in range(1, 9)
+    ).encode()
+
+
+# the series evaluator at orders 1..8 in each regime, recorded before the
+# exact, float and batch loops were merged into one
+EVALUATOR_CASES = {
+    "float-scalar": (
+        _float_scalar,
+        "6a60ce1746c91d522d5c7dd0165a766b1de3f1fb2084f29dc875bffdd3972ff0",
+    ),
+    "float-batch": (
+        _float_batch,
+        "53f2e38c8e90ecf47d1bd7aed45c0a59fbff5c740259cfabf0e09570556f81ef",
+    ),
+    "exact": (
+        _exact,
+        "493b9e7988ad0e6a04e2ddd46887cb56bfd1e170b134bdaf2ae2ec737c60053e",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVALUATOR_CASES))
+def test_evaluator_digest(name):
+    produce, digest = EVALUATOR_CASES[name]
+    assert hashlib.sha256(produce()).hexdigest() == digest

@@ -169,15 +169,6 @@ class TestGenerate:
         for order, expected in EXPECTED_TERM_COUNTS.items():
             assert len(generate_expression(order).terms) == expected
 
-    def test_threads_do_not_change_result(self):
-        import restime.taylor as taylor_mod
-
-        taylor_mod._EXPR_CACHE.pop(3, None)
-        serial = generate_expression(3)
-        taylor_mod._EXPR_CACHE.pop(3, None)
-        threaded = generate_expression(3, threads=4)
-        assert serial == threaded
-
     def test_expression_digests(self):
         for order, digest in EXPRESSION_SHA256.items():
             text = generate_expression(order).to_json()
