@@ -195,8 +195,15 @@ def cmd_autocorr(args: argparse.Namespace) -> None:
     _write_output(args, "\n".join(lines))
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors reported as one `error:` line, exit 2."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="restime",
         description="Residence and residual time estimation from 0/1 traces",
     )

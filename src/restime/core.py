@@ -23,18 +23,6 @@ class ParseError(ValueError):
     """Malformed textual input."""
 
 
-def _encode(v):
-    if isinstance(v, Fraction):
-        return str(v)
-    return v
-
-
-def _decode(v, exact):
-    if exact:
-        return Fraction(v)
-    return float(v)
-
-
 def _is_positive_int(x) -> bool:
     try:
         return x == int(x) and x >= 1
@@ -69,17 +57,6 @@ class ResidenceSample:
     def n(self) -> int:
         return len(self.steps)
 
-    def to_json(self) -> str:
-        return json.dumps({"steps": list(self.steps), "n": self.n, "dt": self.dt})
-
-    @classmethod
-    def from_json(cls, text: str) -> "ResidenceSample":
-        d = json.loads(text)
-        sample = cls(steps=tuple(d["steps"]), dt=d.get("dt"))
-        if "n" in d and d["n"] != sample.n:
-            raise ParseError("stored n disagrees with the number of steps")
-        return sample
-
 
 @dataclass(frozen=True)
 class OccupancyTrace:
@@ -95,13 +72,6 @@ class OccupancyTrace:
 
     def __len__(self) -> int:
         return len(self.bits)
-
-    def to_json(self) -> str:
-        return json.dumps({"bits": list(self.bits)})
-
-    @classmethod
-    def from_json(cls, text: str) -> "OccupancyTrace":
-        return cls(bits=tuple(json.loads(text)["bits"]))
 
 
 @dataclass(frozen=True)
@@ -125,27 +95,6 @@ class MomentVector:
 
     def central_order(self) -> int:
         return max(self.central, default=1)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "mean": _encode(self.mean),
-                "central": {str(m): _encode(v) for m, v in sorted(self.central.items())},
-                "raw": {str(n): _encode(v) for n, v in sorted(self.raw.items())},
-                "exact": self.exact,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "MomentVector":
-        d = json.loads(text)
-        exact = bool(d["exact"])
-        return cls(
-            mean=_decode(d["mean"], exact),
-            central={int(m): _decode(v, exact) for m, v in d["central"].items()},
-            raw={int(n): _decode(v, exact) for n, v in d["raw"].items()},
-            exact=exact,
-        )
 
 
 @dataclass(frozen=True)
@@ -197,17 +146,6 @@ class DistributionSpec:
         if self.kind == "geom":
             return f"geom:p={self.p}"
         return f"uniform:a={self.a},b={self.b}"
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"kind": self.kind, "p": _encode(self.p), "a": self.a, "b": self.b}
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "DistributionSpec":
-        d = json.loads(text)
-        p = Fraction(d["p"]) if d.get("p") is not None else None
-        return cls(kind=d["kind"], p=p, a=d.get("a"), b=d.get("b"))
 
 
 @dataclass(frozen=True)
@@ -270,10 +208,6 @@ class VarianceExpression:
             terms=tuple(Term.from_dict(t) for t in d["terms"]),
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "VarianceExpression":
-        return cls.from_dict(json.loads(text))
-
 
 def normalize_expression(expr: VarianceExpression) -> VarianceExpression:
     """Merge like terms, drop zero coefficients, restore canonical ordering."""
@@ -324,12 +258,6 @@ class EstimateReport:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "EstimateReport":
-        d = json.loads(text)
-        d["methods"] = tuple(d["methods"])
-        return cls(**d)
 
 
 def _floor_log10(fr: Fraction) -> int:

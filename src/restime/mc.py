@@ -114,47 +114,46 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
     return rows
 
 
-def exact_variance_small(
-    dist: DistributionSpec,
-    n: int,
-    state_limit: int = 5_000_000,
-    work_limit: int = 20_000_000,
-) -> Fraction:
+# exact_variance_small refuses inputs whose predicted work (table entries times
+# support points) exceeds this; at about 1 us per unit that caps runs near 2 s
+EXACT_WORK_LIMIT = 2_000_000
+
+
+def exact_variance_small(dist: DistributionSpec, n: int) -> Fraction:
     """Exact variance of the residual-time statistic for small uniform cases.
 
-    Builds the joint distribution of (sum, sum of squares) over n draws by
-    repeated convolution with integer counts, then takes exact first and
-    second moments of f = 1/2 + R/(2S).  state_limit caps the table size,
-    work_limit the cumulative insertions, so intractable inputs fail in
-    seconds instead of grinding.
+    f = 1/2 + R/(2S) with S the sum and R the sum of squares of n draws, so
+    E[f] and E[f^2] need, for each S, only the outcome count c and the sums
+    of R and R^2 over those outcomes.  A recurrence over S alone carries that
+    triple through n draws in integers: a draw x maps S -> S+x and
+    (c, R1, R2) -> (c, R1 + x^2 c, R2 + 2 x^2 R1 + x^4 c).  Its work,
+    (b-a+1) * (n + (b-a) n(n-1)/2), is known up front, so an input whose
+    predicted work exceeds EXACT_WORK_LIMIT is refused before any table is
+    built.
     """
     if dist.kind != "uniform":
         raise DomainError("exact enumeration needs a finite support (uniform only)")
     if n < 1:
         raise DomainError("n must be >= 1")
-    support = range(dist.a, dist.b + 1)
-    table: dict[tuple[int, int], int] = {(0, 0): 1}
-    work = 0
+    w = dist.b - dist.a
+    if (w + 1) * (n + w * n * (n - 1) // 2) > EXACT_WORK_LIMIT:
+        raise DomainError("enumeration work exceeded the tractability guard")
+    support = [(j, x * x, x**4) for j, x in enumerate(range(dist.a, dist.b + 1))]
+    # entry i of each list belongs to S = k*a + i after k draws
+    counts, r1s, r2s = [1], [0], [0]
     for _ in range(n):
-        work += len(table) * len(support)
-        if work > work_limit:
-            raise DomainError("enumeration work exceeded the tractability guard")
-        nxt: dict[tuple[int, int], int] = {}
-        for (s, r), cnt in table.items():
-            for x in support:
-                key = (s + x, r + x * x)
-                nxt[key] = nxt.get(key, 0) + cnt
-        if len(nxt) > state_limit:
-            raise DomainError("state table exceeded the tractability guard")
-        table = nxt
-    total = len(support) ** n
-    # aggregate integer sums per S so one exact division happens per S value
-    agg1: dict[int, int] = {}
-    agg2: dict[int, int] = {}
-    for (s, r), cnt in table.items():
-        v = s + r
-        agg1[s] = agg1.get(s, 0) + cnt * v
-        agg2[s] = agg2.get(s, 0) + cnt * v * v
-    e1 = sum(Fraction(v, 2 * s) for s, v in agg1.items()) / total
-    e2 = sum(Fraction(v, 4 * s * s) for s, v in agg2.items()) / total
-    return e2 - e1 * e1
+        size = len(counts) + w
+        nc, n1, n2 = [0] * size, [0] * size, [0] * size
+        for i, (c, r1, r2) in enumerate(zip(counts, r1s, r2s)):
+            twice_r1 = 2 * r1
+            for j, x2, x4 in support:
+                nc[i + j] += c
+                n1[i + j] += r1 + x2 * c
+                n2[i + j] += r2 + x2 * twice_r1 + x4 * c
+        counts, r1s, r2s = nc, n1, n2
+    e1 = e2 = Fraction(0)
+    for s, c, r1, r2 in zip(range(n * dist.a, n * dist.b + 1), counts, r1s, r2s):
+        e1 += Fraction(c * s + r1, 2 * s)
+        e2 += Fraction(c * s * s + 2 * s * r1 + r2, 4 * s * s)
+    total = (w + 1) ** n
+    return e2 / total - (e1 / total) ** 2

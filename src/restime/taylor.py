@@ -12,7 +12,6 @@ one tuple at a time.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -57,13 +56,6 @@ class IndexPattern:
     @property
     def l(self) -> int:
         return sum(b for _, b in self.slots)
-
-    def to_json(self) -> str:
-        return json.dumps({"slots": [list(s) for s in self.slots]})
-
-    @classmethod
-    def from_json(cls, text: str) -> "IndexPattern":
-        return cls(slots=tuple(tuple(s) for s in json.loads(text)["slots"]))
 
 
 def _pattern_slots(k: int, l: int) -> list[tuple[tuple[int, int], ...]]:

@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from restime.cli import main
 
@@ -133,7 +136,7 @@ class TestExact:
         assert all(not line.startswith("exact") for line in lines)
 
     def test_guard_trip_notes_missing_row(self, capsys):
-        # 1000 support points trip the work guard on the third draw
+        # 1000 support points over 6 draws predict 1.5e7 units of work: refused up front
         assert main(["exact", "--dist", "uniform:a=1,b=1000", "--n", "6",
                      "--orders", "1,2"]) == 0
         captured = capsys.readouterr()
@@ -159,6 +162,48 @@ class TestExact:
     def test_bad_orders(self, capsys):
         assert main(["exact", "--dist", "geom:p=1/2", "--n", "5", "--orders", "0..9"]) == 2
         assert main(["exact", "--dist", "geom:p=1/2", "--n", "5", "--orders", "x"]) == 2
+
+
+# each strategy draws (flag value, whether the value is outside the flag's domain)
+def _flag(good, bad):
+    return st.tuples(good, st.just(False)) | st.tuples(bad, st.just(True))
+
+
+_DIST = _flag(
+    st.builds(lambda a, w: f"uniform:a={a},b={a + w}", st.integers(1, 5), st.integers(0, 3))
+    | st.builds(lambda k: f"geom:p=1/{k}", st.integers(2, 9)),
+    st.one_of(
+        st.from_regex(r"[a-z]{1,8}", fullmatch=True)
+        .filter(lambda k: k not in ("geom", "uniform"))
+        .map(lambda k: f"{k}:a=1,b=2"),
+        st.builds(lambda b, d: f"uniform:a={b + d},b={b}", st.integers(-3, 5), st.integers(1, 5)),
+        st.builds(lambda a: f"uniform:a={a},b=4", st.integers(-3, 0)),
+        st.sampled_from(["1.5", "x", "", "2e0", "1/2"]).map(lambda a: f"uniform:a={a},b=4"),
+        st.sampled_from(["0", "1", "-1/3", "3/2", "7", "1/0", "p", ""]).map(lambda p: f"geom:p={p}"),
+        st.sampled_from(["uniform:a=1", "geom", "geom:q=1/2", "", ":"]),
+    ),
+)
+_N = _flag(st.integers(1, 6).map(str), st.integers(-5, 0).map(str) | st.sampled_from(["x", "1.5", ""]))
+_DIGITS = _flag(st.integers(1, 20).map(str), st.integers(-3, 0).map(str) | st.sampled_from(["x", "2.0"]))
+_ORDERS = _flag(
+    st.sampled_from(["1", "1..2", "2,3"]),
+    st.sampled_from(["0", "-1", "0..3", "-2..1", "3..1", "x", "1,,2", "1..2..3", ""]),
+)
+
+
+@given(dist=_DIST, n=_N, digits=_DIGITS, orders=_ORDERS)
+@settings(max_examples=150, deadline=None)
+def test_exact_rejects_bad_input_in_one_line(dist, n, digits, orders):
+    if not (dist[1] or n[1] or digits[1] or orders[1]):
+        n = ("0", True)
+    argv = ["exact", "--dist", dist[0], "--n", n[0], "--digits", digits[0], "--orders", orders[0]]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (1, 2)
+    assert out.getvalue() == ""
+    assert len(err.getvalue().splitlines()) == 1
+    assert "Traceback" not in err.getvalue()
 
 
 class TestMc:

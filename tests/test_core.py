@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -61,20 +62,10 @@ class TestResidenceSample:
         with pytest.raises(DomainError):
             ResidenceSample(steps=(1,), dt=0.0)
 
-    def test_json_round_trip(self):
-        s = ResidenceSample(steps=(3, 1, 4), dt=0.5)
-        assert ResidenceSample.from_json(s.to_json()) == s
-
-    def test_json_n_cross_check(self):
-        with pytest.raises(ParseError):
-            ResidenceSample.from_json('{"steps": [1, 2], "n": 3, "dt": null}')
-
 
 class TestOccupancyTrace:
-    def test_len_and_round_trip(self):
-        t = OccupancyTrace(bits=(0, 1, 1, 0))
-        assert len(t) == 4
-        assert OccupancyTrace.from_json(t.to_json()) == t
+    def test_len(self):
+        assert len(OccupancyTrace(bits=(0, 1, 1, 0))) == 4
 
     def test_rejects_non_binary(self):
         with pytest.raises(DomainError):
@@ -96,21 +87,6 @@ class TestMomentVector:
     def test_central_order(self):
         m = MomentVector(mean=2.0, central={2: 1.0, 4: 3.0}, raw={1: 2.0})
         assert m.central_order() == 4
-
-    def test_json_round_trip_exact(self):
-        m = MomentVector(
-            mean=Fraction(3, 2),
-            central={2: Fraction(1, 4)},
-            raw={1: Fraction(3, 2), 2: Fraction(5, 2)},
-            exact=True,
-        )
-        back = MomentVector.from_json(m.to_json())
-        assert back == m
-        assert isinstance(back.central[2], Fraction)
-
-    def test_json_round_trip_float(self):
-        m = MomentVector(mean=1.5, central={2: 0.25, 3: -0.1}, raw={1: 1.5})
-        assert MomentVector.from_json(m.to_json()) == m
 
 
 class TestDistributionSpec:
@@ -153,10 +129,6 @@ class TestDistributionSpec:
         with pytest.raises(DomainError):
             DistributionSpec.uniform(4, 2)
 
-    def test_json_round_trip(self):
-        for d in (DistributionSpec.geometric(Fraction(1, 3)), DistributionSpec.uniform(2, 7)):
-            assert DistributionSpec.from_json(d.to_json()) == d
-
 
 class TestIndexPattern:
     def test_canonical_sorts_slots(self):
@@ -173,10 +145,6 @@ class TestIndexPattern:
         # no slot is shared between the two index sets
         with pytest.raises(DomainError):
             IndexPattern(slots=((2, 0), (0, 2)))
-
-    def test_json_round_trip(self):
-        p = IndexPattern(slots=((1, 1), (2, 0)))
-        assert IndexPattern.from_json(p.to_json()) == p
 
 
 class TestTermText:
@@ -234,7 +202,7 @@ class TestNormalizeExpression:
         expr = normalize_expression(
             VarianceExpression(order=2, terms=(_term("1/4", 1, 0, ((2, 1),)),))
         )
-        assert VarianceExpression.from_json(expr.to_json()) == expr
+        assert VarianceExpression.from_dict(json.loads(expr.to_json())) == expr
 
 
 @given(
@@ -318,4 +286,5 @@ class TestEstimateReport:
             mRT_var_time=0.003,
             mRT_sd_time=0.05477,
         )
-        assert EstimateReport.from_json(rep.to_json()) == rep
+        back = json.loads(rep.to_json())
+        assert EstimateReport(**{**back, "methods": tuple(back["methods"])}) == rep

@@ -1,8 +1,10 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from restime.core import DistributionSpec, DomainError
 from restime.mc import (
@@ -132,9 +134,27 @@ class TestExactVariance:
         with pytest.raises(DomainError):
             exact_variance_small(GEOM_HALF, 3)
 
-    def test_state_guard(self):
-        with pytest.raises(DomainError):
-            exact_variance_small(DistributionSpec.uniform(1, 50), 40, state_limit=1000)
+    def test_work_guard(self):
+        # predicted work 4.3e6 is over the bound: refused, not computed
+        with pytest.raises(DomainError, match="exceeded the tractability guard"):
+            exact_variance_small(DistributionSpec.uniform(1, 100), 30)
+
+    def test_refusal_does_no_work(self):
+        # the work of this input is astronomical; only an up-front check ends it in time
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="exceeded the tractability guard"):
+            exact_variance_small(DistributionSpec.uniform(1, 10**6), 50)
+        assert time.perf_counter() - start < 0.5
+
+    @given(
+        st.integers(min_value=1, max_value=30),
+        st.integers(min_value=0, max_value=5),
+        st.integers(min_value=1, max_value=5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_multiset_enumeration(self, a, width, n):
+        got = exact_variance_small(DistributionSpec.uniform(a, a + width), n)
+        assert got == multiset_enumeration_variance(a, a + width, n)
 
     def test_rejects_zero_draws(self):
         with pytest.raises(DomainError):
