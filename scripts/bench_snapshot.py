@@ -2,13 +2,13 @@
 
 Usage (from the root of a checkout):
 
-    python3 scripts/bench_snapshot.py N [--seed 11] [--seconds 24]
+    python3 scripts/bench_snapshot.py N
 
-Runs `perfbench/run.py --workload all` twice with the same seed, at
---trace 0 (end-to-end metrics) and at --trace 1 (per-layer spans and
-counters), and writes, for each run and workload, the `provenance` line
-and the final JSON result line to BENCH_<N>.json at the checkout root.
-The benchmark itself is not modified; this only keeps its output.
+Runs `perfbench/run.py --workload all` twice with seed 11 and 24 s per
+workload (BENCHMARK.json's run length), at --trace 0 (end-to-end metrics)
+and at --trace 1 (per-layer spans and counters). For each run and
+workload it keeps the `provenance` line and the final JSON result line,
+and writes them to BENCH_<N>.json at the checkout root.
 """
 
 from __future__ import annotations
@@ -21,13 +21,16 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PROVENANCE = "provenance "
+# fixed, so that successive BENCH files compare like with like
+SEED = 11
+SECONDS = 24.0
 
 
-def run_all(seed: int, seconds: float, trace: int) -> dict:
+def run_all(trace: int) -> dict:
     """One `--workload all` run, keyed by workload name."""
     argv = [
         sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "all",
-        "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
+        "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", str(trace),
     ]
     proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True)
     if proc.returncode != 0:
@@ -48,16 +51,14 @@ def run_all(seed: int, seconds: float, trace: int) -> dict:
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description="Write BENCH_<n>.json from two perfbench runs.")
     ap.add_argument("n", type=int, help="index of the snapshot file")
-    ap.add_argument("--seed", type=int, default=11)
-    ap.add_argument("--seconds", type=float, default=24.0)
     args = ap.parse_args(argv)
     if args.n < 0:
         ap.error(f"n must be >= 0, got {args.n}")
     snapshot = {
-        "seed": args.seed,
-        "seconds": args.seconds,
-        "trace0": run_all(args.seed, args.seconds, 0),
-        "trace1": run_all(args.seed, args.seconds, 1),
+        "seed": SEED,
+        "seconds": SECONDS,
+        "trace0": run_all(0),
+        "trace1": run_all(1),
     }
     out = ROOT / f"BENCH_{args.n}.json"
     out.write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
