@@ -33,15 +33,7 @@ from .estimators import (
 )
 from .mc import ExperimentConfig, ExperimentRow, exact_variance_small, run_experiment, sample
 from .moments import central_from_raw, exact_moments, raw_from_central, sample_moments
-from .taylor import (
-    IndexPattern,
-    coefficient,
-    enumerate_patterns,
-    evaluate_expression,
-    generate_expression,
-    pattern_count,
-    sigma_pattern,
-)
+from .taylor import coefficient, evaluate_expression, generate_expression
 from .trace import (
     ExtractionPolicy,
     FilterConfig,
@@ -63,7 +55,6 @@ __all__ = [
     "ExperimentRow",
     "ExtractionPolicy",
     "FilterConfig",
-    "IndexPattern",
     "MomentVector",
     "OccupancyTrace",
     "ParseError",
@@ -75,7 +66,6 @@ __all__ = [
     "central_from_raw",
     "coefficient",
     "collect_sample",
-    "enumerate_patterns",
     "evaluate_expression",
     "exact_moments",
     "exact_variance_small",
@@ -88,7 +78,6 @@ __all__ = [
     "mean_residual_steps",
     "normalize_expression",
     "parse_traces",
-    "pattern_count",
     "ratio_variance_from_moments",
     "raw_from_central",
     "read_steps_csv",
@@ -96,7 +85,6 @@ __all__ = [
     "run_experiment",
     "sample",
     "sample_moments",
-    "sigma_pattern",
     "var_mean_residence",
     "var_mrt_ratio",
     "var_mrt_taylor",

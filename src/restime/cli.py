@@ -12,6 +12,7 @@ import argparse
 import io
 import math
 import sys
+import warnings
 
 from . import estimators, mc, moments, taylor, trace
 from .core import (
@@ -122,7 +123,6 @@ def cmd_estimate(args: argparse.Namespace) -> None:
 
 
 def cmd_gen_expr(args: argparse.Namespace) -> None:
-    _check_range("--threads", args.threads, 1)
     _check_range("--order", args.order, 1, 8)
     expr = taylor.generate_expression(args.order)
     if args.format == "json":
@@ -160,6 +160,7 @@ def cmd_mc(args: argparse.Namespace) -> None:
     sizes = _parse_sizes(args.n)
     _check_range("--reps", args.reps, 2)
     _check_range("--order", args.order, 1, 8)
+    _check_range("--seed", args.seed, 0, 2**128 - 1)
     labels = ("ratio", f"taylor{args.order}")
     cfg = mc.ExperimentConfig(
         dist=dist,
@@ -188,7 +189,10 @@ def cmd_autocorr(args: argparse.Namespace) -> None:
     with open(args.input, "r", encoding="utf-8") as fh:
         traces = trace.parse_traces(fh)
     per_trace = trace.per_trace_residences(traces, cfg, policy)
-    rows = estimators.rt_autocorrelation(per_trace, args.max_lag)
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = lambda msg, *_: print(f"note: {msg}", file=sys.stderr)
+        rows = estimators.rt_autocorrelation(per_trace, args.max_lag)
     lines = ["lag,mean_r,sd_r"]
     for lag, mean_r, sd_r in rows:
         lines.append(f"{lag},{mean_r!r},{sd_r!r}")
@@ -226,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-expr", help="emit the truncated variance expression")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gen_expr)
 

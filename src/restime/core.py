@@ -93,9 +93,6 @@ class MomentVector:
         if 2 in self.central and self.central[2] < 0:
             raise DomainError("second central moment cannot be negative")
 
-    def central_order(self) -> int:
-        return max(self.central, default=1)
-
 
 @dataclass(frozen=True)
 class DistributionSpec:
@@ -173,17 +170,6 @@ class Term:
             "moment_powers": {str(m): c for m, c in self.moment_powers},
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Term":
-        return cls(
-            coef=Fraction(d["coef"]),
-            n_exponent=int(d["n_exponent"]),
-            mu_exponent=int(d["mu_exponent"]),
-            moment_powers=tuple(
-                sorted((int(m), int(c)) for m, c in d["moment_powers"].items())
-            ),
-        )
-
 
 @dataclass(frozen=True)
 class VarianceExpression:
@@ -200,13 +186,6 @@ class VarianceExpression:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "VarianceExpression":
-        return cls(
-            order=int(d["order"]),
-            terms=tuple(Term.from_dict(t) for t in d["terms"]),
-        )
 
 
 def normalize_expression(expr: VarianceExpression) -> VarianceExpression:

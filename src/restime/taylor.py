@@ -28,38 +28,12 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class IndexPattern:
-    """Canonical multiset of per-index multiplicity pairs (a_r, b_r).
-
-    Slot r records that one shared index label appears a_r times in the
-    first index set and b_r times in the second.  Canonical form keeps the
-    slots sorted; only multiplicities matter, never the labels themselves.
-    """
-
-    slots: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        slots = tuple(sorted((int(a), int(b)) for a, b in self.slots))
-        if not slots:
-            raise DomainError("pattern needs at least one slot")
-        if any(a < 0 or b < 0 or a + b < 2 for a, b in slots):
-            raise DomainError("every slot needs total multiplicity >= 2")
-        if not any(a >= 1 and b >= 1 for a, b in slots):
-            raise DomainError("at least one slot must appear in both index sets")
-        object.__setattr__(self, "slots", slots)
-
-    @property
-    def k(self) -> int:
-        return sum(a for a, _ in self.slots)
-
-    @property
-    def l(self) -> int:
-        return sum(b for _, b in self.slots)
-
-
 def _pattern_slots(k: int, l: int) -> list[tuple[tuple[int, int], ...]]:
-    """Canonical (sorted) slot tuples of every repetition pattern for sizes k, l."""
+    """Sorted slot tuples of every repetition pattern for index set sizes k, l.
+
+    Slot (a, b) is one label seen a times in the first set, b in the second;
+    thin slots (a + b < 2) and patterns sharing no label have zero covariance.
+    """
     if k < 1 or l < 1:
         raise DomainError("both index set sizes must be >= 1")
     pairs = [(a, b) for a in range(k, -1, -1) for b in range(l, -1, -1) if a + b >= 2]
@@ -79,17 +53,6 @@ def _pattern_slots(k: int, l: int) -> list[tuple[tuple[int, int], ...]]:
     rec(0, k, l, [])
     found.sort()
     return found
-
-
-def enumerate_patterns(k: int, l: int) -> list[IndexPattern]:
-    """All canonical repetition patterns for index sets of sizes k and l.
-
-    A pattern assigns each shared index label a multiplicity pair (a_r, b_r).
-    Slots with a_r + b_r < 2 cannot contribute (a centered variable appearing
-    once has zero expectation) and at least one slot must straddle both sets,
-    otherwise the two products are independent and the covariance vanishes.
-    """
-    return [IndexPattern(slots=slots) for slots in _pattern_slots(k, l)]
 
 
 @dataclass(frozen=True)
@@ -139,19 +102,9 @@ def coefficient(multiplicities) -> Coefficient:
     )
 
 
-def sigma_pattern(p: IndexPattern) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
-    """Covariance of the two centered products, as central-moment monomials.
-
-    Returns (sign, powers) pairs: the joint-product expectation minus the
-    product of the two marginal expectations.  Expectations factor over
-    independent index labels; the order-1 central moment vanishes and order
-    0 contributes 1, so the marginal part may drop out entirely.
-    """
-    return _sigma_slots(p.slots)
-
-
 def _sigma_slots(slots: tuple[tuple[int, int], ...]):
-    """sigma_pattern for canonical slots, without building an IndexPattern."""
+    """Covariance of one pattern's two centered products, in central moments:
+    (sign, powers) pairs, the joint expectation minus the marginals' product."""
     combined: dict[int, int] = {}
     for a, b in slots:
         combined[a + b] = combined.get(a + b, 0) + 1
@@ -181,7 +134,7 @@ def _falling_factorial(d: int) -> tuple[tuple[int, int], ...]:
 
 
 def _pattern_count_int(slots: tuple[tuple[int, int], ...]) -> dict[int, int]:
-    """pattern_count with integer coefficients, for canonical slots."""
+    """Ordered index-tuple pairs realizing a pattern, as {N exponent: integer}."""
     # k!l!/prod(a!b!) counts position assignments to d labeled slots; swapping
     # identical slots never fixes an assignment, so every division is exact
     scalar = factorial(sum(a for a, _ in slots)) * factorial(sum(b for _, b in slots))
@@ -192,16 +145,6 @@ def _pattern_count_int(slots: tuple[tuple[int, int], ...]) -> dict[int, int]:
     for size in repeats.values():
         scalar //= factorial(size)
     return {e: scalar * q for e, q in _falling_factorial(len(slots))}
-
-
-def pattern_count(p: IndexPattern) -> dict[int, Fraction]:
-    """Number of ordered index-tuple pairs realizing a pattern, in powers of N.
-
-    d distinct labels can be chosen in N*(N-1)*...*(N-d+1) ways; two
-    multinomials distribute positions within each index set; orderings of
-    identical slots are divided out.
-    """
-    return {e: Fraction(q) for e, q in _pattern_count_int(p.slots).items()}
 
 
 # one raw term: num / (4 * k! * l!) * N^-n_exponent * mu^mu_exponent * prod(mu_m^c_m)

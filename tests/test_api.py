@@ -3,17 +3,15 @@ import restime
 # the public surface; growing or shrinking it should be a visible decision
 PUBLIC = {
     "DistributionSpec", "DomainError", "EstimateReport", "ExperimentConfig",
-    "ExperimentRow", "ExtractionPolicy", "FilterConfig", "IndexPattern",
-    "MomentVector", "OccupancyTrace", "ParseError", "ResidenceSample", "Term",
-    "VarianceExpression", "__version__", "build_report", "central_from_raw",
-    "coefficient", "collect_sample", "enumerate_patterns", "evaluate_expression",
-    "exact_moments", "exact_variance_small", "extract_residences",
-    "filter_transient_escapes", "format_fixed", "format_rational",
+    "ExperimentRow", "ExtractionPolicy", "FilterConfig", "MomentVector",
+    "OccupancyTrace", "ParseError", "ResidenceSample", "Term", "VarianceExpression",
+    "__version__", "build_report", "central_from_raw", "coefficient", "collect_sample",
+    "evaluate_expression", "exact_moments", "exact_variance_small",
+    "extract_residences", "filter_transient_escapes", "format_fixed", "format_rational",
     "generate_expression", "mean_residence_steps", "mean_residual_steps",
-    "normalize_expression", "parse_traces", "pattern_count",
-    "ratio_variance_from_moments", "raw_from_central", "read_steps_csv",
-    "rt_autocorrelation", "run_experiment", "sample", "sample_moments",
-    "sigma_pattern", "var_mean_residence", "var_mrt_ratio", "var_mrt_taylor",
+    "normalize_expression", "parse_traces", "ratio_variance_from_moments",
+    "raw_from_central", "read_steps_csv", "rt_autocorrelation", "run_experiment",
+    "sample", "sample_moments", "var_mean_residence", "var_mrt_ratio", "var_mrt_taylor",
     "write_steps_csv",
 }
 

@@ -105,16 +105,11 @@ class TestGenExpr:
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_threads_below_one_is_usage_error(self, capsys, threads):
+        # gen-expr has no --threads flag, so argparse rejects it outright
         assert main(["gen-expr", "--order", "1", "--threads", threads]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == [f"error: --threads must be >= 1, got {threads}"]
-
-    def test_threads_flag_gives_same_text(self, capsys):
-        assert main(["gen-expr", "--order", "3"]) == 0
-        serial = capsys.readouterr().out
-        assert main(["gen-expr", "--order", "3", "--threads", "4"]) == 0
-        assert capsys.readouterr().out == serial
+        assert captured.err.splitlines() == [f"error: unrecognized arguments: --threads {threads}"]
 
 
 class TestExact:
@@ -196,7 +191,12 @@ _ORDERS = _flag(
 def test_exact_rejects_bad_input_in_one_line(dist, n, digits, orders):
     if not (dist[1] or n[1] or digits[1] or orders[1]):
         n = ("0", True)
-    argv = ["exact", "--dist", dist[0], "--n", n[0], "--digits", digits[0], "--orders", orders[0]]
+    _assert_one_line_failure(
+        ["exact", "--dist", dist[0], "--n", n[0], "--digits", digits[0], "--orders", orders[0]]
+    )
+
+
+def _assert_one_line_failure(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -204,6 +204,127 @@ def test_exact_rejects_bad_input_in_one_line(dist, n, digits, orders):
     assert out.getvalue() == ""
     assert len(err.getvalue().splitlines()) == 1
     assert "Traceback" not in err.getvalue()
+
+
+def _splice(text, tok, at, sep):
+    lines = text.split("\n")
+    lines[at % len(lines)] += sep + tok
+    return "\n".join(lines)
+
+
+def _bad_text(good, bad_tokens, sep):
+    """Good input text with one bad token joined by sep to a random line."""
+    return st.builds(_splice, good, bad_tokens, st.integers(0, 10), st.just(sep))
+
+
+def _file(good_text, bad_text):
+    """(file bytes, is_bad); None stands for a path that does not exist."""
+    return _flag(
+        good_text.map(str.encode),
+        bad_text.map(str.encode)
+        | st.builds(lambda t, junk: t.encode() + junk, good_text,
+                    st.sampled_from([b"\xff", b"\xfe 1\n", b"\xc3", b"1 \x80\n"]))
+        | st.none(),
+    )
+
+
+_TRACES = st.lists(
+    st.lists(st.sampled_from("01"), max_size=30).map(" ".join), min_size=1, max_size=4
+).map(lambda lines: "\n".join(lines) + "\n")
+_TRACE_FILE = _file(
+    _TRACES,
+    _bad_text(_TRACES, st.sampled_from(["2", "x", "01", "-1", "1.0", "\uff11", "o", "0,1"]), " "),
+)
+_STEPS = st.lists(st.integers(1, 1000).map(str), min_size=1, max_size=8).map(
+    lambda rows: "steps\n" + "\n".join(rows) + "\n"
+)
+_STEPS_FILE = _file(
+    _STEPS,
+    _bad_text(_STEPS, st.sampled_from(["0", "-3", "1.5", "x", "1e3", "--", "2 3", "nan"]), "\n")
+    | st.builds(lambda head, t: head + t.partition("\n")[2],
+                st.sampled_from(["", "step\n", "Steps\n", "x,y\n", "5\n", "steps,dt\n"]), _STEPS)
+    | st.sampled_from(["", "steps\n", "\n\n"]),
+)
+_FILTER = _flag(
+    st.sampled_from([[], ["--k", "3"], ["--tstar", "0.3", "--dt", "0.1"],
+                     ["--boundary", "include"], ["--k", "2", "--dt", "0.5"]]),
+    st.one_of(
+        (st.integers(-5, 0).map(str) | st.sampled_from(["x", "1.5", ""])).map(lambda k: ["--k", k]),
+        st.sampled_from(["0", "-1", "nan", "inf", "x"]).map(lambda dt: ["--dt", dt]),
+        st.sampled_from(["0", "-0.5", "inf", "nan"]).map(lambda t: ["--tstar", t, "--dt", "0.1"]),
+        st.sampled_from([["--tstar", "0.3"], ["--tstar", "0.01", "--dt", "0.1"],
+                         ["--tstar", "1e308", "--dt", "1e-10"], ["--boundary", "middle"]]),
+    ),
+)
+_ORDER = _flag(st.integers(1, 8).map(str), st.sampled_from(["0", "-1", "9", "12", "x", "1.5", ""]))
+
+
+def _write_input(directory, content):
+    if content is None:
+        return str(directory / "missing")
+    path = directory / "input"
+    path.write_bytes(content)
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@given(command=st.sampled_from(["extract", "autocorr"]), trace=_TRACE_FILE, filt=_FILTER,
+       lag=_flag(st.integers(0, 3).map(str), st.sampled_from(["-1", "-4", "x", "0.5"])))
+@settings(max_examples=150, deadline=None)
+def test_trace_commands_reject_bad_input_in_one_line(fuzz_dir, command, trace, filt, lag):
+    lag_bad = lag[1] and command == "autocorr"
+    if not (trace[1] or filt[1] or lag_bad):
+        trace = (b"0 1 2 0\n", True)
+    argv = [command, "--input", _write_input(fuzz_dir, trace[0])] + filt[0]
+    if command == "autocorr":
+        argv += ["--max-lag", lag[0]]
+    _assert_one_line_failure(argv)
+
+
+@given(steps=_STEPS_FILE, order=_ORDER, method=st.sampled_from(["ratio", "taylor", "both"]),
+       dt=_flag(st.sampled_from(["0.5", "2"]), st.sampled_from(["0", "-1", "inf", "nan", "x"])))
+@settings(max_examples=150, deadline=None)
+def test_estimate_rejects_bad_input_in_one_line(fuzz_dir, steps, order, method, dt):
+    # --method ratio reads no series order, so only an unparsable one fails
+    order_bad = order[1] and (method != "ratio" or not order[0].lstrip("-").isdigit())
+    if not (steps[1] or order_bad or dt[1]):
+        steps = (b"steps\n0\n", True)
+    _assert_one_line_failure(
+        ["estimate", "--rts", _write_input(fuzz_dir, steps[0]), "--order", order[0],
+         "--method", method, "--dt", dt[0]]
+    )
+
+
+@given(order=_ORDER, fmt=_flag(st.sampled_from(["text", "json"]), st.sampled_from(["xml", ""])),
+       extra=_flag(st.just([]), st.sampled_from([["--threads", "1"], ["--seed", "0"], ["1"]])))
+@settings(max_examples=100, deadline=None)
+def test_gen_expr_rejects_bad_input_in_one_line(order, fmt, extra):
+    if not (order[1] or fmt[1] or extra[1]):
+        order = ("0", True)
+    _assert_one_line_failure(["gen-expr", "--order", order[0], "--format", fmt[0]] + extra[0])
+
+
+@given(
+    dist=_DIST,
+    n=_flag(st.sampled_from(["2", "12", "3,5"]), st.sampled_from(["0", "-2", "x", "", "1,,2", "4,0"])),
+    reps=_flag(st.integers(2, 50).map(str), st.sampled_from(["1", "0", "-3", "x", "1.5"])),
+    seed=_flag(st.integers(0, 2**32).map(str),
+               st.sampled_from(["-1", str(2**128), str(2**130), "x", "1.5"])),
+    order=_ORDER,
+    threads=_flag(st.sampled_from(["1", "2"]), st.sampled_from(["0", "-1", "x"])),
+)
+@settings(max_examples=150, deadline=None)
+def test_mc_rejects_bad_input_in_one_line(dist, n, reps, seed, order, threads):
+    if not (dist[1] or n[1] or reps[1] or seed[1] or order[1] or threads[1]):
+        reps = ("1", True)
+    _assert_one_line_failure(
+        ["mc", "--dist", dist[0], "--n", n[0], "--reps", reps[0], "--seed", seed[0],
+         "--order", order[0], "--threads", threads[0]]
+    )
 
 
 class TestMc:
@@ -251,6 +372,17 @@ class TestAutocorr:
     def test_too_short_for_lags(self, trace_file, capsys):
         assert main(["autocorr", "--input", trace_file, "--max-lag", "8"]) == 1
 
+    def test_constant_trace_is_one_note_line(self, tmp_path, capsys):
+        path = tmp_path / "t.txt"
+        path.write_text("0 1 0 1 0 1 0 1 0 1 0\n")
+        assert main(["autocorr", "--input", str(path), "--max-lag", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "note: trace 0 is constant, excluded from autocorrelation",
+            "error: no usable trace for the requested lags",
+        ]
+
 
 MC = ["mc", "--dist", "geom:p=1/2", "--n", "12", "--reps", "50"]
 EXACT = ["exact", "--dist", "geom:p=1/2", "--n", "3", "--orders", "1"]
@@ -289,6 +421,8 @@ class TestOutOfRangeFlags:
             (["estimate", "--dt", "inf"], "--dt must be finite and > 0, got inf"),
             (EXACT + ["--digits", "0"], "--digits must be >= 1, got 0"),
             (["autocorr", "--max-lag", "-1"], "--max-lag must be >= 0, got -1"),
+            (MC + ["--seed", "-1"], f"--seed must be within 0..{2**128 - 1}, got -1"),
+            (MC + ["--seed", str(2**128)], f"--seed must be within 0..{2**128 - 1}, got {2**128}"),
         ],
     )
     def test_usage_error(self, rts_file, trace_file, capsys, argv, message):
