@@ -103,7 +103,7 @@ def cmd_extract(args: argparse.Namespace) -> None:
     policy = trace.ExtractionPolicy(boundary=args.boundary)
     with open(args.input, "r", encoding="utf-8") as fh:
         traces = trace.parse_traces(fh)
-    sample = trace.collect_sample(traces, cfg, policy, dt=args.dt)
+    sample = trace.collect_sample(traces, cfg, policy)
     buf = io.StringIO()
     trace.write_steps_csv(sample.steps, buf)
     _write_output(args, buf.getvalue())
@@ -115,7 +115,7 @@ def cmd_estimate(args: argparse.Namespace) -> None:
         _check_range("--order", args.order, 1, 8)
     with open(args.rts, "r", encoding="utf-8") as fh:
         steps = trace.read_steps_csv(fh)
-    sample = ResidenceSample(steps=tuple(steps), dt=args.dt)
+    sample = ResidenceSample(steps=tuple(steps))
     series = f"taylor{args.order}"
     methods = {"ratio": ("ratio",), "taylor": (series,), "both": ("ratio", series)}[args.method]
     report = estimators.build_report(sample, dt=args.dt, methods=methods)

@@ -35,7 +35,6 @@ class ResidenceSample:
     """Positive integer residence durations x_i, in time-step units."""
 
     steps: tuple[int, ...]
-    dt: float | None = None
 
     def __post_init__(self):
         steps = tuple(self.steps)
@@ -50,8 +49,6 @@ class ResidenceSample:
             bad = next(x for x in steps if not _is_positive_int(x))
             raise DomainError(f"residence durations must be integers >= 1, got {bad!r}")
         object.__setattr__(self, "steps", ints)
-        if self.dt is not None and not self.dt > 0:
-            raise DomainError("dt must be positive")
 
     @property
     def n(self) -> int:
@@ -65,8 +62,8 @@ class OccupancyTrace:
     bits: tuple[int, ...]
 
     def __post_init__(self):
-        bits = tuple(int(b) for b in self.bits)
-        if any(b not in (0, 1) for b in bits):
+        bits = tuple(map(int, self.bits))
+        if not {0, 1}.issuperset(bits):
             raise DomainError("trace elements must be 0 or 1")
         object.__setattr__(self, "bits", bits)
 

@@ -148,8 +148,8 @@ def build_report(
     dt squared.  A negative variance from any estimator is a defect and is
     rejected rather than propagated into a square root.
     """
-    if dt is None:
-        dt = s.dt
+    if dt is not None and not dt > 0:
+        raise DomainError("dt must be positive")
     mrt = mean_residual_steps(s)
     mrt_var: dict[str, float] = {}
     for label in methods:

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator, TextIO
 
 from .core import DomainError, OccupancyTrace, ParseError, ResidenceSample
+
+_DIGIT_TO_BIT = bytes.maketrans(b"01", b"\x00\x01")
 
 
 @dataclass(frozen=True)
@@ -50,15 +53,12 @@ def parse_traces(source: Iterable[str]) -> list[OccupancyTrace]:
         tokens = line.split()
         if not tokens:
             continue
-        bits = []
-        for col, tok in enumerate(tokens, start=1):
-            if tok == "0":
-                bits.append(0)
-            elif tok == "1":
-                bits.append(1)
-            else:
-                raise ParseError(f"line {lineno}, column {col}: expected 0 or 1, got {tok!r}")
-        traces.append(OccupancyTrace(bits=tuple(bits)))
+        joined = "".join(tokens)
+        if len(joined) != len(tokens) or joined.strip("01"):
+            # some token is bad: walk the tokens to name the first one
+            col, tok = next((c, t) for c, t in enumerate(tokens, 1) if t not in ("0", "1"))
+            raise ParseError(f"line {lineno}, column {col}: expected 0 or 1, got {tok!r}")
+        traces.append(OccupancyTrace(bits=tuple(joined.encode().translate(_DIGIT_TO_BIT))))
     return traces
 
 
@@ -68,20 +68,11 @@ def filter_transient_escapes(x: OccupancyTrace, cfg: FilterConfig) -> OccupancyT
     Boundary 0-runs are never filled and k=1 is the identity.  The result
     treats a brief continuous absence as part of the surrounding stay.
     """
-    k = cfg.k
-    bits = list(x.bits)
-    if k == 1 or not bits:
+    if cfg.k == 1 or not x.bits:
         return x
-    ones = [i for i, b in enumerate(bits) if b]
-    if len(ones) < 2:
-        return x
-    prev = ones[0]
-    for i in ones[1:]:
-        gap = i - prev - 1
-        if 0 < gap < k:
-            bits[prev + 1 : i] = [1] * gap
-        prev = i
-    return OccupancyTrace(bits=tuple(bits))
+    # no gap is longer than the trace, which keeps the repeat within re's limit
+    gap = re.compile(rb"(?<=\x01)\x00{1,%d}(?=\x01)" % min(cfg.k - 1, len(x.bits)))
+    return OccupancyTrace(bits=tuple(gap.sub(lambda m: b"\x01" * len(m[0]), bytes(x.bits))))
 
 
 def extract_residences(x: OccupancyTrace, policy: ExtractionPolicy) -> list[int]:
@@ -90,20 +81,11 @@ def extract_residences(x: OccupancyTrace, policy: ExtractionPolicy) -> list[int]
     Under the 'drop' policy, runs touching either end of the trace are
     censored (their true duration is unknown) and omitted.
     """
-    runs = []
-    n = len(x.bits)
-    start = None
-    for i, b in enumerate(x.bits):
-        if b and start is None:
-            start = i
-        elif not b and start is not None:
-            runs.append((start, i - 1))
-            start = None
-    if start is not None:
-        runs.append((start, n - 1))
+    # the first and last pieces touch the trace ends, and are empty if no run does
+    runs = bytes(x.bits).split(b"\x00")
     if policy.boundary == "drop":
-        runs = [(s, e) for s, e in runs if s > 0 and e < n - 1]
-    return [e - s + 1 for s, e in runs]
+        runs = runs[1:-1]
+    return [len(r) for r in runs if r]
 
 
 def per_trace_residences(
@@ -115,16 +97,13 @@ def per_trace_residences(
 
 
 def collect_sample(
-    traces: Iterable[OccupancyTrace],
-    cfg: FilterConfig,
-    policy: ExtractionPolicy,
-    dt: float | None = None,
+    traces: Iterable[OccupancyTrace], cfg: FilterConfig, policy: ExtractionPolicy
 ) -> ResidenceSample:
     """Filter each trace, extract residences, and pool them into one sample."""
     steps = tuple(chain.from_iterable(per_trace_residences(traces, cfg, policy)))
     if not steps:
         raise DomainError("no residences found in the given traces")
-    return ResidenceSample(steps=steps, dt=dt)
+    return ResidenceSample(steps=steps)
 
 
 def write_steps_csv(steps: Iterable[int], fh: TextIO) -> None:
@@ -137,18 +116,20 @@ def write_steps_csv(steps: Iterable[int], fh: TextIO) -> None:
 def read_steps_csv(fh: Iterable[str]) -> list[int]:
     """Read the CSV written by write_steps_csv; blank lines are skipped.
 
-    Every step must be an integer >= 1.  Errors name the line in the file.
+    Every step must be an ASCII-digit integer >= 1.  Errors name the line in the file.
     """
     lines = [ln.strip() for ln in fh]
     body = [ln for ln in lines if ln]
-    if not body or body[0] != "steps":
+    if not body or body.pop(0) != "steps":
         raise ParseError("expected a 'steps' header on the first line")
+    digits = "".join(body)
     try:
-        steps = list(map(int, body[1:]))
-    except ValueError:
+        # int() alone would also take '+5', '1_000' and non-ASCII digits
+        steps = list(map(int, body)) if digits.isascii() and digits.isdigit() else None
+    except ValueError:  # a step past int()'s digit limit
         steps = None
-    if steps is None or (steps and min(steps) < 1):
-        # some line is bad: the slower line-by-line pass names the first one
+    if steps is None or min(steps) < 1:
+        # some line is bad, or there is none: the line-by-line pass names the first bad one
         return _checked_steps(lines)
     return steps
 
@@ -158,10 +139,13 @@ def _checked_steps(lines: list[str]) -> list[int]:
     next(numbered)  # the header
     steps = []
     for lineno, ln in numbered:
+        digits = ln.removeprefix("-")
         try:
-            step = int(ln)
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: expected an integer, got {ln!r}") from exc
+            step = int(ln) if digits.isascii() and digits.isdigit() else None
+        except ValueError:  # past int()'s digit limit
+            step = None
+        if step is None:
+            raise ParseError(f"line {lineno}: expected an integer, got {ln!r}")
         if step < 1:
             raise ParseError(f"line {lineno}: residence steps must be >= 1, got {ln!r}")
         steps.append(step)

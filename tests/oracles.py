@@ -5,8 +5,8 @@ importing any package internals, so a shared bug cannot hide: finite
 differences for derivative coefficients, explicit enumeration (by tuple
 and by weighted multiset) for exact variances and pattern counts, a
 direct double sum for the truncated series, a plain scan and a window-sum
-construction for the gap filter, and partial sums with rigorous tail
-bounds for geometric moments.
+construction for the gap filter, a plain scan for run extraction, and
+partial sums with rigorous tail bounds for geometric moments.
 """
 
 from __future__ import annotations
@@ -102,6 +102,28 @@ def gap_fill_reference(bits, k: int):
         else:
             i += 1
     return tuple(out)
+
+
+def runs_reference(bits, boundary: str) -> list[int]:
+    """Plain scan: lengths of maximal 1-runs, in order.
+
+    With boundary='drop', a run that starts at the first element or ends at
+    the last is left out.
+    """
+    runs = []
+    n = len(bits)
+    i = 0
+    while i < n:
+        if bits[i]:
+            j = i
+            while j < n and bits[j]:
+                j += 1
+            if boundary == "include" or (i > 0 and j < n):
+                runs.append(j - i)
+            i = j
+        else:
+            i += 1
+    return runs
 
 
 def geometric_raw_interval(p: Fraction, order: int, terms: int) -> tuple[Fraction, Fraction]:

@@ -13,6 +13,8 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
+
 from restime.core import (
     DistributionSpec,
     MomentVector,
@@ -200,6 +202,7 @@ MC_GRID = [GEOM_05, GEOM_005, UNIF_1_100]
 MC_SIZES = (30, 158, 1902)
 
 
+@pytest.mark.slow
 def test_criterion_5():
     expr8 = generate_expression(8)
     failures = []
@@ -266,6 +269,7 @@ HAND_FILTER_CASES = [
 ]
 
 
+@pytest.mark.slow
 def test_criterion_7():
     mismatches = 0
     checked = 0

@@ -240,7 +240,8 @@ _STEPS = st.lists(st.integers(1, 1000).map(str), min_size=1, max_size=8).map(
 )
 _STEPS_FILE = _file(
     _STEPS,
-    _bad_text(_STEPS, st.sampled_from(["0", "-3", "1.5", "x", "1e3", "--", "2 3", "nan"]), "\n")
+    _bad_text(_STEPS, st.sampled_from(["0", "-3", "1.5", "x", "1e3", "--", "2 3", "nan",
+                                      "1_000", "+5", "\u0663"]), "\n")
     | st.builds(lambda head, t: head + t.partition("\n")[2],
                 st.sampled_from(["", "step\n", "Steps\n", "x,y\n", "5\n", "steps,dt\n"]), _STEPS)
     | st.sampled_from(["", "steps\n", "\n\n"]),

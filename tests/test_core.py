@@ -24,7 +24,6 @@ class TestResidenceSample:
     def test_basic(self):
         s = ResidenceSample(steps=(1, 2, 3))
         assert s.n == 3
-        assert s.dt is None
 
     def test_rejects_empty(self):
         with pytest.raises(DomainError):
@@ -56,10 +55,6 @@ class TestResidenceSample:
         s = ResidenceSample(steps=[2.0, True, 5])
         assert s.steps == (2, 1, 5)
         assert all(type(x) is int for x in s.steps)
-
-    def test_rejects_bad_dt(self):
-        with pytest.raises(DomainError):
-            ResidenceSample(steps=(1,), dt=0.0)
 
 
 class TestOccupancyTrace:

@@ -220,10 +220,9 @@ class TestReport:
         assert rep.mrt_var_time is None
         assert rep.mRT_sd_time is None
 
-    def test_dt_defaults_to_sample_dt(self):
-        rep = build_report(ResidenceSample(steps=(2, 3), dt=0.5))
-        assert rep.dt == 0.5
-        assert rep.mrt_time is not None
+    def test_rejects_bad_dt(self):
+        with pytest.raises(DomainError, match="dt must be positive"):
+            build_report(ResidenceSample(steps=(2, 3)), dt=0.0)
 
     def test_sd_squares_back_to_variance(self):
         rep = build_report(ResidenceSample(steps=(3, 1, 4, 1, 5, 9)), dt=0.1)

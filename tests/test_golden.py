@@ -54,6 +54,18 @@ CASES = {
         ["extract", "--input", "{traces}", "--k", "3"],
         "3eb23e97695d4a9dbc9603b92ab57ec66d44fe5f35fd5d7722e47ef591428daa",
     ),
+    # recorded before the run scans in trace.py became byte primitives:
+    # the include policy with k from --tstar/--dt (k = 4), and a window wider
+    # than any trace
+    "extract-include": (
+        ["extract", "--input", "{traces}", "--boundary", "include", "--tstar", "0.4",
+         "--dt", "0.1"],
+        "0141fc4c1976710d924afdddf48276111b3edb67aacc52a48b2154b21f22f784",
+    ),
+    "extract-wide-k": (
+        ["extract", "--input", "{traces}", "--k", "1000000000000"],
+        "dd8cbc503ca2fd9d16ef682345a783eed5a44490c986e4d293d1c1c329281090",
+    ),
     "estimate": (
         ["estimate", "--rts", "{steps}", "--dt", "0.1", "--method", "both", "--order", "8"],
         "0cf02e51c1e69d17fa0af244c9970154aa671ac7f73643156c1671599b4965e6",

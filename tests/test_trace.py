@@ -1,4 +1,6 @@
 import io
+import itertools
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +18,7 @@ from restime.trace import (
     write_steps_csv,
 )
 
-from .oracles import filter_by_convolution, gap_fill_reference
+from .oracles import filter_by_convolution, gap_fill_reference, runs_reference
 
 DROP = ExtractionPolicy(boundary="drop")
 INCLUDE = ExtractionPolicy(boundary="include")
@@ -131,10 +133,6 @@ class TestCollect:
         with pytest.raises(DomainError):
             collect_sample([], FilterConfig(k=1), INCLUDE)
 
-    def test_dt_carried(self):
-        traces = [OccupancyTrace(bits=(0, 1, 0))]
-        assert collect_sample(traces, FilterConfig(k=1), INCLUDE, dt=0.25).dt == 0.25
-
 
 bit_traces = st.lists(st.integers(min_value=0, max_value=1), max_size=64).map(tuple)
 
@@ -154,6 +152,21 @@ def test_filter_idempotent_and_monotone(bits, k):
     once = filter_transient_escapes(OccupancyTrace(bits=bits), cfg)
     assert filter_transient_escapes(once, cfg).bits == once.bits
     assert all(a <= b for a, b in zip(bits, once.bits))
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_extract_matches_reference_exhaustively(n):
+    for bits in itertools.product((0, 1), repeat=n):
+        t = OccupancyTrace(bits=bits)
+        for policy in (DROP, INCLUDE):
+            assert extract_residences(t, policy) == runs_reference(bits, policy.boundary)
+
+
+@given(bits=bit_traces)
+def test_extract_matches_reference(bits):
+    t = OccupancyTrace(bits=bits)
+    for policy in (DROP, INCLUDE):
+        assert extract_residences(t, policy) == runs_reference(bits, policy.boundary)
 
 
 @given(bits=bit_traces)
@@ -209,6 +222,11 @@ class TestCsv:
     def test_first_bad_line_is_named(self):
         with pytest.raises(ParseError, match="line 3: residence steps must be >= 1, got '0'"):
             read_steps_csv(io.StringIO("steps\n3\n0\nx\n"))
+
+    @pytest.mark.parametrize("token", ["1_000", "+5", "\u0663"])
+    def test_only_ascii_decimal_digits(self, token):
+        with pytest.raises(ParseError, match=re.escape(f"line 3: expected an integer, got {token!r}")):
+            read_steps_csv(io.StringIO(f"steps\n3\n{token}\n"))
 
     def test_header_only_is_empty(self):
         assert read_steps_csv(io.StringIO("steps\n")) == []
