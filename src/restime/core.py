@@ -62,10 +62,15 @@ class OccupancyTrace:
     bits: tuple[int, ...]
 
     def __post_init__(self):
-        bits = tuple(map(int, self.bits))
-        if not {0, 1}.issuperset(bits):
+        bits = tuple(self.bits)
+        try:
+            # check before int(), which would also take 0.5, "1" and 1.9
+            ok = {0, 1}.issuperset(bits)
+        except TypeError:  # an unhashable element
+            ok = False
+        if not ok:
             raise DomainError("trace elements must be 0 or 1")
-        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "bits", tuple(map(int, bits)))
 
     def __len__(self) -> int:
         return len(self.bits)

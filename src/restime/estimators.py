@@ -107,16 +107,18 @@ def var_mrt_taylor(s: ResidenceSample, order: int = 8, exact: bool = False):
 def rt_autocorrelation(per_trace_rts, max_lag: int) -> list[tuple[int, float, float]]:
     """Cross-trace mean and spread of per-trace autocorrelation, lags 0..max_lag.
 
-    A trace needs at least max_lag + 2 residences to contribute; constant
-    traces have no defined correlation and are excluded with a warning.
+    A trace needs at least max_lag + 2 residences to contribute: shorter
+    traces are excluded with one warning that counts them.  Constant traces
+    have no defined correlation and are excluded with a warning each.
     With a single contributing trace the spread column is 0.
     """
     if max_lag < 0:
         raise DomainError("max_lag must be >= 0")
     per_lag: list[list[float]] = [[] for _ in range(max_lag + 1)]
-    contributing = 0
+    contributing = short = 0
     for idx, rts in enumerate(per_trace_rts):
         if len(rts) < max_lag + 2:
+            short += 1
             continue
         x = np.asarray(rts, dtype=np.float64)
         d = x - x.mean()
@@ -127,6 +129,10 @@ def rt_autocorrelation(per_trace_rts, max_lag: int) -> list[tuple[int, float, fl
         contributing += 1
         for h in range(max_lag + 1):
             per_lag[h].append(float(np.dot(d[: len(d) - h], d[h:]) / denom))
+    if short:
+        warnings.warn(
+            f"{short} trace(s) with fewer than max_lag+2 residences excluded from autocorrelation"
+        )
     if contributing == 0:
         raise DomainError("no usable trace for the requested lags")
     out = []

@@ -14,19 +14,56 @@ from .estimators import _series_order, ratio_variance_rows
 from .moments import row_moments
 
 
-def replicate_stream(seed: int, index: int) -> np.random.Generator:
-    """Independent deterministic stream for one replicate of one experiment."""
-    return np.random.Generator(np.random.Philox(key=seed).jumped(index))
+def replicate_stream(
+    seed: int, index: int, rng: np.random.Generator | None = None
+) -> np.random.Generator:
+    """Independent deterministic stream for one replicate of one experiment.
+
+    The stream is Philox keyed by seed, jumped index times.  A jump adds
+    2**128 to the 256-bit counter, which is +1 in counter word 2, so stream
+    i starts at counter [0, 0, i, 0] with nothing buffered; the 128-bit key
+    is two 64-bit words, low word first.  Given a Philox Generator rng, that
+    state is written into it in place and rng is returned; a new Generator
+    is built only when rng is None.
+    """
+    if rng is None:
+        return np.random.Generator(np.random.Philox(key=seed).jumped(index))
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, index, 0], "key": [seed & (2**64 - 1), seed >> 64]},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
+
+
+def _fill_row(dist: DistributionSpec, row: np.ndarray, rng: np.random.Generator) -> None:
+    """Draw one row in place: final values if uniform, raw u in [0, 1) if geometric."""
+    if dist.kind == "geom":
+        rng.random(out=row)
+    else:
+        row[:] = rng.integers(dist.a, dist.b + 1, size=row.size)
+
+
+def _finish_rows(dist: DistributionSpec, x: np.ndarray) -> np.ndarray:
+    """Turn rows filled by _fill_row into draws, in place; returns x."""
+    if dist.kind == "geom":
+        # u in (0, 1] keeps the log finite; x = 1 + floor(log u / log(1-p))
+        np.subtract(1.0, x, out=x)
+        np.log(x, out=x)
+        np.divide(x, math.log1p(-float(dist.p)), out=x)
+        np.floor(x, out=x)
+        np.add(x, 1.0, out=x)
+    return x
 
 
 def _draw_array(dist: DistributionSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     """Vector of n draws as float64 (the values are exact small integers)."""
-    if dist.kind == "geom":
-        p = float(dist.p)
-        # u in (0, 1] keeps the log finite; x = 1 + floor(log u / log(1-p))
-        u = 1.0 - rng.random(n)
-        return 1.0 + np.floor(np.log(u) / math.log1p(-p))
-    return rng.integers(dist.a, dist.b + 1, size=n).astype(np.float64)
+    x = np.empty(n)
+    _fill_row(dist, x, rng)
+    return _finish_rows(dist, x)
 
 
 def sample(dist: DistributionSpec, n: int, rng: np.random.Generator) -> ResidenceSample:
@@ -74,7 +111,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
 
     Replicate i always uses its own counter-based stream (seed, i), and
     per-replicate results land in arrays indexed by i, so the output is
-    bit-identical for any chunk layout.
+    bit-identical for any chunk layout.  One Generator per chunk is
+    repositioned to each replicate's stream rather than built anew.
     """
     orders = [_series_order(lbl) for lbl in cfg.estimators]
     exprs = {order: taylor.generate_expression(order) for order in orders if order}
@@ -86,8 +124,11 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
         for lo in range(0, cfg.replicates, chunk):
             hi = min(lo + chunk, cfg.replicates)
             x = np.empty((hi - lo, n))
+            rng = None  # built by the chunk's first replicate_stream, then repositioned
             for i in range(lo, hi):
-                x[i - lo] = _draw_array(cfg.dist, n, replicate_stream(cfg.seed, i))
+                rng = replicate_stream(cfg.seed, i, rng)
+                _fill_row(cfg.dist, x[i - lo], rng)
+            _finish_rows(cfg.dist, x)
             x2 = x * x
             s1 = x.sum(axis=1)
             s2 = x2.sum(axis=1)

@@ -48,9 +48,9 @@ def row_moments(x: np.ndarray, sums: np.ndarray, max_order: int):
     central: dict[int, np.ndarray] = {}
     if max_order >= 2:
         d = x - mean[:, None]
-        p = d
+        p = d.copy()
         for m in range(2, max_order + 1):
-            p = p * d
+            np.multiply(p, d, out=p)
             central[m] = p.mean(axis=1)
     return mean, central
 

@@ -373,6 +373,17 @@ class TestAutocorr:
     def test_too_short_for_lags(self, trace_file, capsys):
         assert main(["autocorr", "--input", trace_file, "--max-lag", "8"]) == 1
 
+    def test_short_traces_are_one_note_line(self, tmp_path, capsys):
+        long = "0 " + "1 0 1 1 0 1 1 1 0 " * 2 + "0\n"
+        path = tmp_path / "t.txt"
+        path.write_text("0 1 0 1 1 0\n" + long + "0 1 0\n" + long)
+        assert main(["autocorr", "--input", str(path), "--max-lag", "1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[0] == "lag,mean_r,sd_r"
+        assert captured.err.splitlines() == [
+            "note: 2 trace(s) with fewer than max_lag+2 residences excluded from autocorrelation"
+        ]
+
     def test_constant_trace_is_one_note_line(self, tmp_path, capsys):
         path = tmp_path / "t.txt"
         path.write_text("0 1 0 1 0 1 0 1 0 1 0\n")

@@ -68,6 +68,16 @@ class TestOccupancyTrace:
     def test_empty_allowed(self):
         assert len(OccupancyTrace(bits=())) == 0
 
+    @pytest.mark.parametrize("bits", [(0.5, 1.9, 1), "0110", ("x",), ([1],)])
+    def test_rejects_what_int_would_coerce(self, bits):
+        with pytest.raises(DomainError, match="trace elements must be 0 or 1"):
+            OccupancyTrace(bits=bits)
+
+    def test_accepts_values_equal_to_0_or_1(self):
+        t = OccupancyTrace(bits=[True, 1.0, 0.0, False, 1])
+        assert t.bits == (1, 1, 0, 0, 1)
+        assert all(type(b) is int for b in t.bits)
+
 
 class TestMomentVector:
     def test_rejects_low_central_order(self):

@@ -181,7 +181,8 @@ class TestAutocorrelation:
             assert math.isclose(mean_r, float(want), rel_tol=1e-12)
 
     def test_short_traces_do_not_contribute(self):
-        rows = rt_autocorrelation([[1, 2], [3, 1, 4, 1, 5]], max_lag=2)
+        with pytest.warns(UserWarning, match=r"^1 trace\(s\) with fewer than max_lag\+2"):
+            rows = rt_autocorrelation([[1, 2], [3, 1, 4, 1, 5]], max_lag=2)
         # only the second trace is long enough, so spread columns are zero
         assert all(sd == 0.0 for _, _, sd in rows)
 
@@ -191,7 +192,7 @@ class TestAutocorrelation:
         assert len(rows) == 2
 
     def test_all_excluded_is_an_error(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError), pytest.warns(UserWarning, match="1 trace"):
             rt_autocorrelation([[1, 2]], max_lag=3)
 
     def test_iid_traces_have_no_lag_one_signal(self):

@@ -18,7 +18,11 @@ from restime.mc import (
 from restime.moments import exact_moments
 from restime.taylor import evaluate_expression, generate_expression
 
-from .oracles import enumeration_variance, multiset_enumeration_variance
+from .oracles import (
+    enumeration_variance,
+    multiset_enumeration_variance,
+    replicate_rows_reference,
+)
 
 GEOM_HALF = DistributionSpec.geometric(Fraction(1, 2))
 
@@ -56,6 +60,36 @@ class TestSampling:
     def test_rejects_empty(self):
         with pytest.raises(DomainError):
             sample(GEOM_HALF, 0, replicate_stream(0, 0))
+
+
+def _ints(rng):
+    # a power-of-two range rejects no 32-bit word, so a stale buffered half shows
+    return rng.integers(0, 2**20, size=5)
+
+
+def _floats(rng):
+    return rng.random(9)
+
+
+def _dice(rng):
+    return rng.integers(1, 101, size=9)
+
+
+class TestReplicateStream:
+    @pytest.mark.parametrize("seed", [0, 2**64 + 5, 2**128 - 1])
+    @pytest.mark.parametrize("index", [0, 1, 2**40])
+    def test_reposition_equals_fresh_jumped_generator(self, seed, index):
+        rng = replicate_stream(7, 3)
+        # leave a buffered 64-bit word and a buffered 32-bit half behind
+        rng.random(3)
+        rng.integers(0, 2**20, size=3)
+        state = rng.bit_generator.state
+        assert state["buffer_pos"] < 4 and state["has_uint32"] == 1
+        for draws in ((_ints, _floats, _dice), (_floats, _dice, _ints)):
+            assert replicate_stream(seed, index, rng) is rng
+            fresh = np.random.Generator(np.random.Philox(key=seed).jumped(index))
+            for draw in draws:
+                assert np.array_equal(draw(rng), draw(fresh))
 
 
 class TestConfig:
@@ -113,6 +147,38 @@ class TestRunExperiment:
         row = run_experiment(cfg)[0]
         series = float(evaluate_expression(generate_expression(8), exact_moments(d, 16), 10_000))
         assert abs(row.reference_var / series - 1) < 0.05
+
+
+ENGINE_DISTS = [
+    DistributionSpec.geometric(Fraction(1, 20)),
+    GEOM_HALF,
+    DistributionSpec.geometric(Fraction(9, 10)),
+    DistributionSpec.uniform(1, 100),
+    DistributionSpec.uniform(5, 5),
+    # a power-of-two width rejects no 32-bit word
+    DistributionSpec.uniform(93, 100),
+]
+
+
+class TestEngineMatchesReference:
+    """run_experiment rows equal, bit for bit, those of a fresh Generator per replicate."""
+
+    @pytest.mark.parametrize("seed", [0, 11, 2**100 + 7])
+    @pytest.mark.parametrize("dist", ENGINE_DISTS, ids=str)
+    def test_grid(self, dist, seed):
+        cfg = ExperimentConfig(dist=dist, sizes=(1, 2, 30, 158), replicates=300, seed=seed)
+        # repr tells floats apart bit for bit, -0.0 from 0.0 included
+        assert repr(run_experiment(cfg)) == repr(replicate_rows_reference(cfg))
+
+    def test_multi_chunk(self):
+        # N=1000 takes chunks of 2000 rows, so 4500 replicates span three
+        cfg = ExperimentConfig(
+            dist=DistributionSpec.geometric(Fraction(1, 20)),
+            sizes=(1000,),
+            replicates=4500,
+            seed=11,
+        )
+        assert repr(run_experiment(cfg)) == repr(replicate_rows_reference(cfg))
 
 
 class TestExactVariance:
