@@ -22,12 +22,12 @@ def replicate_stream(
     The stream is Philox keyed by seed, jumped index times.  A jump adds
     2**128 to the 256-bit counter, which is +1 in counter word 2, so stream
     i starts at counter [0, 0, i, 0] with nothing buffered; the 128-bit key
-    is two 64-bit words, low word first.  Given a Philox Generator rng, that
-    state is written into it in place and rng is returned; a new Generator
-    is built only when rng is None.
+    is two 64-bit words, low word first.  That state is written into the
+    Philox Generator rng in place and rng is returned; a Generator is built
+    first only when rng is None.
     """
     if rng is None:
-        return np.random.Generator(np.random.Philox(key=seed).jumped(index))
+        rng = np.random.Generator(np.random.Philox(key=seed))
     rng.bit_generator.state = {
         "bit_generator": "Philox",
         "state": {"counter": [0, 0, index, 0], "key": [seed & (2**64 - 1), seed >> 64]},
@@ -111,12 +111,13 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
 
     Replicate i always uses its own counter-based stream (seed, i), and
     per-replicate results land in arrays indexed by i, so the output is
-    bit-identical for any chunk layout.  One Generator per chunk is
-    repositioned to each replicate's stream rather than built anew.
+    bit-identical for any chunk layout.  One Generator is repositioned to
+    each replicate's stream rather than built anew.
     """
     orders = [_series_order(lbl) for lbl in cfg.estimators]
     exprs = {order: taylor.generate_expression(order) for order in orders if order}
     rows = []
+    rng = None
     for n in cfg.sizes:
         f_vals = np.empty(cfg.replicates)
         est_vals = {lbl: np.empty(cfg.replicates) for lbl in cfg.estimators}
@@ -124,7 +125,6 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
         for lo in range(0, cfg.replicates, chunk):
             hi = min(lo + chunk, cfg.replicates)
             x = np.empty((hi - lo, n))
-            rng = None  # built by the chunk's first replicate_stream, then repositioned
             for i in range(lo, hi):
                 rng = replicate_stream(cfg.seed, i, rng)
                 _fill_row(cfg.dist, x[i - lo], rng)

@@ -6,11 +6,8 @@ differences for derivative coefficients, explicit enumeration (by tuple
 and by weighted multiset) for exact variances and pattern counts, a
 direct double sum for the truncated series, a plain scan and a window-sum
 construction for the gap filter, a plain scan for run extraction, and
-partial sums with rigorous tail bounds for geometric moments.
-
-The one exception is replicate_rows_reference, which pins the replicate
-draw engine only: its streams and draws are written out here, and its rows
-go through the package's own moment and estimator kernels.
+partial sums with rigorous tail bounds for geometric moments, and a
+per-row inverse-CDF for replicate draws.
 """
 
 from __future__ import annotations
@@ -299,55 +296,9 @@ def brute_force_truncated_variance(mom, n: int, order: int, coefficient):
     return total
 
 
-def replicate_rows_reference(cfg):
-    """run_experiment's rows from a per-replicate-object draw engine.
-
-    Replicate i gets a freshly built Generator(Philox(key=seed).jumped(i))
-    and draws its row alone, with the inverse-CDF applied to that row; the
-    chunk layout and the kernels after the draws are run_experiment's.
-    """
-    from restime import taylor
-    from restime.estimators import _series_order, ratio_variance_rows
-    from restime.mc import ExperimentRow
-    from restime.moments import row_moments
-
-    def draw_row(dist, n, rng):
-        if dist.kind == "geom":
-            u = 1.0 - rng.random(n)
-            return 1.0 + np.floor(np.log(u) / math.log1p(-float(dist.p)))
-        return rng.integers(dist.a, dist.b + 1, size=n).astype(np.float64)
-
-    orders = [_series_order(lbl) for lbl in cfg.estimators]
-    exprs = {order: taylor.generate_expression(order) for order in orders if order}
-    rows = []
-    for n in cfg.sizes:
-        f_vals = np.empty(cfg.replicates)
-        est_vals = {lbl: np.empty(cfg.replicates) for lbl in cfg.estimators}
-        chunk = int(min(4096, max(16, 2_000_000 // n)))
-        for lo in range(0, cfg.replicates, chunk):
-            hi = min(lo + chunk, cfg.replicates)
-            x = np.empty((hi - lo, n))
-            for i in range(lo, hi):
-                rng = np.random.Generator(np.random.Philox(key=cfg.seed).jumped(i))
-                x[i - lo] = draw_row(cfg.dist, n, rng)
-            x2 = x * x
-            s1 = x.sum(axis=1)
-            s2 = x2.sum(axis=1)
-            f_vals[lo:hi] = 0.5 + s2 / (2.0 * s1)
-            m1, central = row_moments(x, s1, 2 * max(orders, default=0))
-            for lbl, order in zip(cfg.estimators, orders):
-                if order:
-                    est = taylor.evaluate_expression_batch(exprs[order], m1, central, n)
-                else:
-                    est = ratio_variance_rows(x, x2, m1, s2 / n)
-                est_vals[lbl][lo:hi] = est
-        r = cfg.replicates
-        ref = float(np.var(f_vals, ddof=1))
-        m4f = float(np.mean((f_vals - f_vals.mean()) ** 4))
-        ref_se = math.sqrt(max(0.0, m4f - ref * ref * (r - 3) / (r - 1)) / r)
-        means = {lbl: float(v.mean()) for lbl, v in est_vals.items()}
-        ses = {lbl: float(v.std(ddof=1) / math.sqrt(r)) for lbl, v in est_vals.items()}
-        rows.append(
-            ExperimentRow(n=n, reference_var=ref, reference_var_se=ref_se, means=means, ses=ses)
-        )
-    return rows
+def per_row_draws(dist, n, rng):
+    """n draws from one Generator, the geometric inverse-CDF applied to this row alone."""
+    if dist.kind == "geom":
+        u = 1.0 - rng.random(n)
+        return 1.0 + np.floor(np.log(u) / math.log1p(-float(dist.p)))
+    return rng.integers(dist.a, dist.b + 1, size=n).astype(np.float64)

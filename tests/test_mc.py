@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from restime import mc
 from restime.core import DistributionSpec, DomainError
 from restime.mc import (
     ExperimentConfig,
@@ -18,11 +19,7 @@ from restime.mc import (
 from restime.moments import exact_moments
 from restime.taylor import evaluate_expression, generate_expression
 
-from .oracles import (
-    enumeration_variance,
-    multiset_enumeration_variance,
-    replicate_rows_reference,
-)
+from .oracles import enumeration_variance, multiset_enumeration_variance, per_row_draws
 
 GEOM_HALF = DistributionSpec.geometric(Fraction(1, 2))
 
@@ -79,6 +76,9 @@ class TestReplicateStream:
     @pytest.mark.parametrize("seed", [0, 2**64 + 5, 2**128 - 1])
     @pytest.mark.parametrize("index", [0, 1, 2**40])
     def test_reposition_equals_fresh_jumped_generator(self, seed, index):
+        built = replicate_stream(seed, index)
+        fresh = np.random.Generator(np.random.Philox(key=seed).jumped(index))
+        assert np.array_equal(_floats(built), _floats(fresh))
         rng = replicate_stream(7, 3)
         # leave a buffered 64-bit word and a buffered 32-bit half behind
         rng.random(3)
@@ -163,14 +163,35 @@ ENGINE_DISTS = [
 class TestEngineMatchesReference:
     """run_experiment rows equal, bit for bit, those of a fresh Generator per replicate."""
 
+    @staticmethod
+    def _per_replicate_engine(cfg, monkeypatch):
+        """run_experiment with a fresh jumped Generator and a finished row per replicate."""
+        calls = []
+
+        def fresh_stream(seed, index, rng=None):
+            calls.append(index)
+            return np.random.Generator(np.random.Philox(key=seed).jumped(index))
+
+        def fill_row(dist, row, rng):
+            row[:] = per_row_draws(dist, row.size, rng)
+
+        monkeypatch.setattr(mc, "replicate_stream", fresh_stream)
+        monkeypatch.setattr(mc, "_fill_row", fill_row)
+        monkeypatch.setattr(mc, "_finish_rows", lambda dist, x: x)
+        rows = run_experiment(cfg)
+        # one stream per replicate, in order, or rows would share draws unseen
+        assert calls == list(range(cfg.replicates)) * len(cfg.sizes)
+        return rows
+
     @pytest.mark.parametrize("seed", [0, 11, 2**100 + 7])
     @pytest.mark.parametrize("dist", ENGINE_DISTS, ids=str)
-    def test_grid(self, dist, seed):
+    def test_grid(self, dist, seed, monkeypatch):
         cfg = ExperimentConfig(dist=dist, sizes=(1, 2, 30, 158), replicates=300, seed=seed)
+        rows = run_experiment(cfg)
         # repr tells floats apart bit for bit, -0.0 from 0.0 included
-        assert repr(run_experiment(cfg)) == repr(replicate_rows_reference(cfg))
+        assert repr(rows) == repr(self._per_replicate_engine(cfg, monkeypatch))
 
-    def test_multi_chunk(self):
+    def test_multi_chunk(self, monkeypatch):
         # N=1000 takes chunks of 2000 rows, so 4500 replicates span three
         cfg = ExperimentConfig(
             dist=DistributionSpec.geometric(Fraction(1, 20)),
@@ -178,7 +199,8 @@ class TestEngineMatchesReference:
             replicates=4500,
             seed=11,
         )
-        assert repr(run_experiment(cfg)) == repr(replicate_rows_reference(cfg))
+        rows = run_experiment(cfg)
+        assert repr(rows) == repr(self._per_replicate_engine(cfg, monkeypatch))
 
 
 class TestExactVariance:
