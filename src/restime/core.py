@@ -57,20 +57,31 @@ class ResidenceSample:
 
 @dataclass(frozen=True)
 class OccupancyTrace:
-    """Binary presence sequence in temporal order, 1 = inside the region."""
+    """Binary presence sequence in temporal order, 1 = inside the region.
 
-    bits: tuple[int, ...]
+    Stored as bytes, one per step: 0x01 inside, 0x00 outside.  Any iterable
+    whose elements equal 0 or 1 is accepted and normalised to that form.
+    """
+
+    bits: bytes
 
     def __post_init__(self):
-        bits = tuple(self.bits)
-        try:
-            # check before int(), which would also take 0.5, "1" and 1.9
-            ok = {0, 1}.issuperset(bits)
-        except TypeError:  # an unhashable element
-            ok = False
+        bits = self.bits
+        # only exact bytes: bytes() of a numpy array reads its memory, not its elements
+        if type(bits) is bytes:
+            ok = not bits.translate(None, b"\x00\x01")
+        else:
+            bits = tuple(bits)
+            try:
+                # check before int(), which would also take 0.5, "1" and 1.9
+                ok = {0, 1}.issuperset(bits)
+            except TypeError:  # an unhashable element
+                ok = False
+            if ok:
+                bits = bytes(map(int, bits))
         if not ok:
             raise DomainError("trace elements must be 0 or 1")
-        object.__setattr__(self, "bits", tuple(map(int, bits)))
+        object.__setattr__(self, "bits", bits)
 
     def __len__(self) -> int:
         return len(self.bits)

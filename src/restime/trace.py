@@ -58,7 +58,7 @@ def parse_traces(source: Iterable[str]) -> list[OccupancyTrace]:
             # some token is bad: walk the tokens to name the first one
             col, tok = next((c, t) for c, t in enumerate(tokens, 1) if t not in ("0", "1"))
             raise ParseError(f"line {lineno}, column {col}: expected 0 or 1, got {tok!r}")
-        traces.append(OccupancyTrace(bits=tuple(joined.encode().translate(_DIGIT_TO_BIT))))
+        traces.append(OccupancyTrace(bits=joined.encode().translate(_DIGIT_TO_BIT)))
     return traces
 
 
@@ -72,7 +72,7 @@ def filter_transient_escapes(x: OccupancyTrace, cfg: FilterConfig) -> OccupancyT
         return x
     # no gap is longer than the trace, which keeps the repeat within re's limit
     gap = re.compile(rb"(?<=\x01)\x00{1,%d}(?=\x01)" % min(cfg.k - 1, len(x.bits)))
-    return OccupancyTrace(bits=tuple(gap.sub(lambda m: b"\x01" * len(m[0]), bytes(x.bits))))
+    return OccupancyTrace(bits=gap.sub(lambda m: b"\x01" * len(m[0]), x.bits))
 
 
 def extract_residences(x: OccupancyTrace, policy: ExtractionPolicy) -> list[int]:
@@ -82,7 +82,7 @@ def extract_residences(x: OccupancyTrace, policy: ExtractionPolicy) -> list[int]
     censored (their true duration is unknown) and omitted.
     """
     # the first and last pieces touch the trace ends, and are empty if no run does
-    runs = bytes(x.bits).split(b"\x00")
+    runs = x.bits.split(b"\x00")
     if policy.boundary == "drop":
         runs = runs[1:-1]
     return [len(r) for r in runs if r]

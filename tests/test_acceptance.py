@@ -282,14 +282,14 @@ def test_criterion_7():
                 out = filter_transient_escapes(trace, cfg)
                 checked += 1
                 if (
-                    out.bits != tuple(gap_fill_reference(bits, k))
-                    or out.bits != filter_by_convolution(bits, k)
+                    tuple(out.bits) != tuple(gap_fill_reference(bits, k))
+                    or tuple(out.bits) != filter_by_convolution(bits, k)
                     or filter_transient_escapes(out, cfg).bits != out.bits
                     or any(b > o for b, o in zip(bits, out.bits))
                 ):
                     mismatches += 1
     hand_ok = all(
-        filter_transient_escapes(OccupancyTrace(bits=bits), FilterConfig(k=k)).bits
+        tuple(filter_transient_escapes(OccupancyTrace(bits=bits), FilterConfig(k=k)).bits)
         == want
         for bits, k, want in HAND_FILTER_CASES
     )

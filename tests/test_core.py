@@ -68,15 +68,27 @@ class TestOccupancyTrace:
     def test_empty_allowed(self):
         assert len(OccupancyTrace(bits=())) == 0
 
-    @pytest.mark.parametrize("bits", [(0.5, 1.9, 1), "0110", ("x",), ([1],)])
+    @pytest.mark.parametrize(
+        "bits",
+        [
+            (0.5, 1.9, 1),
+            "0110",
+            ("x",),
+            ([1],),
+            pytest.param(b"\x00\x02", id="bytes-0x02"),
+            pytest.param(b"0110", id="bytes-ascii"),
+        ],
+    )
     def test_rejects_what_int_would_coerce(self, bits):
         with pytest.raises(DomainError, match="trace elements must be 0 or 1"):
             OccupancyTrace(bits=bits)
 
     def test_accepts_values_equal_to_0_or_1(self):
         t = OccupancyTrace(bits=[True, 1.0, 0.0, False, 1])
-        assert t.bits == (1, 1, 0, 0, 1)
+        assert tuple(t.bits) == (1, 1, 0, 0, 1)
+        assert type(t.bits) is bytes
         assert all(type(b) is int for b in t.bits)
+        assert OccupancyTrace(bits=b"\x01\x00") == OccupancyTrace(bits=(1, 0))
 
 
 class TestMomentVector:

@@ -87,6 +87,13 @@ CASES = {
         ["autocorr", "--input", "{traces}", "--k", "2", "--max-lag", "3"],
         "d348c73a0093b8ecc729b4c3fef656b046bde08397ebedf2bf4d897d22bdf2c9",
     ),
+    # recorded while OccupancyTrace still stored a tuple of ints: the include
+    # policy with k from --tstar/--dt (k = 3)
+    "autocorr-include": (
+        ["autocorr", "--input", "{traces}", "--boundary", "include", "--tstar", "0.3",
+         "--dt", "0.1", "--max-lag", "3"],
+        "302bad64348ebd13f02bd816c2e092df1ed5f67f79fbe8b9ced9291f33261fee",
+    ),
     "gen-expr": (
         ["gen-expr", "--order", "8"],
         "95df400d3eaaf00640781f8491363abd858fec2d9615359be0b131fc8e6ae646",

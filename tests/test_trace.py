@@ -27,7 +27,7 @@ INCLUDE = ExtractionPolicy(boundary="include")
 class TestParse:
     def test_one_trace_per_line(self):
         traces = parse_traces(io.StringIO("1 1 0\n0 1"))
-        assert [t.bits for t in traces] == [(1, 1, 0), (0, 1)]
+        assert [tuple(t.bits) for t in traces] == [(1, 1, 0), (0, 1)]
 
     def test_empty_input(self):
         assert parse_traces(io.StringIO("")) == []
@@ -71,11 +71,11 @@ class TestFilterConfig:
 class TestFilter:
     def test_fills_short_gap(self):
         t = OccupancyTrace(bits=(1, 0, 0, 1))
-        assert filter_transient_escapes(t, FilterConfig(k=3)).bits == (1, 1, 1, 1)
+        assert tuple(filter_transient_escapes(t, FilterConfig(k=3)).bits) == (1, 1, 1, 1)
 
     def test_keeps_gap_at_threshold(self):
         t = OccupancyTrace(bits=(1, 0, 0, 1))
-        assert filter_transient_escapes(t, FilterConfig(k=2)).bits == (1, 0, 0, 1)
+        assert tuple(filter_transient_escapes(t, FilterConfig(k=2)).bits) == (1, 0, 0, 1)
 
     def test_boundary_zeros_never_filled(self):
         t = OccupancyTrace(bits=(0, 0, 1, 1, 0))
@@ -142,8 +142,8 @@ def test_filter_matches_reference_and_convolution(bits, k):
     t = OccupancyTrace(bits=bits)
     cfg = FilterConfig(k=k)
     out = filter_transient_escapes(t, cfg)
-    assert out.bits == gap_fill_reference(bits, k)
-    assert out.bits == filter_by_convolution(bits, k)
+    assert tuple(out.bits) == gap_fill_reference(bits, k)
+    assert tuple(out.bits) == filter_by_convolution(bits, k)
 
 
 @given(bits=bit_traces, k=st.integers(min_value=1, max_value=8))
