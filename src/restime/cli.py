@@ -114,8 +114,7 @@ def cmd_estimate(args: argparse.Namespace) -> None:
     if args.method != "ratio":
         _check_range("--order", args.order, 1, 8)
     with open(args.rts, "r", encoding="utf-8") as fh:
-        steps = trace.read_steps_csv(fh)
-    sample = ResidenceSample(steps=tuple(steps))
+        sample = ResidenceSample(steps=trace.read_steps_csv(fh))
     series = f"taylor{args.order}"
     methods = {"ratio": ("ratio",), "taylor": (series,), "both": ("ratio", series)}[args.method]
     report = estimators.build_report(sample, dt=args.dt, methods=methods)
@@ -200,7 +199,32 @@ def cmd_autocorr(args: argparse.Namespace) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage errors reported as one `error:` line, exit 2."""
+    """argparse with usage errors reported as one `error:` line, exit 2.
+
+    A flag's value may start with '-' (`--orders -2..1`, `--seed -x`): argparse
+    would read it as an unknown option, so it is joined to its flag first, as
+    `--orders=-2..1`.
+    """
+
+    def __init__(self, *args, **kwargs):
+        self.value_flags: set[str] = set()  # before argparse adds -h through add_argument
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.nargs is None:  # one value
+            self.value_flags.update(action.option_strings)
+        return action
+
+    def parse_known_args(self, args=None, namespace=None):
+        joined: list[str] = []
+        for arg in sys.argv[1:] if args is None else args:
+            # a '--' token is always a flag, so `--rts --dt 0.1` still lacks a value
+            if joined and joined[-1] in self.value_flags and arg[:1] == "-" and arg[:2] != "--":
+                joined[-1] += f"={arg}"
+            else:
+                joined.append(arg)
+        return super().parse_known_args(joined, namespace)
 
     def error(self, message: str):
         self.exit(2, f"error: {message}\n")

@@ -10,7 +10,10 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping
+
+import numpy as np
 
 Scalar = Fraction | float
 
@@ -40,11 +43,15 @@ class ResidenceSample:
         steps = tuple(self.steps)
         if not steps:
             raise DomainError("sample must contain at least one residence")
-        try:
-            ints = tuple(map(int, steps))
-        except (TypeError, ValueError, OverflowError):
-            ints = None
-        if ints != steps or min(ints) < 1:
+        if set(map(type, steps)) == {int}:
+            ok, ints = min(steps) >= 1, steps
+        else:  # bools, numpy ints and integral floats are converted
+            try:
+                ints = tuple(map(int, steps))
+            except (TypeError, ValueError, OverflowError):
+                ints = None
+            ok = ints == steps and min(ints) >= 1
+        if not ok:
             # some value is bad: the slower scan names the first one
             bad = next(x for x in steps if not _is_positive_int(x))
             raise DomainError(f"residence durations must be integers >= 1, got {bad!r}")
@@ -53,6 +60,13 @@ class ResidenceSample:
     @property
     def n(self) -> int:
         return len(self.steps)
+
+    @cached_property
+    def floats(self) -> np.ndarray:
+        """The steps as one read-only float64 array, built on first use."""
+        a = np.asarray(self.steps, dtype=np.float64)
+        a.flags.writeable = False
+        return a
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,7 @@ def mean_residual_steps(s: ResidenceSample, exact: bool = False):
     Equals 1/2 + sum(x^2)/(2*sum(x)).  Integer accumulation keeps the ratio
     exact until the final division, whatever the magnitudes.
     """
-    total = sum(s.steps)
-    squares = sum(x * x for x in s.steps)
+    total, squares = _step_sums(s, exact)
     if exact:
         return Fraction(1, 2) + Fraction(squares, 2 * total)
     return 0.5 + squares / (2.0 * total)
@@ -28,9 +27,24 @@ def mean_residual_steps(s: ResidenceSample, exact: bool = False):
 
 def mean_residence_steps(s: ResidenceSample, exact: bool = False):
     """Average residence duration in steps."""
+    total, _ = _step_sums(s, exact)
     if exact:
-        return Fraction(sum(s.steps), s.n)
-    return sum(s.steps) / s.n
+        return Fraction(total, s.n)
+    return total / s.n
+
+
+def _step_sums(s: ResidenceSample, exact: bool) -> tuple[int, int]:
+    """sum(x) and sum(x^2) as Python ints.
+
+    Below n*max(x)^2 < 2^53 every partial sum of the float array is an
+    integer that float64 holds exactly, so its sums are the integer sums.
+    Exact mode never converts to float.
+    """
+    if not exact:
+        a = s.floats
+        if s.n * int(a.max()) ** 2 < 2**53:
+            return int(a.sum()), int(a @ a)
+    return sum(s.steps), sum(x * x for x in s.steps)
 
 
 def var_mean_residence(s: ResidenceSample, exact: bool = False):
@@ -42,8 +56,7 @@ def var_mean_residence(s: ResidenceSample, exact: bool = False):
         total = sum(s.steps)
         num = sum((n * x - total) ** 2 for x in s.steps)
         return Fraction(num, n**3 * (n - 1))
-    x = np.asarray(s.steps, dtype=np.float64)
-    return float(x.var(ddof=1) / n)
+    return float(s.floats.var(ddof=1) / n)
 
 
 def var_mrt_ratio(s: ResidenceSample, exact: bool = False):
@@ -54,7 +67,7 @@ def var_mrt_ratio(s: ResidenceSample, exact: bool = False):
     """
     if exact:
         return ratio_variance_from_moments(sample_moments(s, 2, exact=True), s.n)
-    x = np.asarray(s.steps, dtype=np.float64)[None, :]
+    x = s.floats[None, :]
     x2 = x * x
     return float(ratio_variance_rows(x, x2, x.mean(axis=1), x2.mean(axis=1))[0])
 

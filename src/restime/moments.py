@@ -30,7 +30,7 @@ def sample_moments(s: ResidenceSample, max_central_order: int = 4, exact: bool =
             for m in range(2, max_central_order + 1)
         }
         return MomentVector(mean=mean, central=central, raw=raw, exact=True)
-    x = np.asarray(s.steps, dtype=np.float64)
+    x = s.floats
     raw = {j: float(np.mean(x**j)) for j in range(1, 5)}
     rows = x[None, :]
     mean, central = row_moments(rows, rows.sum(axis=1), max_central_order)

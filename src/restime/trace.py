@@ -54,11 +54,13 @@ def parse_traces(source: Iterable[str]) -> list[OccupancyTrace]:
         if not tokens:
             continue
         joined = "".join(tokens)
-        if len(joined) != len(tokens) or joined.strip("01"):
+        # one byte per character: a non-ASCII one becomes b"?", which fails the check
+        digits = joined.encode("ascii", "replace")
+        if len(joined) != len(tokens) or digits.translate(None, b"01"):
             # some token is bad: walk the tokens to name the first one
             col, tok = next((c, t) for c, t in enumerate(tokens, 1) if t not in ("0", "1"))
             raise ParseError(f"line {lineno}, column {col}: expected 0 or 1, got {tok!r}")
-        traces.append(OccupancyTrace(bits=joined.encode().translate(_DIGIT_TO_BIT)))
+        traces.append(OccupancyTrace(bits=digits.translate(_DIGIT_TO_BIT)))
     return traces
 
 
@@ -113,30 +115,31 @@ def write_steps_csv(steps: Iterable[int], fh: TextIO) -> None:
         fh.write(f"{int(x)}\n")
 
 
-def read_steps_csv(fh: Iterable[str]) -> list[int]:
-    """Read the CSV written by write_steps_csv; blank lines are skipped.
+def read_steps_csv(fh: TextIO) -> list[int]:
+    """Read the CSV written by write_steps_csv from a text stream; blank lines are skipped.
 
-    Every step must be an ASCII-digit integer >= 1.  Errors name the line in the file.
+    Every step must be an ASCII-digit integer >= 1.  Errors name the line in the
+    file, lines ending at each '\n'.
     """
-    lines = [ln.strip() for ln in fh]
-    body = [ln for ln in lines if ln]
-    if not body or body.pop(0) != "steps":
+    head, _, body = fh.read().partition("\n")
+    # the common file: a bare header, then only ASCII digits and newlines
+    # (a non-ASCII character becomes b"?", which fails the check)
+    data = body.encode("ascii", "replace")
+    if head == "steps" and not data.translate(None, b"0123456789\n"):
+        try:
+            steps = list(map(int, data.split()))
+        except ValueError:  # a step past int()'s digit limit
+            steps = None
+        if steps is not None and min(steps, default=1) >= 1:
+            return steps
+    # anything else, or a bad step: the line-by-line pass names the first bad line
+    return _checked_steps([head, *body.split("\n")])
+
+
+def _checked_steps(lines: Iterable[str]) -> list[int]:
+    numbered = ((lineno, ln) for lineno, ln in enumerate(map(str.strip, lines), start=1) if ln)
+    if next(numbered, (0, ""))[1] != "steps":
         raise ParseError("expected a 'steps' header on the first line")
-    digits = "".join(body)
-    try:
-        # int() alone would also take '+5', '1_000' and non-ASCII digits
-        steps = list(map(int, body)) if digits.isascii() and digits.isdigit() else None
-    except ValueError:  # a step past int()'s digit limit
-        steps = None
-    if steps is None or min(steps) < 1:
-        # some line is bad, or there is none: the line-by-line pass names the first bad one
-        return _checked_steps(lines)
-    return steps
-
-
-def _checked_steps(lines: list[str]) -> list[int]:
-    numbered = ((lineno, ln) for lineno, ln in enumerate(lines, start=1) if ln)
-    next(numbered)  # the header
     steps = []
     for lineno, ln in numbered:
         digits = ln.removeprefix("-")

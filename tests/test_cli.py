@@ -489,6 +489,26 @@ class TestUsage:
     def test_no_arguments(self, capsys):
         assert main([]) == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (EXACT[:-2] + ["--orders", "-2..1"], "orders must lie within 1..8"),
+            (MC + ["--seed", "-x"], "argument --seed: invalid int value: '-x'"),
+        ],
+    )
+    def test_value_starting_with_dash(self, capsys, argv, message):
+        # `--flag -v` fails as `--flag=-v` does, not as a missing value
+        joined = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
+        for args in (argv, joined):
+            assert main(args) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == [f"error: {message}"]
+
+    def test_flag_is_not_taken_as_a_value(self, capsys):
+        assert main(MC + ["--seed", "--reps", "5"]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: argument --seed: expected one argument"]
+
     def test_data_on_stdout_errors_on_stderr(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
         path.write_text("2\n")

@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -44,6 +45,8 @@ class TestResidenceSample:
             ((2, -7), "residence durations must be integers >= 1, got -7"),
             ((1, None), "residence durations must be integers >= 1, got None"),
             ((1, float("nan")), "residence durations must be integers >= 1, got nan"),
+            ((2.5,), "residence durations must be integers >= 1, got 2.5"),
+            ((0,), "residence durations must be integers >= 1, got 0"),
         ],
     )
     def test_validation_names_first_bad_value(self, steps, message):
@@ -55,6 +58,25 @@ class TestResidenceSample:
         s = ResidenceSample(steps=[2.0, True, 5])
         assert s.steps == (2, 1, 5)
         assert all(type(x) is int for x in s.steps)
+
+    @pytest.mark.parametrize(
+        "steps, want",
+        [((True,), (1,)), ((np.int64(3),), (3,)), ((10**30,), (10**30,))],
+        ids=["bool", "numpy-int", "beyond-int64"],
+    )
+    def test_accepts_what_is_an_integer(self, steps, want):
+        s = ResidenceSample(steps=steps)
+        assert s.steps == want
+        assert all(type(x) is int for x in s.steps)
+
+    def test_floats_is_one_read_only_array(self):
+        s = ResidenceSample(steps=[3, 1, 2**60 + 1])
+        a = s.floats
+        assert a is s.floats
+        assert a.dtype == np.float64
+        assert a.tolist() == [3.0, 1.0, float(2**60 + 1)]
+        assert not a.flags.writeable
+        assert s == ResidenceSample(steps=(3, 1, 2**60 + 1))
 
 
 class TestOccupancyTrace:

@@ -53,6 +53,23 @@ class TestPointEstimates:
         with pytest.raises(DomainError):
             var_mean_residence(ResidenceSample(steps=(5,)))
 
+    @pytest.mark.parametrize(
+        "steps",
+        [
+            (1, 2, 3),
+            (67108863, 67108863),  # n*max^2 just under 2^53: sums from the float array
+            (67108864, 67108864),  # exactly 2^53 and above: Python-int sums
+            (10**8, 10**8),
+            (3, 5, 10**20),
+            (10, 69057710105581731),  # float sums would move the mean by one ulp
+        ],
+    )
+    def test_float_means_use_exact_integer_sums(self, steps):
+        s = ResidenceSample(steps=steps)
+        s1, s2 = sum(steps), sum(x * x for x in steps)
+        assert mean_residual_steps(s) == 0.5 + s2 / (2.0 * s1)
+        assert mean_residence_steps(s) == s1 / len(steps)
+
 
 @given(samples)
 @settings(max_examples=80)

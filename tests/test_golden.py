@@ -70,6 +70,12 @@ CASES = {
         ["estimate", "--rts", "{steps}", "--dt", "0.1", "--method", "both", "--order", "8"],
         "0cf02e51c1e69d17fa0af244c9970154aa671ac7f73643156c1671599b4965e6",
     ),
+    # recorded before the estimators took their sums from a float array: the
+    # sample is over the n*max^2 < 2^53 bound, so the Python-int sums are pinned
+    "estimate-large": (
+        ["estimate", "--rts", "{large}", "--method", "taylor", "--order", "1", "--dt", "0.1"],
+        "08260edfe9b07e17f582bdacd249e45dc3a657d709720a2a2c20ea655a401547",
+    ),
     "exact": (
         ["exact", "--dist", "uniform:a=1,b=6", "--n", "4", "--orders", "1..8"],
         "d95e07a9a3b8efc523ad9d47a55f88c1f64e457f6a12f5d88f754860873cafd5",
@@ -107,8 +113,10 @@ def test_stdout_digest(name, tmp_path, capsys):
     traces.write_text(_traces())
     steps = tmp_path / "steps.csv"
     steps.write_text(_steps_csv())
+    large = tmp_path / "large.csv"
+    large.write_text("steps\n67108864\n67108864\n3\n5\n")
     argv, digest = CASES[name]
-    argv = [a.format(traces=traces, steps=steps) for a in argv]
+    argv = [a.format(traces=traces, steps=steps, large=large) for a in argv]
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -3,12 +3,14 @@ import itertools
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from restime import trace
 from restime.core import DomainError, OccupancyTrace, ParseError
 from restime.trace import (
     ExtractionPolicy,
     FilterConfig,
+    _checked_steps,
     collect_sample,
     extract_residences,
     filter_transient_escapes,
@@ -43,6 +45,11 @@ class TestParse:
     def test_bad_token_on_later_line(self):
         with pytest.raises(ParseError, match="line 3"):
             parse_traces(io.StringIO("1\n0\n1 x"))
+
+    @pytest.mark.parametrize("token", ["\uff11", "\u0663", "\ud800", "0\u0301"])
+    def test_non_ascii_token_is_named(self, token):
+        with pytest.raises(ParseError, match=re.escape(f"line 1, column 2: expected 0 or 1, got {token!r}")):
+            parse_traces([f"1 {token} 0\n"])
 
 
 class TestFilterConfig:
@@ -230,3 +237,45 @@ class TestCsv:
 
     def test_header_only_is_empty(self):
         assert read_steps_csv(io.StringIO("steps\n")) == []
+
+    def test_plain_file_takes_one_pass(self, monkeypatch):
+        # blank lines, leading zeros and no final newline need no line-by-line pass
+        monkeypatch.setattr(trace, "_checked_steps", None)
+        assert read_steps_csv(io.StringIO("steps\n3\n\n007\n12")) == [3, 7, 12]
+
+
+_CSV_STEP = st.integers(1, 10**6).map(str) | st.builds(
+    lambda zeros, v: "0" * zeros + str(v), st.integers(1, 3), st.integers(1, 999)
+)
+_CSV_ODD_LINE = st.sampled_from(
+    ["", "  ", "0", "00", "-3", "+5", "1_000", "\u0663", "1\x1c2", "7\x1c", " 4 ", "\t9", "x",
+     "1" * 4301]
+)
+
+
+@st.composite
+def _steps_csv_text(draw):
+    """Steps CSV text: mostly plain steps, with odd lines, headers and line ends mixed in."""
+    lines = draw(st.lists(_CSV_STEP, max_size=12))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_CSV_ODD_LINE))
+    head = draw(st.sampled_from(["steps", "steps", " steps ", "\nsteps", "steps\r", "Steps", "3"]))
+    sep = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    return sep.join([head, *lines]) + draw(st.sampled_from(["", sep]))
+
+
+@given(text=_steps_csv_text())
+@example(text="steps\n")
+@example(text="steps\n3\r\n4\r\n")
+@example(text="steps\n" + "1" * 4301 + "\n")
+@settings(max_examples=300, deadline=None)
+def test_reader_matches_line_by_line_pass(text):
+    """The one-pass reader returns what the line-by-line pass returns, or its error."""
+    try:
+        want = _checked_steps(list(io.StringIO(text)))
+    except ParseError as exc:
+        with pytest.raises(ParseError) as info:
+            read_steps_csv(io.StringIO(text))
+        assert str(info.value) == str(exc)
+    else:
+        assert read_steps_csv(io.StringIO(text)) == want
