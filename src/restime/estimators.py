@@ -127,7 +127,8 @@ def rt_autocorrelation(per_trace_rts, max_lag: int) -> list[tuple[int, float, fl
     """
     if max_lag < 0:
         raise DomainError("max_lag must be >= 0")
-    per_lag: list[list[float]] = [[] for _ in range(max_lag + 1)]
+    # sized by the first contributing trace, which holds more than max_lag residences
+    per_lag: list[list[float]] = []
     contributing = short = 0
     for idx, rts in enumerate(per_trace_rts):
         if len(rts) < max_lag + 2:
@@ -139,6 +140,8 @@ def rt_autocorrelation(per_trace_rts, max_lag: int) -> list[tuple[int, float, fl
         if denom == 0.0:
             warnings.warn(f"trace {idx} is constant, excluded from autocorrelation")
             continue
+        if not per_lag:
+            per_lag = [[] for _ in range(max_lag + 1)]
         contributing += 1
         for h in range(max_lag + 1):
             per_lag[h].append(float(np.dot(d[: len(d) - h], d[h:]) / denom))

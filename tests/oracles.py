@@ -5,9 +5,9 @@ importing any package internals, so a shared bug cannot hide: finite
 differences for derivative coefficients, explicit enumeration (by tuple
 and by weighted multiset) for exact variances and pattern counts, a
 direct double sum for the truncated series, a plain scan and a window-sum
-construction for the gap filter, a plain scan for run extraction, and
-partial sums with rigorous tail bounds for geometric moments, and a
-per-row inverse-CDF for replicate draws.
+construction for the gap filter, a plain scan for run extraction, a token
+walk for trace parsing, partial sums with rigorous tail bounds for
+geometric moments, and a per-row inverse-CDF for replicate draws.
 """
 
 from __future__ import annotations
@@ -104,6 +104,23 @@ def gap_fill_reference(bits, k: int):
         else:
             i += 1
     return tuple(out)
+
+
+def parse_reference(lines) -> list[bytes]:
+    """Token walk: one 0/1 byte string per nonempty line of str.split() tokens.
+
+    A token other than '0' or '1' raises ValueError with the message the
+    parser's ParseError carries.
+    """
+    traces = []
+    for lineno, line in enumerate(lines, start=1):
+        tokens = line.split()
+        for col, tok in enumerate(tokens, start=1):
+            if tok not in ("0", "1"):
+                raise ValueError(f"line {lineno}, column {col}: expected 0 or 1, got {tok!r}")
+        if tokens:
+            traces.append(bytes(int(tok) for tok in tokens))
+    return traces
 
 
 def runs_reference(bits, boundary: str) -> list[int]:

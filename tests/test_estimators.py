@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -211,6 +212,17 @@ class TestAutocorrelation:
     def test_all_excluded_is_an_error(self):
         with pytest.raises(DomainError), pytest.warns(UserWarning, match="1 trace"):
             rt_autocorrelation([[1, 2]], max_lag=3)
+
+    def test_memory_is_bounded_by_the_input(self):
+        # no trace is long enough, so nothing may be sized by max_lag alone
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError), pytest.warns(UserWarning, match="1 trace"):
+                rt_autocorrelation([[1, 2, 3]], 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_iid_traces_have_no_lag_one_signal(self):
         dist = DistributionSpec.geometric(Fraction(1, 2))

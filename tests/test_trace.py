@@ -1,7 +1,9 @@
 import io
 import itertools
 import re
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -20,7 +22,7 @@ from restime.trace import (
     write_steps_csv,
 )
 
-from .oracles import filter_by_convolution, gap_fill_reference, runs_reference
+from .oracles import filter_by_convolution, gap_fill_reference, parse_reference, runs_reference
 
 DROP = ExtractionPolicy(boundary="drop")
 INCLUDE = ExtractionPolicy(boundary="include")
@@ -50,6 +52,42 @@ class TestParse:
     def test_non_ascii_token_is_named(self, token):
         with pytest.raises(ParseError, match=re.escape(f"line 1, column 2: expected 0 or 1, got {token!r}")):
             parse_traces([f"1 {token} 0\n"])
+
+
+# digits followed by a separator, ASCII or not, so that most lines parse
+_TRACE_PIECE = st.sampled_from(
+    ["0 ", "1 ", "0\t", "1\t", "0\x0b", "1\x0c", "0\x1c", "1\x1d", "0\x1e", "1\x1f",
+     "1\xa0", "0\u3000", " ", "\t", "\r\n", "\n", "\n\n"]
+)
+# a bare digit can touch its neighbour and make a token such as "01"
+_TRACE_ODD = st.sampled_from(["0", "1", "01", "2", "?", "\x00", "\xa0", "\uff11"])
+
+
+@st.composite
+def _trace_lines(draw):
+    """Trace text of two lines or more, with odd tokens mixed in, as a text stream yields it."""
+    pieces = draw(st.lists(_TRACE_PIECE, max_size=30))
+    for odd in ["\n", *draw(st.lists(_TRACE_ODD, max_size=3))]:
+        pieces.insert(draw(st.integers(0, len(pieces))), odd)
+    return list(io.StringIO("".join(pieces)))
+
+
+@given(lines=_trace_lines())
+@example(lines=["1 0\n", "\n", "0\x1c1\x1f0\r\n"])
+@example(lines=["1\xa00\n", "0 1"])
+@example(lines=["1\n", "\n", "0 01\n"])
+@example(lines=["0\t1\n", "1 ? 0\n"])
+@settings(max_examples=300)
+def test_parse_matches_token_walk(lines):
+    """parse_traces gives the bits of the token walk, or raises its message."""
+    try:
+        want = parse_reference(lines)
+    except ValueError as exc:
+        with pytest.raises(ParseError) as info:
+            parse_traces(lines)
+        assert str(info.value) == str(exc)
+    else:
+        assert [t.bits for t in parse_traces(lines)] == want
 
 
 class TestFilterConfig:
@@ -143,8 +181,23 @@ class TestCollect:
 
 bit_traces = st.lists(st.integers(min_value=0, max_value=1), max_size=64).map(tuple)
 
+# empty, 1-bit, all ones, all zeros, and 0-runs at both ends around interior gaps
+EDGE_TRACES = [(), (0,), (1,), (1,) * 5, (0,) * 5, (0, 0, 1, 0, 1, 1, 0, 0, 0, 1, 0)]
+
+
+@pytest.mark.parametrize("bits", EDGE_TRACES)
+def test_edge_traces_match_references(bits):
+    t = OccupancyTrace(bits=bits)
+    for k in (1, 2, 3, 4, len(bits) + 1, 10**30):
+        assert tuple(filter_transient_escapes(t, FilterConfig(k=k)).bits) == gap_fill_reference(bits, k)
+    for policy in (DROP, INCLUDE):
+        assert extract_residences(t, policy) == runs_reference(bits, policy.boundary)
+
 
 @given(bits=bit_traces, k=st.integers(min_value=1, max_value=8))
+@example(bits=(), k=2)
+@example(bits=(1,), k=2)
+@example(bits=(0, 0, 1, 0, 1, 1, 0, 0, 0, 1, 0), k=4)
 def test_filter_matches_reference_and_convolution(bits, k):
     t = OccupancyTrace(bits=bits)
     cfg = FilterConfig(k=k)
@@ -161,6 +214,15 @@ def test_filter_idempotent_and_monotone(bits, k):
     assert all(a <= b for a, b in zip(bits, once.bits))
 
 
+@given(bits=bit_traces)
+@example(bits=(1, 0, 0, 0, 1))
+def test_filter_k_past_int64_bridges_every_interior_gap(bits):
+    t = OccupancyTrace(bits=bits)
+    huge = filter_transient_escapes(t, FilterConfig(k=10**30))
+    assert huge.bits == filter_transient_escapes(t, FilterConfig(k=len(bits) + 1)).bits
+    assert tuple(huge.bits) == gap_fill_reference(bits, len(bits) + 1)
+
+
 @pytest.mark.parametrize("n", range(13))
 def test_extract_matches_reference_exhaustively(n):
     for bits in itertools.product((0, 1), repeat=n):
@@ -170,6 +232,8 @@ def test_extract_matches_reference_exhaustively(n):
 
 
 @given(bits=bit_traces)
+@example(bits=(1,) * 5)
+@example(bits=(0, 0, 1, 0, 1, 1, 0, 0, 0, 1, 0))
 def test_extract_matches_reference(bits):
     t = OccupancyTrace(bits=bits)
     for policy in (DROP, INCLUDE):
@@ -242,6 +306,44 @@ class TestCsv:
         # blank lines, leading zeros and no final newline need no line-by-line pass
         monkeypatch.setattr(trace, "_checked_steps", None)
         assert read_steps_csv(io.StringIO("steps\n3\n\n007\n12")) == [3, 7, 12]
+
+
+def _per_line_csv(steps) -> str:
+    buf = io.StringIO()
+    buf.write("steps\n")
+    for x in steps:
+        buf.write(f"{int(x)}\n")
+    return buf.getvalue()
+
+
+_STEP_INPUTS = {
+    "empty": lambda: [],
+    "generator": lambda: (x for x in (3, 1, 4)),
+    "int64": lambda: np.array([7, 1, 2**62], dtype=np.int64),
+    "bool": lambda: [True, 2],
+    "4301-digit": lambda: [5, 10**4300],
+}
+
+
+@pytest.mark.parametrize("name", _STEP_INPUTS)
+@pytest.mark.parametrize("max_digits", [None, 0])
+def test_write_matches_per_line_writes(name, max_digits):
+    """One write gives the bytes of per-line writes, or the same error past int's digit limit."""
+    old_limit = sys.get_int_max_str_digits()
+    if max_digits is not None:
+        sys.set_int_max_str_digits(max_digits)
+    try:
+        try:
+            want = _per_line_csv(_STEP_INPUTS[name]())
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                write_steps_csv(_STEP_INPUTS[name](), io.StringIO())
+        else:
+            buf = io.StringIO()
+            write_steps_csv(_STEP_INPUTS[name](), buf)
+            assert buf.getvalue() == want
+    finally:
+        sys.set_int_max_str_digits(old_limit)
 
 
 _CSV_STEP = st.integers(1, 10**6).map(str) | st.builds(
