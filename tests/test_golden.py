@@ -4,7 +4,8 @@ Each case runs the CLI in-process and compares the SHA-256 of its stdout
 with a digest recorded before the float kernels, the estimator-label
 grammar and the per-trace loop were consolidated.  A second set pins the
 series evaluator at every order 1..8 as float scalar, float batch and exact
-rational.  A refactor that claims to keep the numbers must keep these
+rational, and a third the float row kernels row_moments and
+ratio_variance_rows.  A refactor that claims to keep the numbers must keep these
 digests.  Inputs come from a seeded
 random.Random, whose random() and getrandbits() streams are reproducible
 across Python versions.
@@ -19,8 +20,8 @@ import pytest
 
 from restime.cli import main
 from restime.core import DistributionSpec, ResidenceSample
-from restime.estimators import var_mrt_taylor
-from restime.moments import exact_moments
+from restime.estimators import ratio_variance_rows, var_mrt_taylor
+from restime.moments import exact_moments, row_moments
 from restime.taylor import evaluate_expression, evaluate_expression_batch, generate_expression
 
 
@@ -181,4 +182,54 @@ EVALUATOR_CASES = {
 @pytest.mark.parametrize("name", sorted(EVALUATOR_CASES))
 def test_evaluator_digest(name):
     produce, digest = EVALUATOR_CASES[name]
+    assert hashlib.sha256(produce()).hexdigest() == digest
+
+
+def _draw_rows(rows: int, cols: int, seed: int) -> np.ndarray:
+    """A rows x cols float64 array of heavy-tailed integer steps."""
+    rng = random.Random(seed)
+    steps = [1 + rng.getrandbits(6) * rng.getrandbits(3) for _ in range(rows * cols)]
+    return np.array(steps, dtype=np.float64).reshape(rows, cols)
+
+
+# a full mc chunk at N=30, a short one at N=158, and one estimate-sized row
+KERNEL_ROWS = ((4096, 30, 1), (64, 158, 2), (1, 200_000, 3))
+
+
+def _row_moments() -> bytes:
+    out = []
+    for shape in KERNEL_ROWS:
+        x = _draw_rows(*shape)
+        mean, central = row_moments(x, x.sum(axis=1), 16)
+        out += [mean.tobytes(), *(central[m].tobytes() for m in range(2, 17))]
+    return b"".join(out)
+
+
+def _ratio_rows() -> bytes:
+    out = []
+    for shape in KERNEL_ROWS:
+        x = _draw_rows(*shape)
+        x2 = x * x
+        n = x.shape[1]
+        out.append(ratio_variance_rows(x, x2, x.sum(axis=1) / n, x2.sum(axis=1) / n).tobytes())
+    return b"".join(out)
+
+
+# the float row kernels that mc and estimate share, recorded before they
+# reused their temporaries in place
+KERNEL_CASES = {
+    "row-moments": (
+        _row_moments,
+        "801d658b957e286038a4fe295d8af74cd42f076d9eadc3219039f8d948317808",
+    ),
+    "ratio-rows": (
+        _ratio_rows,
+        "1e384f3a1fe644ea57b585e88eb2dd071301a1b75c45e466245876aaef65a59a",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+def test_kernel_digest(name):
+    produce, digest = KERNEL_CASES[name]
     assert hashlib.sha256(produce()).hexdigest() == digest
