@@ -106,7 +106,9 @@ class MomentVector:
     """Mean plus central moments (orders >= 2) and raw moments (orders 1..4).
 
     exact=True means every stored value is a Fraction, otherwise floats.
-    The order-1 central moment is identically zero and not stored.
+    The order-1 central moment is identically zero and not stored.  Float
+    sample moments (moments.sample_moments with exact=False) leave raw
+    empty, since no float estimator reads it.
     """
 
     mean: Scalar

@@ -81,8 +81,10 @@ def ratio_variance_rows(x: np.ndarray, x2: np.ndarray, m1: np.ndarray, m2: np.nd
     rounding.
     """
     n = x.shape[1]
-    resid = x2 - (m2 / m1)[:, None] * x
-    return (resid * resid).mean(axis=1) / (4.0 * n * m1 * m1)
+    resid = np.multiply((m2 / m1)[:, None], x)
+    np.subtract(x2, resid, out=resid)
+    np.multiply(resid, resid, out=resid)
+    return resid.mean(axis=1) / (4.0 * n * m1 * m1)
 
 
 def ratio_variance_from_moments(mom: MomentVector, n: int):

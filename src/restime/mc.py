@@ -14,6 +14,18 @@ from .estimators import _series_order, ratio_variance_rows
 from .moments import row_moments
 
 
+# Philox state written by replicate_stream; each call rewrites counter word 2
+# and both key words, and the setter copies the values out
+_STREAM_STATE = {
+    "bit_generator": "Philox",
+    "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
+    "buffer": [0, 0, 0, 0],
+    "buffer_pos": 4,
+    "has_uint32": 0,
+    "uinteger": 0,
+}
+
+
 def replicate_stream(
     seed: int, index: int, rng: np.random.Generator | None = None
 ) -> np.random.Generator:
@@ -24,18 +36,15 @@ def replicate_stream(
     i starts at counter [0, 0, i, 0] with nothing buffered; the 128-bit key
     is two 64-bit words, low word first.  That state is written into the
     Philox Generator rng in place and rng is returned; a Generator is built
-    first only when rng is None.
+    first only when rng is None.  The state goes through one module-level
+    template, so calls must not run concurrently.
     """
     if rng is None:
         rng = np.random.Generator(np.random.Philox(key=seed))
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": [0, 0, index, 0], "key": [seed & (2**64 - 1), seed >> 64]},
-        "buffer": [0, 0, 0, 0],
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    state = _STREAM_STATE["state"]
+    state["counter"][2] = index
+    state["key"][:] = seed & (2**64 - 1), seed >> 64
+    rng.bit_generator.state = _STREAM_STATE
     return rng
 
 
@@ -106,42 +115,74 @@ class ExperimentRow:
     ses: dict[str, float]
 
 
+# a draw chunk holds at most CHUNK_ROWS replicates and about CHUNK_DRAWS draws
+CHUNK_ROWS = 4096
+CHUNK_DRAWS = 2_000_000
+# replicates whose moments are collected for one series evaluation; its cost is
+# thousands of array ops whatever the row count, and its inputs are 8 bytes per
+# row for each of the mean and the central moments
+EVAL_BLOCK = 16_384
+
+
 def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
     """Reference variance of the point statistic versus estimator means.
 
     Replicate i always uses its own counter-based stream (seed, i), and
     per-replicate results land in arrays indexed by i, so the output is
-    bit-identical for any chunk layout.  One Generator is repositioned to
-    each replicate's stream rather than built anew.
+    bit-identical for any chunk or block layout.  One Generator is
+    repositioned to each replicate's stream rather than built anew.  Draws,
+    moments and the ratio estimator run per chunk of replicates; each series
+    is evaluated once per block of whole chunks, from the chunks' means and
+    central moments.  Memory is bounded by the chunk and the block, not by
+    the replicate count.
     """
     orders = [_series_order(lbl) for lbl in cfg.estimators]
     exprs = {order: taylor.generate_expression(order) for order in orders if order}
+    ratio = [lbl for lbl, order in zip(cfg.estimators, orders) if not order]
+    series = [(lbl, exprs[order]) for lbl, order in zip(cfg.estimators, orders) if order]
+    top = 2 * max(orders, default=0)
+    r = cfg.replicates
     rows = []
     rng = None
     for n in cfg.sizes:
-        f_vals = np.empty(cfg.replicates)
-        est_vals = {lbl: np.empty(cfg.replicates) for lbl in cfg.estimators}
-        chunk = int(min(4096, max(16, 2_000_000 // n)))
-        for lo in range(0, cfg.replicates, chunk):
-            hi = min(lo + chunk, cfg.replicates)
-            x = np.empty((hi - lo, n))
-            for i in range(lo, hi):
-                rng = replicate_stream(cfg.seed, i, rng)
-                _fill_row(cfg.dist, x[i - lo], rng)
-            _finish_rows(cfg.dist, x)
-            x2 = x * x
-            s1 = x.sum(axis=1)
-            s2 = x2.sum(axis=1)
-            f_vals[lo:hi] = 0.5 + s2 / (2.0 * s1)
-            m1, central = row_moments(x, s1, 2 * max(orders, default=0))
-            for lbl, order in zip(cfg.estimators, orders):
-                if order:
-                    est = taylor.evaluate_expression_batch(exprs[order], m1, central, n)
-                else:
+        f_vals = np.empty(r)
+        est_vals = {lbl: np.empty(r) for lbl in cfg.estimators}
+        chunk = min(CHUNK_ROWS, max(16, CHUNK_DRAWS // n), r)
+        block = max(1, EVAL_BLOCK // chunk) * chunk
+        x_buf = np.empty((chunk, n))
+        mean_buf = np.empty(min(block, r))
+        central_buf = {m: np.empty_like(mean_buf) for m in range(2, top + 1)}
+        for blo in range(0, r, block):
+            bhi = min(blo + block, r)
+            for lo in range(blo, bhi, chunk):
+                hi = min(lo + chunk, bhi)
+                x = x_buf[: hi - lo]
+                for i, row in enumerate(x, lo):
+                    rng = replicate_stream(cfg.seed, i, rng)
+                    _fill_row(cfg.dist, row, rng)
+                _finish_rows(cfg.dist, x)
+                s1 = x.sum(axis=1)
+                m1, central = row_moments(x, s1, top)
+                mean_buf[lo - blo : hi - blo] = m1
+                for m, v in central.items():
+                    central_buf[m][lo - blo : hi - blo] = v
+                x2 = x * x
+                s2 = x2.sum(axis=1)
+                f_vals[lo:hi] = 0.5 + s2 / (2.0 * s1)
+                if ratio:
                     est = ratio_variance_rows(x, x2, m1, s2 / n)
-                est_vals[lbl][lo:hi] = est
+                    for lbl in ratio:
+                        est_vals[lbl][lo:hi] = est
+                # freed before the next chunk's row_moments, which holds two
+                # (chunk, n) temporaries beside x
+                del x2
+            k = bhi - blo
+            block_central = {m: v[:k] for m, v in central_buf.items()}
+            for lbl, expr in series:
+                est_vals[lbl][blo:bhi] = taylor.evaluate_expression_batch(
+                    expr, mean_buf[:k], block_central, n
+                )
 
-        r = cfg.replicates
         ref = float(np.var(f_vals, ddof=1))
         m4f = float(np.mean((f_vals - f_vals.mean()) ** 4))
         ref_se = math.sqrt(max(0.0, m4f - ref * ref * (r - 3) / (r - 1)) / r)

@@ -11,10 +11,10 @@ from .core import DistributionSpec, DomainError, MomentVector, ResidenceSample
 
 
 def sample_moments(s: ResidenceSample, max_central_order: int = 4, exact: bool = False) -> MomentVector:
-    """Plug-in moments of a sample: raw orders 1..4, central orders 2..max.
+    """Plug-in moments of a sample: central orders 2..max, and raw orders 1..4 when exact.
 
     Central moments use the biased 1/N form throughout.  Exact mode stays
-    rational; float mode is row_moments on a single row.
+    rational; float mode is row_moments on a single row and leaves raw empty.
     """
     if max_central_order < 2:
         raise DomainError("need central moments at least to order 2")
@@ -30,12 +30,10 @@ def sample_moments(s: ResidenceSample, max_central_order: int = 4, exact: bool =
             for m in range(2, max_central_order + 1)
         }
         return MomentVector(mean=mean, central=central, raw=raw, exact=True)
-    x = s.floats
-    raw = {j: float(np.mean(x**j)) for j in range(1, 5)}
-    rows = x[None, :]
+    rows = s.floats[None, :]
     mean, central = row_moments(rows, rows.sum(axis=1), max_central_order)
     central = {m: float(v[0]) for m, v in central.items()}
-    return MomentVector(mean=float(mean[0]), central=central, raw=raw, exact=False)
+    return MomentVector(mean=float(mean[0]), central=central, raw={}, exact=False)
 
 
 def row_moments(x: np.ndarray, sums: np.ndarray, max_order: int):
@@ -48,10 +46,11 @@ def row_moments(x: np.ndarray, sums: np.ndarray, max_order: int):
     central: dict[int, np.ndarray] = {}
     if max_order >= 2:
         d = x - mean[:, None]
-        p = d.copy()
+        p = d * d
         for m in range(2, max_order + 1):
-            np.multiply(p, d, out=p)
-            central[m] = p.mean(axis=1)
+            central[m] = np.add.reduce(p, axis=1) / x.shape[1]
+            if m < max_order:
+                np.multiply(p, d, out=p)
     return mean, central
 
 

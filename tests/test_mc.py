@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from restime import mc
+from restime import mc, taylor
 from restime.core import DistributionSpec, DomainError
 from restime.mc import (
     ExperimentConfig,
@@ -91,6 +91,14 @@ class TestReplicateStream:
             for draw in draws:
                 assert np.array_equal(draw(rng), draw(fresh))
 
+    def test_template_takes_each_seed(self):
+        # each call rewrites both key words, so a stale word from the last seed shows
+        rng = None
+        for seed, index in ((2**128 - 1, 5), (3, 5), (2**64, 0), (2**128 - 1, 2**40)):
+            rng = replicate_stream(seed, index, rng)
+            fresh = np.random.Generator(np.random.Philox(key=seed).jumped(index))
+            assert np.array_equal(_floats(rng), _floats(fresh))
+
 
 class TestConfig:
     def test_validation(self):
@@ -148,6 +156,25 @@ class TestRunExperiment:
         series = float(evaluate_expression(generate_expression(8), exact_moments(d, 16), 10_000))
         assert abs(row.reference_var / series - 1) < 0.05
 
+    def test_one_evaluation_per_size_and_series(self, monkeypatch):
+        calls = []
+        batch = taylor.evaluate_expression_batch
+
+        def spy(expr, mean, central, n):
+            calls.append((expr.order, n, mean.size))
+            return batch(expr, mean, central, n)
+
+        monkeypatch.setattr(taylor, "evaluate_expression_batch", spy)
+        cfg = ExperimentConfig(
+            dist=DistributionSpec.geometric(Fraction(1, 20)),
+            sizes=(30, 158),
+            replicates=10_000,
+            seed=0,
+            estimators=("ratio", "taylor2", "taylor8"),
+        )
+        run_experiment(cfg)
+        assert calls == [(2, 30, 10_000), (8, 30, 10_000), (2, 158, 10_000), (8, 158, 10_000)]
+
 
 ENGINE_DISTS = [
     DistributionSpec.geometric(Fraction(1, 20)),
@@ -200,6 +227,39 @@ class TestEngineMatchesReference:
             seed=11,
         )
         rows = run_experiment(cfg)
+        assert repr(rows) == repr(self._per_replicate_engine(cfg, monkeypatch))
+
+    @pytest.mark.parametrize(
+        "block, evaluated",
+        [
+            # a block rounds down to whole chunks, and holds at least one:
+            # N=30 takes chunks of 4096 rows, N=1000 chunks of 2000
+            (1000, [4096, 404, 2000, 2000, 500]),
+            (4000, [4096, 404, 4000, 500]),
+        ],
+        ids=["block1000", "block4000"],
+    )
+    def test_multi_block(self, block, evaluated, monkeypatch):
+        cfg = ExperimentConfig(
+            dist=DistributionSpec.geometric(Fraction(1, 20)),
+            sizes=(30, 1000),
+            replicates=4500,
+            seed=11,
+            estimators=("ratio", "taylor8"),
+        )
+        sizes = []
+        batch = taylor.evaluate_expression_batch
+
+        def spy(expr, mean, central, n):
+            sizes.append(mean.size)
+            return batch(expr, mean, central, n)
+
+        monkeypatch.setattr(mc, "EVAL_BLOCK", block)
+        monkeypatch.setattr(taylor, "evaluate_expression_batch", spy)
+        rows = run_experiment(cfg)
+        assert sizes == evaluated
+        # the per-replicate engine runs with the default block, one per size
+        monkeypatch.undo()
         assert repr(rows) == repr(self._per_replicate_engine(cfg, monkeypatch))
 
 
