@@ -126,6 +126,19 @@ class TestConfig:
             )
 
 
+def _record_batches(monkeypatch) -> list:
+    """Log (order, N, rows) of every series batch evaluation from now on."""
+    calls = []
+    batch = taylor.evaluate_expression_batch
+
+    def spy(expr, mean, central, n):
+        calls.append((expr.order, n, mean.size))
+        return batch(expr, mean, central, n)
+
+    monkeypatch.setattr(taylor, "evaluate_expression_batch", spy)
+    return calls
+
+
 class TestRunExperiment:
     def test_minimal_run(self):
         cfg = ExperimentConfig(dist=GEOM_HALF, sizes=(5,), replicates=2, seed=1)
@@ -157,14 +170,7 @@ class TestRunExperiment:
         assert abs(row.reference_var / series - 1) < 0.05
 
     def test_one_evaluation_per_size_and_series(self, monkeypatch):
-        calls = []
-        batch = taylor.evaluate_expression_batch
-
-        def spy(expr, mean, central, n):
-            calls.append((expr.order, n, mean.size))
-            return batch(expr, mean, central, n)
-
-        monkeypatch.setattr(taylor, "evaluate_expression_batch", spy)
+        calls = _record_batches(monkeypatch)
         cfg = ExperimentConfig(
             dist=DistributionSpec.geometric(Fraction(1, 20)),
             sizes=(30, 158),
@@ -247,17 +253,10 @@ class TestEngineMatchesReference:
             seed=11,
             estimators=("ratio", "taylor8"),
         )
-        sizes = []
-        batch = taylor.evaluate_expression_batch
-
-        def spy(expr, mean, central, n):
-            sizes.append(mean.size)
-            return batch(expr, mean, central, n)
-
         monkeypatch.setattr(mc, "EVAL_BLOCK", block)
-        monkeypatch.setattr(taylor, "evaluate_expression_batch", spy)
+        calls = _record_batches(monkeypatch)
         rows = run_experiment(cfg)
-        assert sizes == evaluated
+        assert [size for _, _, size in calls] == evaluated
         # the per-replicate engine runs with the default block, one per size
         monkeypatch.undo()
         assert repr(rows) == repr(self._per_replicate_engine(cfg, monkeypatch))
