@@ -40,7 +40,18 @@ class ResidenceSample:
     steps: tuple[int, ...]
 
     def __post_init__(self):
-        steps = tuple(self.steps)
+        steps = self.steps
+        if isinstance(steps, np.ndarray) and steps.dtype == np.int64 and steps.ndim == 1:
+            if steps.size and steps.min() >= 1:
+                # the reader's and the sampler's array: one min checks every step,
+                # and the float copy is made here, from the array, not from the tuple
+                floats = steps.astype(np.float64)
+                floats.flags.writeable = False
+                self.__dict__["floats"] = floats
+                object.__setattr__(self, "steps", tuple(steps.tolist()))
+                return
+            steps = steps.tolist()  # Python ints, so an error names x as a tuple would
+        steps = tuple(steps)
         if not steps:
             raise DomainError("sample must contain at least one residence")
         if set(map(type, steps)) == {int}:
@@ -63,7 +74,10 @@ class ResidenceSample:
 
     @cached_property
     def floats(self) -> np.ndarray:
-        """The steps as one read-only float64 array, built on first use."""
+        """The steps as one read-only float64 array.
+
+        Built on first use, or at construction from an int64 steps array.
+        """
         a = np.asarray(self.steps, dtype=np.float64)
         a.flags.writeable = False
         return a
@@ -209,6 +223,21 @@ class VarianceExpression:
 
     def text(self) -> str:
         return "\n".join(t.text() for t in self.terms)
+
+    @cached_property
+    def central_orders(self) -> tuple[int, ...]:
+        """The central-moment orders some term uses, ascending."""
+        return tuple(sorted({m for t in self.terms for m, _ in t.moment_powers}))
+
+    @cached_property
+    def exact_coefs(self) -> tuple[Fraction, ...]:
+        """Each term's coefficient as a Fraction, in term order."""
+        return tuple(Fraction(t.coef) for t in self.terms)
+
+    @cached_property
+    def float_coefs(self) -> tuple[float, ...]:
+        """Each term's coefficient as a float, in term order."""
+        return tuple(float(t.coef) for t in self.terms)
 
     def to_dict(self) -> dict:
         return {"order": self.order, "terms": [t.to_dict() for t in self.terms]}

@@ -68,19 +68,17 @@ def _finish_rows(dist: DistributionSpec, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _draw_array(dist: DistributionSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Vector of n draws as float64 (the values are exact small integers)."""
-    x = np.empty(n)
-    _fill_row(dist, x, rng)
-    return _finish_rows(dist, x)
-
-
 def sample(dist: DistributionSpec, n: int, rng: np.random.Generator) -> ResidenceSample:
     """Draw one sample of size n from a reference distribution."""
     if n < 1:
         raise DomainError("sample size must be >= 1")
-    values = _draw_array(dist, n, rng)
-    return ResidenceSample(steps=tuple(int(v) for v in values))
+    x = np.empty(n)
+    _fill_row(dist, x, rng)
+    values = _finish_rows(dist, x)
+    # the draws are exact integers; a sample with one past int64 (geometric p
+    # below about 4e-18) is converted draw by draw, where an inf or nan raises
+    fits = values.max() < 2.0**63
+    return ResidenceSample(steps=values.astype(np.int64) if fits else tuple(map(int, values)))
 
 
 @dataclass(frozen=True)

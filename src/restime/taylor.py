@@ -234,26 +234,27 @@ def generate_expression(order: int) -> VarianceExpression:
 
 def _needed_central(expr: VarianceExpression, central, convert) -> dict:
     """The central moments expr uses, each passed through convert once."""
-    needed = sorted({m for t in expr.terms for m, _ in t.moment_powers})
-    missing = [m for m in needed if m not in central]
+    missing = [m for m in expr.central_orders if m not in central]
     if missing:
         raise DomainError(f"central orders {missing} missing")
-    return {m: convert(central[m]) for m in needed}
+    return {m: convert(central[m]) for m in expr.central_orders}
 
 
 def _evaluate(expr: VarianceExpression, n: int, mean, central: dict, num):
     """The one series evaluator: substitute moments and N into expr.
 
-    num is Fraction or float and converts each coefficient and N.  mean and
-    central hold Fractions, Python floats or float64 arrays, and ** acts on
-    them as given, so every regime keeps its own pow.  Each distinct power
-    is computed once; the operations run in one fixed order, term by term.
+    num is Fraction or float and converts N; the coefficients come converted
+    once per expression (its exact_coefs or float_coefs).  mean and central
+    hold Fractions, Python floats or float64 arrays, and ** acts on them as
+    given, so every regime keeps its own pow.  Each distinct power is
+    computed once; the operations run in one fixed order, term by term.
     """
     total = num(0)
     nn = num(n)
     mu_pows, powers = {}, {}
-    for t in expr.terms:
-        val = num(t.coef) * nn ** (-t.n_exponent)
+    coefs = expr.float_coefs if num is float else expr.exact_coefs
+    for t, coef in zip(expr.terms, coefs):
+        val = coef * nn ** (-t.n_exponent)
         if t.mu_exponent:
             if t.mu_exponent not in mu_pows:
                 mu_pows[t.mu_exponent] = mean**t.mu_exponent

@@ -142,25 +142,27 @@ def write_steps_csv(steps: Iterable[int], fh: TextIO) -> None:
     fh.write("\n".join(["steps", *map(str, map(int, steps)), ""]))
 
 
-def read_steps_csv(fh: TextIO) -> list[int]:
+def read_steps_csv(fh: TextIO) -> np.ndarray:
     """Read the CSV written by write_steps_csv from a text stream; blank lines are skipped.
 
     Every step must be an ASCII-digit integer >= 1.  Errors name the line in the
-    file, lines ending at each '\n'.
+    file, lines ending at each '\n'.  The steps come back as one 1-d array:
+    int64, or object dtype holding exact Python ints when some step does not
+    fit in int64.
     """
     head, _, body = fh.read().partition("\n")
     # the common file: a bare header, then only ASCII digits and newlines
     # (a non-ASCII character becomes b"?", which fails the check)
     data = body.encode("ascii", "replace")
     if head == "steps" and not data.translate(None, b"0123456789\n"):
-        try:
-            steps = list(map(int, data.split()))
-        except ValueError:  # a step past int()'s digit limit
-            steps = None
-        if steps is not None and min(steps, default=1) >= 1:
+        steps = np.fromstring(data, dtype=np.int64, sep=" ")
+        # a blank body parses to [0] and strtoll saturates at 2**63-1, so a zero
+        # or a step of 10**18 or more is left to the exact pass
+        if not steps.size or (steps.min() >= 1 and steps.max() < 10**18):
             return steps
     # anything else, or a bad step: the line-by-line pass names the first bad line
-    return _checked_steps([head, *body.split("\n")])
+    steps = _checked_steps([head, *body.split("\n")])
+    return np.array(steps, dtype=np.int64 if max(steps, default=0) < 2**63 else object)
 
 
 def _checked_steps(lines: Iterable[str]) -> list[int]:

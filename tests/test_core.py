@@ -79,6 +79,61 @@ class TestResidenceSample:
         assert s == ResidenceSample(steps=(3, 1, 2**60 + 1))
 
 
+class TestResidenceSampleFromInt64:
+    STEPS = (3, 1, 4, 2**53 + 1, 10**18)
+
+    def test_equals_the_tuple_built_sample(self):
+        arr = np.array(self.STEPS, dtype=np.int64)
+        s, want = ResidenceSample(steps=arr), ResidenceSample(steps=self.STEPS)
+        assert s == want and hash(s) == hash(want)
+        assert s.steps == self.STEPS
+        assert all(type(x) is int for x in s.steps)
+
+    def test_floats_are_the_tuple_floats_and_owned(self):
+        arr = np.array(self.STEPS, dtype=np.int64)
+        s = ResidenceSample(steps=arr)
+        a = s.floats
+        assert a.dtype == np.float64
+        assert a.tobytes() == np.asarray(self.STEPS, dtype=np.float64).tobytes()
+        assert not a.flags.writeable
+        assert not np.shares_memory(a, arr)
+        arr[0] = 99
+        assert s.floats[0] == 3.0 and s.steps[0] == 3
+
+    @pytest.mark.parametrize(
+        "steps, message",
+        [
+            ((4, 0, 2), "residence durations must be integers >= 1, got 0"),
+            ((2, -7), "residence durations must be integers >= 1, got -7"),
+            ((), "sample must contain at least one residence"),
+        ],
+    )
+    def test_errors_match_the_tuple_built_sample(self, steps, message):
+        for given in (steps, np.array(steps, dtype=np.int64)):
+            with pytest.raises(DomainError) as info:
+                ResidenceSample(steps=given)
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "arr",
+        [np.array([[1, 2]], dtype=np.int64), np.array([1, 2], dtype=np.int32),
+         np.array([1.0, 2.0]), np.array([1, 2], dtype=object), np.array([True, True])],
+        ids=["2-d", "int32", "float", "object", "bool"],
+    )
+    def test_other_arrays_take_the_general_path(self, arr):
+        # as a tuple of the same elements: same steps or same error, floats on first use
+        try:
+            want = ResidenceSample(steps=tuple(arr))
+        except DomainError as exc:
+            with pytest.raises(DomainError) as info:
+                ResidenceSample(steps=arr)
+            assert str(info.value) == str(exc)
+            return
+        s = ResidenceSample(steps=arr)
+        assert s == want
+        assert "floats" not in vars(s)
+
+
 class TestOccupancyTrace:
     def test_len(self):
         assert len(OccupancyTrace(bits=(0, 1, 1, 0))) == 4

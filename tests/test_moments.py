@@ -138,7 +138,7 @@ def test_empirical_moments_match_exact():
     for dist in specs:
         m = exact_moments(dist, max_central_order=8)
         raw_hi = raw_from_central(m.central, m.mean)
-        x = mc._draw_array(dist, draws, mc.replicate_stream(3, 0))
+        x = mc.sample(dist, draws, mc.replicate_stream(3, 0)).floats
         for j in (1, 2, 3, 4):
             se = math.sqrt(float(raw_hi[2 * j] - raw_hi[j] ** 2) / draws)
             assert abs(float(np.mean(x**j)) - float(raw_hi[j])) <= 5 * se

@@ -9,7 +9,7 @@ import pytest
 
 from restime import mc
 from restime.taylor import _pattern_count_int, _pattern_slots, _sigma_slots
-from restime.core import DistributionSpec, DomainError, MomentVector
+from restime.core import DistributionSpec, DomainError, MomentVector, Term, VarianceExpression
 from restime.moments import exact_moments, raw_from_central
 from restime.taylor import (
     coefficient,
@@ -249,6 +249,28 @@ class TestEvaluate:
             )
             scalar = evaluate_expression(expr, floats, 25)
             assert math.isclose(batch[i], scalar, rel_tol=1e-12)
+
+    def test_coefficients_and_orders_are_converted_once(self):
+        expr = generate_expression(8)
+        assert expr.float_coefs is expr.float_coefs
+        assert expr.float_coefs == tuple(float(t.coef) for t in expr.terms)
+        assert expr.exact_coefs == tuple(t.coef for t in expr.terms)
+        assert expr.central_orders == tuple(range(2, 17))
+        # a second evaluation reads the stored conversions and converts no coefficient
+        mom = MomentVector(mean=2.0, central={m: 1.0 for m in range(2, 17)}, raw={})
+        first = evaluate_expression(expr, mom, 30)
+        calls = []
+        real = Fraction.__float__
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Fraction, "__float__", lambda q: calls.append(q) or real(q))
+            assert evaluate_expression(expr, mom, 30) == first
+        assert calls == []
+
+    def test_exact_keeps_a_float_coefficient_exact(self):
+        expr = VarianceExpression(order=1, terms=(Term(coef=0.1, n_exponent=1, mu_exponent=0,
+                                                       moment_powers=((2, 1),)),))
+        mom = MomentVector(mean=Fraction(2), central={2: Fraction(3)}, raw={}, exact=True)
+        assert evaluate_expression(expr, mom, 7) == Fraction(0.1) * 3 / 7
 
     def test_n_one_recovers_exact_variance(self):
         # with a single residence the statistic is linear, so every

@@ -2,6 +2,7 @@ import io
 import itertools
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -272,7 +273,7 @@ class TestCsv:
         buf = io.StringIO()
         write_steps_csv([3, 1, 4], buf)
         assert buf.getvalue() == "steps\n3\n1\n4\n"
-        assert read_steps_csv(io.StringIO(buf.getvalue())) == [3, 1, 4]
+        assert read_steps_csv(io.StringIO(buf.getvalue())).tolist() == [3, 1, 4]
 
     def test_missing_header(self):
         with pytest.raises(ParseError):
@@ -300,12 +301,25 @@ class TestCsv:
             read_steps_csv(io.StringIO(f"steps\n3\n{token}\n"))
 
     def test_header_only_is_empty(self):
-        assert read_steps_csv(io.StringIO("steps\n")) == []
+        assert read_steps_csv(io.StringIO("steps\n")).tolist() == []
+
+    @pytest.mark.parametrize("text", ["steps\n3\n1\n4\n", "steps\n", "steps\n\n\n", "steps\n3\r\n"])
+    def test_reader_raises_no_warning(self, text):
+        # fails here, not on a user's stderr, if numpy deprecates fromstring's text mode
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            read_steps_csv(io.StringIO(text))
+
+    @pytest.mark.parametrize("text", ["steps\n" + "9" * 19 + "\n", "steps\n1\n" + "7" * 30 + "\n"])
+    def test_step_past_int64_stays_exact(self, text):
+        steps = read_steps_csv(io.StringIO(text))
+        assert steps.dtype == object
+        assert steps.tolist() == [int(x) for x in text.split()[1:]]
 
     def test_plain_file_takes_one_pass(self, monkeypatch):
         # blank lines, leading zeros and no final newline need no line-by-line pass
         monkeypatch.setattr(trace, "_checked_steps", None)
-        assert read_steps_csv(io.StringIO("steps\n3\n\n007\n12")) == [3, 7, 12]
+        assert read_steps_csv(io.StringIO("steps\n3\n\n007\n12")).tolist() == [3, 7, 12]
 
 
 def _per_line_csv(steps) -> str:
@@ -370,9 +384,19 @@ def _steps_csv_text(draw):
 @example(text="steps\n")
 @example(text="steps\n3\r\n4\r\n")
 @example(text="steps\n" + "1" * 4301 + "\n")
+@example(text="steps\n\n\n")
+@example(text="steps\n" + "9" * 18)
+@example(text="steps\n1" + "0" * 18)
+@example(text="steps\n3\n" + "9" * 19 + "\n")
+@example(text="steps\n" + "1" * 25 + "\n4\n")
+@example(text="steps\n0007\n00\n")
+@example(text="steps\n0012\n3")
 @settings(max_examples=300, deadline=None)
 def test_reader_matches_line_by_line_pass(text):
-    """The one-pass reader returns what the line-by-line pass returns, or its error."""
+    """The one-pass reader returns what the line-by-line pass returns, or its error.
+
+    The steps come as int64 while they fit, else as exact Python ints.
+    """
     try:
         want = _checked_steps(list(io.StringIO(text)))
     except ParseError as exc:
@@ -380,4 +404,7 @@ def test_reader_matches_line_by_line_pass(text):
             read_steps_csv(io.StringIO(text))
         assert str(info.value) == str(exc)
     else:
-        assert read_steps_csv(io.StringIO(text)) == want
+        got = read_steps_csv(io.StringIO(text))
+        assert got.ndim == 1 and got.tolist() == want
+        assert got.dtype == (np.int64 if max(want, default=0) < 2**63 else object)
+        assert all(type(x) is int for x in got.tolist())
