@@ -310,12 +310,6 @@ class TestCsv:
             warnings.simplefilter("error")
             read_steps_csv(io.StringIO(text))
 
-    @pytest.mark.parametrize("text", ["steps\n" + "9" * 19 + "\n", "steps\n1\n" + "7" * 30 + "\n"])
-    def test_step_past_int64_stays_exact(self, text):
-        steps = read_steps_csv(io.StringIO(text))
-        assert steps.dtype == object
-        assert steps.tolist() == [int(x) for x in text.split()[1:]]
-
     def test_plain_file_takes_one_pass(self, monkeypatch):
         # blank lines, leading zeros and no final newline need no line-by-line pass
         monkeypatch.setattr(trace, "_checked_steps", None)
