@@ -74,11 +74,7 @@ def sample(dist: DistributionSpec, n: int, rng: np.random.Generator) -> Residenc
         raise DomainError("sample size must be >= 1")
     x = np.empty(n)
     _fill_row(dist, x, rng)
-    values = _finish_rows(dist, x)
-    # the draws are exact integers; a sample with one past int64 (geometric p
-    # below about 4e-18) is converted draw by draw, where an inf or nan raises
-    fits = values.max() < 2.0**63
-    return ResidenceSample(steps=values.astype(np.int64) if fits else tuple(map(int, values)))
+    return ResidenceSample(steps=tuple(map(int, _finish_rows(dist, x))))
 
 
 @dataclass(frozen=True)

@@ -162,7 +162,10 @@ def read_steps_csv(fh: TextIO) -> np.ndarray:
             return steps
     # anything else, or a bad step: the line-by-line pass names the first bad line
     steps = _checked_steps([head, *body.split("\n")])
-    return np.array(steps, dtype=np.int64 if max(steps, default=0) < 2**63 else object)
+    try:
+        return np.array(steps, dtype=np.int64)
+    except OverflowError:  # a step past int64 stays an exact Python int
+        return np.array(steps, dtype=object)
 
 
 def _checked_steps(lines: Iterable[str]) -> list[int]:

@@ -23,13 +23,6 @@ from .oracles import enumeration_variance, multiset_enumeration_variance, per_ro
 GEOM_HALF = DistributionSpec.geometric(Fraction(1, 2))
 
 
-def _raw_draws(dist, n, rng):
-    """The float64 draws that sample() turns into steps."""
-    x = np.empty(n)
-    mc._fill_row(dist, x, rng)
-    return mc._finish_rows(dist, x)
-
-
 class TestSampling:
     def test_degenerate_support(self):
         s = sample(DistributionSpec.uniform(5, 5), 40, replicate_stream(0, 0))
@@ -47,17 +40,17 @@ class TestSampling:
 
     def test_geometric_mean_matches(self):
         p = Fraction(3, 10)
-        x = _raw_draws(DistributionSpec.geometric(p), 1_000_000, replicate_stream(5, 0))
+        x = sample(DistributionSpec.geometric(p), 1_000_000, replicate_stream(5, 0)).floats
         se = math.sqrt(float((1 - p) / p**2) / 1_000_000)
         assert abs(x.mean() - float(1 / p)) <= 5 * se
 
     def test_geometric_support_starts_at_one(self):
-        x = _raw_draws(DistributionSpec.geometric(Fraction(9, 10)), 10_000, replicate_stream(2, 0))
+        x = sample(DistributionSpec.geometric(Fraction(9, 10)), 10_000, replicate_stream(2, 0)).floats
         assert x.min() >= 1.0
         assert x == pytest.approx(np.round(x))
 
     def test_uniform_hits_both_ends(self):
-        x = _raw_draws(DistributionSpec.uniform(3, 6), 5_000, replicate_stream(2, 1))
+        x = sample(DistributionSpec.uniform(3, 6), 5_000, replicate_stream(2, 1)).floats
         assert set(np.unique(x)) == {3.0, 4.0, 5.0, 6.0}
 
     def test_rejects_empty(self):
@@ -66,7 +59,7 @@ class TestSampling:
 
     @pytest.mark.parametrize("dist", [GEOM_HALF, DistributionSpec.uniform(3, 6)])
     def test_sample_holds_the_raw_draws(self, dist):
-        x = _raw_draws(dist, 1000, replicate_stream(7, 2))
+        x = per_row_draws(dist, 1000, replicate_stream(7, 2))
         s = sample(dist, 1000, replicate_stream(7, 2))
         assert s.steps == tuple(int(v) for v in x)
         assert all(type(v) is int for v in s.steps)
@@ -74,7 +67,7 @@ class TestSampling:
 
     def test_draws_past_int64_stay_exact(self):
         p = Fraction(1, 10**20)
-        x = _raw_draws(DistributionSpec.geometric(p), 50, replicate_stream(1, 0))
+        x = per_row_draws(DistributionSpec.geometric(p), 50, replicate_stream(1, 0))
         assert x.max() >= 2.0**63
         s = sample(DistributionSpec.geometric(p), 50, replicate_stream(1, 0))
         assert s.steps == tuple(int(v) for v in x)
