@@ -32,8 +32,8 @@ from .estimators import (
     var_mrt_taylor,
 )
 from .mc import ExperimentConfig, ExperimentRow, exact_variance_small, run_experiment, sample
-from .moments import central_from_raw, exact_moments, raw_from_central, sample_moments
-from .taylor import coefficient, evaluate_expression, generate_expression
+from .moments import central_from_raw, exact_moments, sample_moments
+from .taylor import evaluate_expression, generate_expression
 from .trace import (
     ExtractionPolicy,
     FilterConfig,
@@ -64,7 +64,6 @@ __all__ = [
     "__version__",
     "build_report",
     "central_from_raw",
-    "coefficient",
     "collect_sample",
     "evaluate_expression",
     "exact_moments",
@@ -79,7 +78,6 @@ __all__ = [
     "normalize_expression",
     "parse_traces",
     "ratio_variance_from_moments",
-    "raw_from_central",
     "read_steps_csv",
     "rt_autocorrelation",
     "run_experiment",

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, isfinite
 
 import numpy as np
 
@@ -14,7 +14,8 @@ def sample_moments(s: ResidenceSample, max_central_order: int = 4, exact: bool =
     """Plug-in moments of a sample: central orders 2..max, and raw orders 1..4 when exact.
 
     Central moments use the biased 1/N form throughout.  Exact mode stays
-    rational; float mode is row_moments on a single row and leaves raw empty.
+    rational; float mode is row_moments on a single row and leaves raw empty,
+    and raises DomainError when a central moment overflows float64.
     """
     if max_central_order < 2:
         raise DomainError("need central moments at least to order 2")
@@ -31,8 +32,12 @@ def sample_moments(s: ResidenceSample, max_central_order: int = 4, exact: bool =
         }
         return MomentVector(mean=mean, central=central, raw=raw, exact=True)
     rows = s.floats[None, :]
-    mean, central = row_moments(rows, rows.sum(axis=1), max_central_order)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, central = row_moments(rows, rows.sum(axis=1), max_central_order)
     central = {m: float(v[0]) for m, v in central.items()}
+    bad = [m for m, v in central.items() if not isfinite(v)]
+    if bad:
+        raise DomainError(f"central moment of order {bad[0]} overflows float64")
     return MomentVector(mean=float(mean[0]), central=central, raw={}, exact=False)
 
 
@@ -112,18 +117,3 @@ def central_from_raw(raw, mean):
         out[m] = acc
     return out
 
-
-def raw_from_central(central, mean):
-    """Binomial transform central -> raw, orders 1..max(central).
-
-    Central orders 2..max must all be present; order 0 counts as 1 and
-    order 1 as 0.
-    """
-    out = {}
-    top = max(central, default=1)
-    for n in range(1, top + 1):
-        acc = mean**n
-        for j in range(2, n + 1):
-            acc = acc + comb(n, j) * central[j] * mean ** (n - j)
-        out[n] = acc
-    return out

@@ -7,25 +7,45 @@ independent identically distributed inputs each covariance depends only on
 how index labels repeat inside the two index sets, so terms are grouped by
 repetition pattern and counted combinatorially instead of being enumerated
 one tuple at a time.
+
+Each (k, l) block exists in two forms, both built from one per-pattern
+kernel.  The raw block (_block, expression_blocks) keeps one integer row
+per pattern, covariance term and power of N: 52,677 rows at order 8, built
+only when asked for.  The merged block (_merged_block), which is all that
+generate_expression reads, sums those rows per (power of N, moment powers)
+without making them: patterns are first summed per slot count and
+covariance term, as weights on the four parts of the coefficient product.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 
 import numpy as np
 
-from .core import (
-    DomainError,
-    MomentVector,
-    Term,
-    VarianceExpression,
-    normalize_expression,
-)
+from .core import DomainError, MomentVector, Term, VarianceExpression
+
+
+@lru_cache(maxsize=None)
+def _slot_runs(top: tuple[int, int], kr: int, lr: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Every non-increasing run of slots, none above top, using up exactly kr and lr.
+
+    Shared by all (k, l) blocks: a run's tail depends only on its last slot
+    and on what is left of the two index sets.
+    """
+    if not kr and not lr:
+        return ((),)
+    ta, tb = top
+    runs = []
+    for a in range(min(ta, kr), -1, -1):
+        for b in range(min(tb if a == ta else lr, lr), max(1 - a, -1), -1):
+            slot, rest = (a, b), (kr - a, lr - b)
+            # a bound above what is left bounds nothing, so such states are shared
+            runs.extend((slot,) + tail for tail in _slot_runs(min(slot, rest), *rest))
+    return tuple(runs)
 
 
 def _pattern_slots(k: int, l: int) -> list[tuple[tuple[int, int], ...]]:
@@ -36,70 +56,28 @@ def _pattern_slots(k: int, l: int) -> list[tuple[tuple[int, int], ...]]:
     """
     if k < 1 or l < 1:
         raise DomainError("both index set sizes must be >= 1")
-    pairs = [(a, b) for a in range(k, -1, -1) for b in range(l, -1, -1) if a + b >= 2]
-    found: list[tuple[tuple[int, int], ...]] = []
-
-    def rec(i0: int, kr: int, lr: int, slots: list[tuple[int, int]]):
-        if kr == 0 and lr == 0:
-            if any(a and b for a, b in slots):
-                # slots arrive in non-increasing order; reversed is canonical
-                found.append(tuple(reversed(slots)))
-            return
-        for i in range(i0, len(pairs)):
-            a, b = pairs[i]
-            if a <= kr and b <= lr:
-                rec(i, kr - a, lr - b, slots + [(a, b)])
-
-    rec(0, k, l, [])
+    # runs arrive in non-increasing order; reversed is canonical
+    found = [run[::-1] for run in _slot_runs((k, l), k, l) if any(a and b for a, b in run)]
     found.sort()
     return found
 
 
-@dataclass(frozen=True)
-class Coefficient:
-    """Monomial (sum_e q_e N^e) * mu^mu_exponent in 1/N and the mean."""
-
-    n_poly: tuple[tuple[int, Fraction], ...]
-    mu_exponent: int
-
-    def evaluate(self, n: int, mu):
-        acc = sum(q * Fraction(n) ** e for e, q in self.n_poly)
-        return acc * mu**self.mu_exponent if self.mu_exponent else acc
-
-
 @lru_cache(maxsize=None)
-def _doubled_coefficient(mults: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """Twice the n_poly of coefficient(mults), as (exponent, integer) pairs.
-
-    mults must be sorted.  Doubling clears the only denominator, the 2 of
-    k!/2, so every entry is an integer.
-    """
-    k = sum(mults)
-    pairs = sum(comb(a, 2) for a in mults)
-    sign = -1 if k % 2 else 1
-    if not pairs:
-        return ((-k, -sign * factorial(k)),)
-    return ((-k, -sign * factorial(k)), (1 - k, 2 * sign * factorial(k - 2) * pairs))
-
-
-def coefficient(multiplicities) -> Coefficient:
-    """Derivative coefficient for one multiplicity pattern of one index set.
+def _coefficient_parts(k: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The constant and per-pair parts of twice an order-k coefficient's
+    N-polynomial, each as one (exponent, integer) pair.
 
     For multiplicities (a_1..a_d) with k = sum(a_r) and P = sum(C(a_r, 2)),
     the order-k coefficient is
 
         (-1)^k * N^-k * mu^-(k-1) * (N * (k-2)! * P - k!/2)
 
-    with the P part absent whenever P = 0 (in particular for k = 1).
+    so twice its N-polynomial is the first part plus P times the second: it
+    depends on the multiplicities only through k and P.  Doubling clears the
+    only denominator, the 2 of k!/2.  P = 0 whenever k = 1.
     """
-    mults = tuple(sorted(int(a) for a in multiplicities))
-    if not mults or any(a < 1 for a in mults):
-        raise DomainError("multiplicities must be positive integers")
-    poly = _doubled_coefficient(mults)
-    return Coefficient(
-        n_poly=tuple((e, Fraction(q, 2)) for e, q in poly),
-        mu_exponent=-(sum(mults) - 1),
-    )
+    sign = -1 if k % 2 else 1
+    return (-k, -sign * factorial(k)), (1 - k, 2 * sign * factorial(k - 2) if k > 1 else 0)
 
 
 def _sigma_slots(slots: tuple[tuple[int, int], ...]):
@@ -133,18 +111,52 @@ def _falling_factorial(d: int) -> tuple[tuple[int, int], ...]:
     return tuple(poly.items())
 
 
-def _pattern_count_int(slots: tuple[tuple[int, int], ...]) -> dict[int, int]:
-    """Ordered index-tuple pairs realizing a pattern, as {N exponent: integer}."""
+def _slot_sums(slots: tuple[tuple[int, int], ...]) -> tuple[int, int, int]:
+    """(count, Pa, Pb) of a sorted pattern, in one pass over its slots.
+
+    count is k!l!/prod(a!b!) divided by r! for each run of r equal slots;
+    Pa and Pb are the pair sums sum(C(a, 2)) and sum(C(b, 2)).
+    """
     # k!l!/prod(a!b!) counts position assignments to d labeled slots; swapping
-    # identical slots never fixes an assignment, so every division is exact
-    scalar = factorial(sum(a for a, _ in slots)) * factorial(sum(b for _, b in slots))
-    repeats: dict[tuple[int, int], int] = {}
+    # identical slots never fixes an assignment, so the division is exact
+    k = l = pa = pb = 0
+    den, run, prev = 1, 0, None
     for slot in slots:
-        scalar //= factorial(slot[0]) * factorial(slot[1])
-        repeats[slot] = repeats.get(slot, 0) + 1
-    for size in repeats.values():
-        scalar //= factorial(size)
-    return {e: scalar * q for e, q in _falling_factorial(len(slots))}
+        a, b = slot
+        k += a
+        l += b
+        pa += a * (a - 1)
+        pb += b * (b - 1)
+        run = run + 1 if slot == prev else 1
+        den *= factorial(a) * factorial(b) * run
+        prev = slot
+    return factorial(k) * factorial(l) // den, pa // 2, pb // 2
+
+
+def _pattern_kernel(k: int, l: int):
+    """Per repetition pattern of the (k, l) block: (count, Pa, Pb, d, covariance)."""
+    for slots in _pattern_slots(k, l):
+        yield (*_slot_sums(slots), len(slots), _sigma_slots(slots))
+
+
+def _n_poly(k: int, l: int, d: int, w: int, wa: int, wb: int, wab: int) -> tuple[tuple[int, int], ...]:
+    """Nonzero (n_exponent, integer) pairs of w*A + wa*B_a + wb*B_b + wab*B_ab,
+    times N's falling factorial of length d.
+
+    A, B_a, B_b and B_ab are the products of the two doubled coefficients'
+    parts: const*const, per-pair*const, const*per-pair, per-pair*per-pair.
+    One pattern has weights (c, c*Pa, c*Pb, c*Pa*Pb) for its count c; sums
+    of such weights give the patterns' summed polynomial.
+    """
+    (ea0, qa0), (ea1, qa1) = _coefficient_parts(k)
+    (eb0, qb0), (eb1, qb1) = _coefficient_parts(l)
+    npoly: dict[int, int] = {}
+    for ea, eb, q in ((ea0, eb0, w * qa0 * qb0), (ea0, eb1, wb * qa0 * qb1),
+                      (ea1, eb0, wa * qa1 * qb0), (ea1, eb1, wab * qa1 * qb1)):
+        for ec, qc in _falling_factorial(d):
+            e = ea + eb + ec
+            npoly[e] = npoly.get(e, 0) + q * qc
+    return tuple((-e, q) for e, q in npoly.items() if q)
 
 
 # one raw term: num / (4 * k! * l!) * N^-n_exponent * mu^mu_exponent * prod(mu_m^c_m)
@@ -154,22 +166,12 @@ _Row = tuple[int, int, int, tuple[tuple[int, int], ...]]
 def _build_block(k: int, l: int) -> tuple[_Row, ...]:
     """Raw (unmerged) terms of one (k, l) pair of expansion orders, as integer rows."""
     g = 2 - k - l  # mu exponents of the two coefficients, 1 - k and 1 - l
-    rows: list[_Row] = []
-    for slots in _pattern_slots(k, l):
-        ca = _doubled_coefficient(tuple(sorted(a for a, _ in slots if a > 0)))
-        cb = _doubled_coefficient(tuple(sorted(b for _, b in slots if b > 0)))
-        count = _pattern_count_int(slots)
-        npoly: dict[int, int] = {}
-        for ea, qa in ca:
-            for eb, qb in cb:
-                for ec, qc in count.items():
-                    e = ea + eb + ec
-                    npoly[e] = npoly.get(e, 0) + qa * qb * qc
-        for sign, powers in _sigma_slots(slots):
-            for e, q in npoly.items():
-                if q:
-                    rows.append((sign * q, -e, g, powers))
-    return tuple(rows)
+    return tuple(
+        (sign * q, e, g, powers)
+        for c, pa, pb, d, sigma in _pattern_kernel(k, l)
+        for e, q in _n_poly(k, l, d, c, c * pa, c * pb, c * pa * pb)
+        for sign, powers in sigma
+    )
 
 
 @lru_cache(maxsize=None)
@@ -184,8 +186,36 @@ def _block(k: int, l: int) -> tuple[_Row, ...]:
     return _build_block(k, l)
 
 
+@lru_cache(maxsize=None)
+def _merged_block(k: int, l: int) -> tuple[tuple[tuple[int, tuple[tuple[int, int], ...]], int], ...]:
+    """The (k, l) block's raw rows summed per (n_exponent, moment_powers).
+
+    The patterns' _n_poly weights are summed per (slot count, moment
+    powers) first, so each such pair expands one polynomial.  Zero sums may
+    stay; generate_expression drops them after the last merge.
+    """
+    weights: dict[tuple, list[int]] = {}
+    for c, pa, pb, d, sigma in _pattern_kernel(k, l):
+        for sign, powers in sigma:
+            sc = sign * c
+            w = weights.setdefault((d, powers), [0, 0, 0, 0])
+            w[0] += sc
+            w[1] += sc * pa
+            w[2] += sc * pb
+            w[3] += sc * pa * pb
+    acc: dict[tuple, int] = {}
+    for (d, powers), w in weights.items():
+        for e, q in _n_poly(k, l, d, *w):
+            key = (e, powers)
+            acc[key] = acc.get(key, 0) + q
+    return tuple(acc.items())
+
+
 def expression_blocks(order: int) -> dict[tuple[int, int], tuple[Term, ...]]:
-    """Per-(k, l) contributions for all 1 <= k, l <= order."""
+    """Per-(k, l) contributions for all 1 <= k, l <= order.
+
+    Built from the raw rows of _block, which generate_expression never reads.
+    """
     if order < 1:
         raise DomainError("order must be >= 1")
     return {
@@ -205,10 +235,10 @@ _EXPR_CACHE: dict[int, VarianceExpression] = {}
 def generate_expression(order: int) -> VarianceExpression:
     """Merged, canonically ordered variance expression of the given order.
 
-    Generation is exact and cached per order.  Raw terms are summed as
-    integers over the common denominator 4 * (order!)^2, each off-diagonal
-    (k, l) block counted twice, and the sums pass through
-    normalize_expression.
+    Generation is exact and cached per order.  The merged (k, l) blocks are
+    summed as integers over the common denominator 4 * (order!)^2, each
+    off-diagonal block counted twice; nonzero sums become the terms, sorted
+    as normalize_expression sorts them.
     """
     if order < 1:
         raise DomainError("order must be >= 1")
@@ -219,15 +249,17 @@ def generate_expression(order: int) -> VarianceExpression:
     for k in range(1, order + 1):
         for l in range(k, order + 1):
             scale = (top // factorial(k)) * (top // factorial(l)) * (1 if k == l else 2)
-            for num, e, g, powers in _block(k, l):
+            g = 2 - k - l
+            for (e, powers), q in _merged_block(k, l):
                 key = (e, g, powers)
-                acc[key] = acc.get(key, 0) + num * scale
+                acc[key] = acc.get(key, 0) + q * scale
     denom = 4 * top * top
     terms = tuple(
         Term(coef=Fraction(q, denom), n_exponent=e, mu_exponent=g, moment_powers=powers)
-        for (e, g, powers), q in acc.items()
+        for (e, g, powers), q in sorted(acc.items())
+        if q
     )
-    expr = normalize_expression(VarianceExpression(order=order, terms=terms))
+    expr = VarianceExpression(order=order, terms=terms)
     _EXPR_CACHE[order] = expr
     return expr
 
@@ -268,11 +300,19 @@ def _evaluate(expr: VarianceExpression, n: int, mean, central: dict, num):
 
 
 def evaluate_expression(expr: VarianceExpression, mom: MomentVector, n: int):
-    """Substitute moments and N into an expression; exact when mom is exact."""
+    """Substitute moments and N into an expression; exact when mom is exact.
+
+    A float power that overflows raises DomainError.
+    """
     if n < 1:
         raise DomainError("N must be >= 1")
     num = Fraction if mom.exact else float
-    return _evaluate(expr, n, num(mom.mean), _needed_central(expr, mom.central, num), num)
+    try:
+        return _evaluate(expr, n, num(mom.mean), _needed_central(expr, mom.central, num), num)
+    except OverflowError:
+        if mom.exact:
+            raise
+        raise DomainError(f"order-{expr.order} series overflows float64") from None
 
 
 def evaluate_expression_batch(

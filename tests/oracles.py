@@ -7,7 +7,13 @@ and by weighted multiset) for exact variances and pattern counts, a
 direct double sum for the truncated series, a plain scan and a window-sum
 construction for the gap filter, a plain scan for run extraction, a token
 walk for trace parsing, partial sums with rigorous tail bounds for
-geometric moments, and a per-row inverse-CDF for replicate draws.
+geometric moments, a binomial transform from central to raw moments, and
+a per-row inverse-CDF for replicate draws.
+
+The one exception is `coefficient`: a test-only view of the package's own
+derivative coefficient (`taylor._coefficient_parts`), which the
+finite-difference checks put under test and the direct double sum takes
+as its coefficient function.
 """
 
 from __future__ import annotations
@@ -15,10 +21,14 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
 import numpy as np
+
+from restime.core import DomainError
+from restime.taylor import _coefficient_parts
 
 
 def statistic(xs):
@@ -176,6 +186,22 @@ def central_moments_direct(xs, max_order: int) -> dict[int, Fraction]:
     }
 
 
+def raw_from_central(central, mean):
+    """Binomial transform central -> raw, orders 1..max(central).
+
+    Central orders 2..max must all be present; order 0 counts as 1 and
+    order 1 as 0.
+    """
+    out = {}
+    top = max(central, default=1)
+    for n in range(1, top + 1):
+        acc = mean**n
+        for j in range(2, n + 1):
+            acc = acc + comb(n, j) * central[j] * mean ** (n - j)
+        out[n] = acc
+    return out
+
+
 def autocorr_direct(rts, max_lag: int) -> list[Fraction]:
     """Per-trace normalized autocorrelation by definition, lags 0..max_lag."""
     n = len(rts)
@@ -233,6 +259,36 @@ def inspection_identity_rhs(steps, exact: bool = False):
     mean = float(x.mean())
     v = float(x.var())
     return (mean * mean + v) / (2.0 * mean) + 0.5
+
+
+@dataclass(frozen=True)
+class Coefficient:
+    """Monomial (sum_e q_e N^e) * mu^mu_exponent in 1/N and the mean."""
+
+    n_poly: tuple[tuple[int, Fraction], ...]
+    mu_exponent: int
+
+    def evaluate(self, n: int, mu):
+        acc = sum(q * Fraction(n) ** e for e, q in self.n_poly)
+        return acc * mu**self.mu_exponent if self.mu_exponent else acc
+
+
+def coefficient(multiplicities) -> Coefficient:
+    """The package's derivative coefficient for one multiplicity pattern.
+
+    For multiplicities (a_1..a_d) with k = sum(a_r) and P = sum(C(a_r, 2)),
+    it should be (-1)^k * N^-k * mu^-(k-1) * (N * (k-2)! * P - k!/2), with
+    the P part absent whenever P = 0; the package holds twice its
+    N-polynomial as a constant part plus P times a per-pair part.
+    """
+    mults = tuple(int(a) for a in multiplicities)
+    if not mults or any(a < 1 for a in mults):
+        raise DomainError("multiplicities must be positive integers")
+    k = sum(mults)
+    pairs = sum(comb(a, 2) for a in mults)
+    (e0, q0), (e1, q1) = _coefficient_parts(k)
+    poly = ((e0, Fraction(q0, 2)),) + (((e1, Fraction(q1 * pairs, 2)),) if pairs else ())
+    return Coefficient(n_poly=poly, mu_exponent=1 - k)
 
 
 def uncorrected_coefficient(multiplicities, n: int, mu: Fraction) -> Fraction:

@@ -35,21 +35,19 @@ from restime.mc import (
     run_experiment,
     sample,
 )
-from restime.moments import exact_moments, raw_from_central
-from restime.taylor import (
-    coefficient,
-    evaluate_expression,
-    generate_expression,
-)
+from restime.moments import exact_moments
+from restime.taylor import evaluate_expression, generate_expression
 from restime.trace import FilterConfig, filter_transient_escapes
 
 from .oracles import (
     brute_force_truncated_variance,
+    coefficient,
     fd_partial,
     filter_by_convolution,
     gap_fill_reference,
     inspection_identity_rhs,
     multiset_enumeration_variance,
+    raw_from_central,
     uncorrected_coefficient,
 )
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -477,6 +478,19 @@ class TestInputFailures:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == ["error: int too large to convert to float"]
+
+    @pytest.mark.parametrize("big, order, bad", [(10**20, 8, 16), (10**80, 2, 4)])
+    def test_float_moment_overflow_is_one_domain_error(self, tmp_path, capsys, big, order, bad):
+        path = tmp_path / "outlier.csv"
+        path.write_text(f"steps\n3\n5\n{big}\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["estimate", "--rts", str(path), "--method", "taylor", "--order", str(order)])
+        assert code == 1
+        assert caught == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: central moment of order {bad} overflows float64"]
 
 
 class TestUsage:

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -7,14 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from restime import mc
 from restime.core import DistributionSpec, DomainError, ResidenceSample
-from restime.moments import (
-    central_from_raw,
-    exact_moments,
-    raw_from_central,
-    sample_moments,
-)
+from restime.moments import central_from_raw, exact_moments, sample_moments
 
-from .oracles import central_moments_direct, geometric_raw_interval
+from .oracles import central_moments_direct, geometric_raw_interval, raw_from_central
 
 
 class TestSampleMoments:
@@ -56,6 +52,15 @@ class TestSampleMoments:
         b = sample_moments(s, max_central_order=4)
         assert math.isclose(b.central[2], 2 / 3, rel_tol=1e-9)
         assert abs(b.central[3]) < 1e-6
+
+    def test_float_overflow_names_the_first_bad_order(self):
+        s = ResidenceSample(steps=(3, 5, 10**80))
+        assert sample_moments(s, max_central_order=3).central[3] > 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="central moment of order 4 overflows float64"):
+                sample_moments(s, max_central_order=8)
+        assert sample_moments(s, max_central_order=8, exact=True).central[8] > 0
 
 
 @given(st.lists(st.integers(min_value=1, max_value=50), min_size=1, max_size=30),

@@ -1,18 +1,32 @@
 import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import restime
 from restime import mc
-from restime.taylor import _pattern_count_int, _pattern_slots, _sigma_slots
-from restime.core import DistributionSpec, DomainError, MomentVector, Term, VarianceExpression
-from restime.moments import exact_moments, raw_from_central
+from restime.core import (
+    DistributionSpec,
+    DomainError,
+    MomentVector,
+    Term,
+    VarianceExpression,
+    normalize_expression,
+)
+from restime.moments import exact_moments
 from restime.taylor import (
-    coefficient,
+    _falling_factorial,
+    _pattern_slots,
+    _sigma_slots,
+    _slot_sums,
     evaluate_expression,
     evaluate_expression_batch,
     expression_blocks,
@@ -21,8 +35,10 @@ from restime.taylor import (
 
 from .oracles import (
     brute_force_truncated_variance,
+    coefficient,
     count_tuples_by_pattern,
     fd_partial,
+    raw_from_central,
     uncorrected_coefficient,
 )
 
@@ -41,9 +57,14 @@ EXPRESSION_SHA256 = {
     8: "3533826cc2748d2f91655ff0a88084e247e30dc79ae47a29544226b7bf69448c",
 }
 
+# sha256 over repr(sorted(_block(k, l))) for k, l = 1..8 in turn, as produced
+# by the generator that built every raw row before merging
+RAW_ROWS_SHA256 = "0714cb203dbe2f4eb9da8f3a42ae52d09fe28bc0c2c91947873cbe89a449f514"
+
 
 def eval_count(slots, n: int) -> int:
-    return sum(q * n**e for e, q in _pattern_count_int(slots).items())
+    count = _slot_sums(slots)[0]
+    return count * sum(q * n**e for e, q in _falling_factorial(len(slots)))
 
 
 def random_moment_vector(rng: random.Random, max_order: int) -> MomentVector:
@@ -181,10 +202,35 @@ class TestGenerate:
                 assert direct == Counter(taylor_mod._block(k, l))
                 assert direct == Counter(taylor_mod._build_block(l, k))
 
+    def test_raw_rows_digest(self):
+        import restime.taylor as taylor_mod
+
+        h = hashlib.sha256()
+        for k in range(1, 9):
+            for l in range(1, 9):
+                h.update(repr(sorted(taylor_mod._block(k, l))).encode())
+        assert h.hexdigest() == RAW_ROWS_SHA256
+
+    def test_generated_expressions_are_canonical(self):
+        # the merged blocks build sorted, nonzero terms without a second merge
+        for order in range(1, 9):
+            expr = generate_expression(order)
+            assert normalize_expression(expr) == expr
+
+    def test_generation_builds_no_raw_rows(self):
+        code = (
+            "import restime.taylor as t; t.generate_expression(8); "
+            "print(t._block.cache_info().currsize, t._merged_block.cache_info().currsize)"
+        )
+        src = str(Path(restime.__file__).resolve().parent.parent)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+            text=True, check=True,
+        ).stdout
+        assert out.split() == ["0", "36"]
+
     def test_nesting_consistency(self):
         blocks = expression_blocks(3)
-        from restime.core import VarianceExpression, normalize_expression
-
         restricted = tuple(
             t for (k, l), terms in blocks.items() if k <= 2 and l <= 2 for t in terms
         )
@@ -202,6 +248,15 @@ class TestEvaluate:
         mom = MomentVector(mean=2.0, central={2: 1.0}, raw={1: 2.0})
         with pytest.raises(DomainError, match="central orders"):
             evaluate_expression(expr, mom, 10)
+
+    def test_float_overflow_is_domain_error(self):
+        expr = generate_expression(2)
+        huge = MomentVector(mean=2.0, central={2: 1e200, 3: 1.0, 4: 1.0}, raw={})
+        with pytest.raises(DomainError, match="order-2 series overflows float64"):
+            evaluate_expression(expr, huge, 10)
+        exact = MomentVector(mean=Fraction(2), central={2: Fraction(10**200), 3: Fraction(1),
+                                                        4: Fraction(1)}, raw={}, exact=True)
+        assert isinstance(evaluate_expression(expr, exact, 10), Fraction)
 
     def test_rejects_bad_n(self):
         expr = generate_expression(1)
