@@ -139,9 +139,9 @@ def _pattern_kernel(k: int, l: int):
         yield (*_slot_sums(slots), len(slots), _sigma_slots(slots))
 
 
-def _n_poly(k: int, l: int, d: int, w: int, wa: int, wb: int, wab: int) -> tuple[tuple[int, int], ...]:
-    """Nonzero (n_exponent, integer) pairs of w*A + wa*B_a + wb*B_b + wab*B_ab,
-    times N's falling factorial of length d.
+def _n_poly(k: int, l: int, d: int, weights) -> tuple[tuple[int, int], ...]:
+    """Nonzero (n_exponent, integer) pairs of w*A + wa*B_a + wb*B_b + wab*B_ab
+    for weights (w, wa, wb, wab), times N's falling factorial of length d.
 
     A, B_a, B_b and B_ab are the products of the two doubled coefficients'
     parts: const*const, per-pair*const, const*per-pair, per-pair*per-pair.
@@ -150,6 +150,7 @@ def _n_poly(k: int, l: int, d: int, w: int, wa: int, wb: int, wab: int) -> tuple
     """
     (ea0, qa0), (ea1, qa1) = _coefficient_parts(k)
     (eb0, qb0), (eb1, qb1) = _coefficient_parts(l)
+    w, wa, wb, wab = weights
     npoly: dict[int, int] = {}
     for ea, eb, q in ((ea0, eb0, w * qa0 * qb0), (ea0, eb1, wb * qa0 * qb1),
                       (ea1, eb0, wa * qa1 * qb0), (ea1, eb1, wab * qa1 * qb1)):
@@ -169,7 +170,7 @@ def _build_block(k: int, l: int) -> tuple[_Row, ...]:
     return tuple(
         (sign * q, e, g, powers)
         for c, pa, pb, d, sigma in _pattern_kernel(k, l)
-        for e, q in _n_poly(k, l, d, c, c * pa, c * pb, c * pa * pb)
+        for e, q in _n_poly(k, l, d, (c, c * pa, c * pb, c * pa * pb))
         for sign, powers in sigma
     )
 
@@ -205,7 +206,7 @@ def _merged_block(k: int, l: int) -> tuple[tuple[tuple[int, tuple[tuple[int, int
             w[3] += sc * pa * pb
     acc: dict[tuple, int] = {}
     for (d, powers), w in weights.items():
-        for e, q in _n_poly(k, l, d, *w):
+        for e, q in _n_poly(k, l, d, w):
             key = (e, powers)
             acc[key] = acc.get(key, 0) + q
     return tuple(acc.items())
@@ -307,8 +308,9 @@ def evaluate_expression(expr: VarianceExpression, mom: MomentVector, n: int):
     if n < 1:
         raise DomainError("N must be >= 1")
     num = Fraction if mom.exact else float
+    mean, central = num(mom.mean), _needed_central(expr, mom.central, num)
     try:
-        return _evaluate(expr, n, num(mom.mean), _needed_central(expr, mom.central, num), num)
+        return _evaluate(expr, n, mean, central, num)
     except OverflowError:
         if mom.exact:
             raise
