@@ -31,7 +31,8 @@ from .core import DomainError, MomentVector, Term, VarianceExpression
 
 @lru_cache(maxsize=None)
 def _slot_runs(top: tuple[int, int], kr: int, lr: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Every non-increasing run of slots, none above top, using up exactly kr and lr.
+    """Every non-increasing run of slots (a, b) with a + b >= 2, none above
+    top, using up exactly kr and lr.
 
     Shared by all (k, l) blocks: a run's tail depends only on its last slot
     and on what is left of the two index sets.
