@@ -24,6 +24,11 @@ from .core import (
 )
 
 
+# CPython's default int-to-string limit (sys.get_int_max_str_digits());
+# format_rational prints an integer of up to --digits digits
+_MAX_DIGITS = 4300
+
+
 def _write_output(args: argparse.Namespace, text: str) -> None:
     if not text.endswith("\n"):
         text += "\n"
@@ -135,6 +140,8 @@ def cmd_exact(args: argparse.Namespace) -> None:
     orders = _parse_orders(args.orders)
     _check_range("--n", args.n, 1)
     _check_range("--digits", args.digits, 1)
+    if args.digits > _MAX_DIGITS:
+        raise ParseError(f"--digits must be <= {_MAX_DIGITS}, got {args.digits}")
     mom = moments.exact_moments(dist, max_central_order=2 * max(orders))
     lines = ["estimator,value"]
     ratio = estimators.ratio_variance_from_moments(mom, args.n)
@@ -261,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist", required=True, help="geom:p=... or uniform:a=...,b=...")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--orders", default="1..8")
-    p.add_argument("--digits", type=int, default=16)
+    p.add_argument("--digits", type=int, default=16, help=f"significant digits, 1..{_MAX_DIGITS}")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_exact)
 

@@ -111,6 +111,13 @@ class OccupancyTrace:
             raise DomainError("trace elements must be 0 or 1")
         object.__setattr__(self, "bits", bits)
 
+    @classmethod
+    def _trusted(cls, bits: bytes) -> "OccupancyTrace":
+        """A trace over bytes the caller built from 0x00/0x01 only; skips the check."""
+        trace = object.__new__(cls)
+        object.__setattr__(trace, "bits", bits)
+        return trace
+
     def __len__(self) -> int:
         return len(self.bits)
 
@@ -230,9 +237,10 @@ class VarianceExpression:
         return tuple(sorted({m for t in self.terms for m, _ in t.moment_powers}))
 
     @cached_property
-    def exact_coefs(self) -> tuple[Fraction, ...]:
-        """Each term's coefficient as a Fraction, in term order."""
-        return tuple(Fraction(t.coef) for t in self.terms)
+    def _prepared_forms(self) -> dict:
+        """The evaluator's prepared forms of this expression, keyed by (N, exact);
+        taylor._prepared fills it."""
+        return {}
 
     @cached_property
     def float_coefs(self) -> tuple[float, ...]:

@@ -127,8 +127,10 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
     repositioned to each replicate's stream rather than built anew.  Draws,
     moments and the ratio estimator run per chunk of replicates; each series
     is evaluated once per block of whole chunks, from the chunks' means and
-    central moments.  Memory is bounded by the chunk and the block, not by
-    the replicate count.
+    central moments.  The draw and moment buffers are bounded by the chunk
+    and the block; the results are not: f_vals and one array per estimator
+    label are (reps,) float64, 8 bytes per replicate each (24 with the
+    CLI's two labels).
     """
     orders = [_series_order(lbl) for lbl in cfg.estimators]
     exprs = {order: taylor.generate_expression(order) for order in orders if order}

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
 import numpy as np
 
@@ -274,26 +274,73 @@ def _needed_central(expr: VarianceExpression, central, convert) -> dict:
     return {m: convert(central[m]) for m in expr.central_orders}
 
 
-def _evaluate(expr: VarianceExpression, n: int, mean, central: dict, num):
-    """The one series evaluator: substitute moments and N into expr.
+# prepared forms kept per expression; a few sizes cover the CLI and an mc grid
+_PREPARED_BOUND = 8
 
-    num is Fraction or float and converts N; the coefficients come converted
-    once per expression (its exact_coefs or float_coefs).  mean and central
-    hold Fractions, Python floats or float64 arrays, and ** acts on them as
+
+def _collapsed(expr: VarianceExpression, n) -> tuple:
+    """Exact prepared form: the terms summed per (mu_exponent, moment_powers) at N = n.
+
+    Each sum is built in integers over one denominator, the lcm of the
+    coefficient denominators times N^e_max, then made one Fraction.
+    """
+    coefs = [Fraction(t.coef) for t in expr.terms]
+    den = lcm(*(q.denominator for q in coefs))
+    top = max((t.n_exponent for t in expr.terms), default=0)
+    # N = p/r, so N^-e = r^e * p^(top - e) / p^top
+    p, r = Fraction(n).as_integer_ratio()
+    scale = {e: p ** (top - e) * r**e for e in {t.n_exponent for t in expr.terms}}
+    acc: dict[tuple, int] = {}
+    for t, q in zip(expr.terms, coefs):
+        key = (t.mu_exponent, t.moment_powers)
+        acc[key] = acc.get(key, 0) + q.numerator * (den // q.denominator) * scale[t.n_exponent]
+    den *= p**top
+    return tuple((Fraction(v, den), g, powers) for (g, powers), v in acc.items())
+
+
+def _prepared(expr: VarianceExpression, n, exact: bool) -> tuple:
+    """(coefficient at N, mu_exponent, moment_powers) entries of expr at N = n.
+
+    The exact form is _collapsed.  The float form keeps one entry per term,
+    holding float_coef * float(N) ** -n_exponent, the product a per-term
+    float sum starts each term with, so float results keep every byte.
+    Kept on the expression, at most _PREPARED_BOUND forms, oldest dropped first.
+    """
+    cache = expr._prepared_forms
+    form = cache.get((n, exact))
+    if form is None:
+        if exact:
+            form = _collapsed(expr, n)
+        else:
+            nn = float(n)
+            form = tuple(
+                (coef * nn ** (-t.n_exponent), t.mu_exponent, t.moment_powers)
+                for t, coef in zip(expr.terms, expr.float_coefs)
+            )
+        if len(cache) >= _PREPARED_BOUND:
+            del cache[next(iter(cache))]
+        cache[(n, exact)] = form
+    return form
+
+
+def _evaluate(form: tuple, mean, central: dict, num):
+    """The one series evaluator: substitute moments into a prepared form.
+
+    form is _prepared's tuple of (coefficient at N, mu_exponent,
+    moment_powers), so N is already in the coefficients; num is Fraction or
+    float and gives the zero the sum starts from.  mean and central hold
+    Fractions, Python floats or float64 arrays, and ** acts on them as
     given, so every regime keeps its own pow.  Each distinct power is
-    computed once; the operations run in one fixed order, term by term.
+    computed once; the operations run in one fixed order, entry by entry.
     """
     total = num(0)
-    nn = num(n)
     mu_pows, powers = {}, {}
-    coefs = expr.float_coefs if num is float else expr.exact_coefs
-    for t, coef in zip(expr.terms, coefs):
-        val = coef * nn ** (-t.n_exponent)
-        if t.mu_exponent:
-            if t.mu_exponent not in mu_pows:
-                mu_pows[t.mu_exponent] = mean**t.mu_exponent
-            val *= mu_pows[t.mu_exponent]
-        for key in t.moment_powers:
+    for val, mu_exponent, moment_powers in form:
+        if mu_exponent:
+            if mu_exponent not in mu_pows:
+                mu_pows[mu_exponent] = mean**mu_exponent
+            val *= mu_pows[mu_exponent]
+        for key in moment_powers:
             if key not in powers:
                 powers[key] = central[key[0]] ** key[1]
             val *= powers[key]
@@ -311,7 +358,7 @@ def evaluate_expression(expr: VarianceExpression, mom: MomentVector, n: int):
     num = Fraction if mom.exact else float
     mean, central = num(mom.mean), _needed_central(expr, mom.central, num)
     try:
-        return _evaluate(expr, n, mean, central, num)
+        return _evaluate(_prepared(expr, n, mom.exact), mean, central, num)
     except OverflowError:
         if mom.exact:
             raise
@@ -328,4 +375,4 @@ def evaluate_expression_batch(
     """
     mean = np.asarray(mean, dtype=np.float64)
     central = _needed_central(expr, central, lambda v: np.asarray(v, dtype=np.float64))
-    return np.zeros_like(mean) + _evaluate(expr, n, mean, central, float)
+    return np.zeros_like(mean) + _evaluate(_prepared(expr, n, False), mean, central, float)

@@ -62,7 +62,7 @@ def parse_traces(source: Iterable[str]) -> list[OccupancyTrace]:
                 # of peak RSS on a cold 40-trace, 2M-bit extract
                 bits = raw.translate(None, _SEPARATORS).translate(_DIGIT_TO_BIT)
                 if bits:
-                    traces.append(OccupancyTrace(bits=bits))
+                    traces.append(OccupancyTrace._trusted(bits))
                 continue
         # a bad token or a non-ASCII separator: walk the tokens, naming the first bad one
         tokens = line.split()
@@ -70,7 +70,7 @@ def parse_traces(source: Iterable[str]) -> list[OccupancyTrace]:
             if tok not in ("0", "1"):
                 raise ParseError(f"line {lineno}, column {col}: expected 0 or 1, got {tok!r}")
         if tokens:
-            traces.append(OccupancyTrace(bits=bytes(map(int, tokens))))
+            traces.append(OccupancyTrace._trusted(bytes(map(int, tokens))))
     return traces
 
 
@@ -98,7 +98,7 @@ def filter_transient_escapes(x: OccupancyTrace, cfg: FilterConfig) -> OccupancyT
     gap = (values == 0) & (lengths < cfg.k)
     gap[0] = gap[-1] = False
     values[gap] = 1
-    return OccupancyTrace(bits=np.repeat(values, lengths).tobytes())
+    return OccupancyTrace._trusted(np.repeat(values, lengths).tobytes())
 
 
 def extract_residences(x: OccupancyTrace, policy: ExtractionPolicy) -> list[int]:

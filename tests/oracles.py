@@ -7,8 +7,9 @@ and by weighted multiset) for exact variances and pattern counts, a
 direct double sum for the truncated series, a plain scan and a window-sum
 construction for the gap filter, a plain scan for run extraction, a token
 walk for trace parsing, partial sums with rigorous tail bounds for
-geometric moments, a binomial transform from central to raw moments, and
-a per-row inverse-CDF for replicate draws.
+geometric moments, a binomial transform from central to raw moments, a
+per-term Fraction sum for the series value, and a per-row inverse-CDF for
+replicate draws.
 
 The one exception is `coefficient`: a test-only view of the package's own
 derivative coefficient (`taylor._coefficient_parts`), which the
@@ -366,6 +367,18 @@ def brute_force_truncated_variance(mom, n: int, order: int, coefficient):
                     if sigma == 0:
                         continue
                     total = total + scale * ci * coeff_value(j_tuple) * sigma
+    return total
+
+
+def per_term_series(expr, mom, n) -> Fraction:
+    """The series value as a plain per-term Fraction sum, one term at a time:
+    coef * N^-n_exponent * mean^mu_exponent * prod(central_m^c_m)."""
+    total = Fraction(0)
+    for t in expr.terms:
+        val = Fraction(t.coef) * Fraction(n) ** -t.n_exponent * Fraction(mom.mean) ** t.mu_exponent
+        for m, c in t.moment_powers:
+            val *= Fraction(mom.central[m]) ** c
+        total += val
     return total
 
 

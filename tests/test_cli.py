@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import time
 import warnings
 
 import pytest
@@ -152,6 +153,23 @@ class TestExact:
         lines = capsys.readouterr().out.strip().splitlines()
         assert dict(line.split(",") for line in lines[1:])["taylor1"] == "3.17"
 
+    def test_digits_up_to_the_int_string_limit_print(self, capsys):
+        assert main(["exact", "--dist", "uniform:a=1,b=3", "--n", "2", "--orders", "1",
+                     "--digits", "4300"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        # significant digits: leading zeros and the point do not count
+        assert [len(line.split(",")[1].replace(".", "").lstrip("0")) for line in lines[1:]] == [4300] * 3
+
+    @pytest.mark.parametrize("digits", ["4301", "100000", "10000000"])
+    def test_huge_digits_is_a_quick_usage_error(self, capsys, digits):
+        start = time.perf_counter()
+        assert main(["exact", "--dist", "uniform:a=1,b=3", "--n", "2", "--orders", "1",
+                     "--digits", digits]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: --digits must be <= 4300, got {digits}"]
+
     def test_bad_dist(self, capsys):
         assert main(["exact", "--dist", "beta:a=1,b=2", "--n", "5"]) == 2
 
@@ -180,7 +198,12 @@ _DIST = _flag(
     ),
 )
 _N = _flag(st.integers(1, 6).map(str), st.integers(-5, 0).map(str) | st.sampled_from(["x", "1.5", ""]))
-_DIGITS = _flag(st.integers(1, 20).map(str), st.integers(-3, 0).map(str) | st.sampled_from(["x", "2.0"]))
+_DIGITS = _flag(
+    st.integers(1, 20).map(str),
+    st.integers(-3, 0).map(str) | st.sampled_from(["x", "2.0"])
+    # past what format_rational can print: refused before any work
+    | st.integers(4301, 10**30).map(str) | st.sampled_from(["100000", "10000000"]),
+)
 _ORDERS = _flag(
     st.sampled_from(["1", "1..2", "2,3"]),
     st.sampled_from(["0", "-1", "0..3", "-2..1", "3..1", "x", "1,,2", "1..2..3", ""]),
@@ -436,6 +459,7 @@ class TestOutOfRangeFlags:
             (["autocorr", "--max-lag", "-1"], "--max-lag must be >= 0, got -1"),
             (MC + ["--seed", "-1"], f"--seed must be within 0..{2**128 - 1}, got -1"),
             (MC + ["--seed", str(2**128)], f"--seed must be within 0..{2**128 - 1}, got {2**128}"),
+            (EXACT + ["--digits", "4301"], "--digits must be <= 4300, got 4301"),
         ],
     )
     def test_usage_error(self, rts_file, trace_file, capsys, argv, message):

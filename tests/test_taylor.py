@@ -21,10 +21,12 @@ from restime.core import (
     VarianceExpression,
     normalize_expression,
 )
-from restime.moments import exact_moments
+from restime.moments import exact_moments, sample_moments
 from restime.taylor import (
+    _PREPARED_BOUND,
     _falling_factorial,
     _pattern_slots,
+    _prepared,
     _sigma_slots,
     _slot_sums,
     evaluate_expression,
@@ -38,6 +40,7 @@ from .oracles import (
     coefficient,
     count_tuples_by_pattern,
     fd_partial,
+    per_term_series,
     raw_from_central,
     uncorrected_coefficient,
 )
@@ -309,7 +312,6 @@ class TestEvaluate:
         expr = generate_expression(8)
         assert expr.float_coefs is expr.float_coefs
         assert expr.float_coefs == tuple(float(t.coef) for t in expr.terms)
-        assert expr.exact_coefs == tuple(t.coef for t in expr.terms)
         assert expr.central_orders == tuple(range(2, 17))
         # a second evaluation reads the stored conversions and converts no coefficient
         mom = MomentVector(mean=2.0, central={m: 1.0 for m in range(2, 17)}, raw={})
@@ -335,6 +337,86 @@ class TestEvaluate:
             target = mc.exact_variance_small(d, 1)
             for order in range(1, 9):
                 assert evaluate_expression(generate_expression(order), mom, 1) == target
+
+
+def _geom_sample_moments():
+    """Exact plug-in moments of 30 seeded geom(1/20) steps, central orders to 16."""
+    dist = DistributionSpec.geometric(Fraction(1, 20))
+    return sample_moments(mc.sample(dist, 30, mc.replicate_stream(7, 0)), 16, exact=True)
+
+
+def _order_one(coef):
+    return VarianceExpression(order=1, terms=(Term(coef=coef, n_exponent=1, mu_exponent=0,
+                                                   moment_powers=((2, 1),)),))
+
+
+class TestCollapsed:
+    """The exact evaluator reads each expression collapsed at N; the per-term
+    Fraction sum in oracles is the reference."""
+
+    @pytest.mark.parametrize("case", ["uniform-1-40-n5", "geom-1/2-n30", "sample-n30",
+                                      "uniform-1-40-n1"])
+    def test_matches_per_term_sum(self, case):
+        mom, n = {
+            "uniform-1-40-n5": lambda: (exact_moments(DistributionSpec.uniform(1, 40), 16), 5),
+            "geom-1/2-n30": lambda: (exact_moments(DistributionSpec.geometric(Fraction(1, 2)),
+                                                   16), 30),
+            "sample-n30": lambda: (_geom_sample_moments(), 30),
+            "uniform-1-40-n1": lambda: (exact_moments(DistributionSpec.uniform(1, 40), 16), 1),
+        }[case]()
+        for order in range(1, 9):
+            expr = generate_expression(order)
+            value = evaluate_expression(expr, mom, n)
+            assert isinstance(value, Fraction)
+            assert value == per_term_series(expr, mom, n)
+
+    def test_one_entry_per_monomial(self):
+        expr = generate_expression(8)
+        form = _prepared(expr, 5, True)
+        keys = [(g, powers) for _, g, powers in form]
+        assert len(set(keys)) == len(keys)
+        assert set(keys) == {(t.mu_exponent, t.moment_powers) for t in expr.terms}
+        assert len(form) < len(expr.terms)
+
+    def test_float_form_is_one_entry_per_term(self):
+        expr = generate_expression(8)
+        form = _prepared(expr, 30, False)
+        assert [(g, powers) for _, g, powers in form] == [
+            (t.mu_exponent, t.moment_powers) for t in expr.terms
+        ]
+        assert [c for c, _, _ in form] == [
+            float(t.coef) * 30.0 ** -t.n_exponent for t in expr.terms
+        ]
+
+    def test_hand_made_expressions_of_one_order_stay_apart(self):
+        mom = MomentVector(mean=Fraction(2), central={2: Fraction(3)}, raw={}, exact=True)
+        floats = MomentVector(mean=2.0, central={2: 3.0}, raw={})
+        a, b = _order_one(Fraction(1, 3)), _order_one(0.25)
+        for m in (mom, floats):
+            assert evaluate_expression(a, m, 7) != evaluate_expression(b, m, 7)
+        assert evaluate_expression(a, mom, 7) == Fraction(1, 7)
+        assert evaluate_expression(b, mom, 7) == Fraction(3, 28)
+
+    def test_n_then_other_n_then_n_repeats(self):
+        expr = generate_expression(8)
+        exact = exact_moments(DistributionSpec.uniform(1, 40), 16)
+        floats = MomentVector(mean=float(exact.mean),
+                              central={m: float(v) for m, v in exact.central.items()}, raw={})
+        for mom in (exact, floats):
+            first = evaluate_expression(expr, mom, 5)
+            other = evaluate_expression(expr, mom, 6)
+            assert other != first
+            assert evaluate_expression(expr, mom, 5) == first
+            assert evaluate_expression(expr, mom, 6) == other
+
+    def test_cache_is_bounded(self):
+        expr = generate_expression(2)
+        mom = MomentVector(mean=Fraction(2), central={m: Fraction(m) for m in (2, 3, 4)}, raw={},
+                           exact=True)
+        values = [evaluate_expression(expr, mom, n) for n in range(1, 3 * _PREPARED_BOUND)]
+        assert len(expr._prepared_forms) == _PREPARED_BOUND
+        assert values == [per_term_series(expr, mom, n) for n in range(1, 3 * _PREPARED_BOUND)]
+        assert values[0] == evaluate_expression(expr, mom, 1)
 
 
 class TestBruteForce:

@@ -88,7 +88,27 @@ def test_parse_matches_token_walk(lines):
             parse_traces(lines)
         assert str(info.value) == str(exc)
     else:
-        assert [t.bits for t in parse_traces(lines)] == want
+        traces = parse_traces(lines)
+        assert [t.bits for t in traces] == want
+        # the unchecked traces are what the checked constructor makes of their bytes
+        assert all(type(t.bits) is bytes and t == OccupancyTrace(bits=t.bits) for t in traces)
+
+
+def test_producers_skip_the_bit_check(monkeypatch):
+    """parse_traces and filter_transient_escapes build bytes known to be 0/1,
+    so neither runs the public constructor's check; that check still rejects."""
+
+    def refuse(self):
+        raise AssertionError("checked constructor called")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(OccupancyTrace, "__post_init__", refuse)
+        traces = parse_traces(["1 0 0 1 0 1\n", "1\xa00 1\n"])
+        filtered = [filter_transient_escapes(t, FilterConfig(k=3)) for t in traces]
+    assert [t.bits for t in traces] == [b"\x01\x00\x00\x01\x00\x01", b"\x01\x00\x01"]
+    assert [t.bits for t in filtered] == [b"\x01" * 6, b"\x01" * 3]
+    with pytest.raises(DomainError):
+        OccupancyTrace(bits=b"\x01\x02")
 
 
 class TestFilterConfig:
@@ -203,6 +223,7 @@ def test_filter_matches_reference_and_convolution(bits, k):
     t = OccupancyTrace(bits=bits)
     cfg = FilterConfig(k=k)
     out = filter_transient_escapes(t, cfg)
+    assert type(out.bits) is bytes and out == OccupancyTrace(bits=out.bits)
     assert tuple(out.bits) == gap_fill_reference(bits, k)
     assert tuple(out.bits) == filter_by_convolution(bits, k)
 
