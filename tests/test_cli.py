@@ -459,7 +459,6 @@ class TestOutOfRangeFlags:
             (["autocorr", "--max-lag", "-1"], "--max-lag must be >= 0, got -1"),
             (MC + ["--seed", "-1"], f"--seed must be within 0..{2**128 - 1}, got -1"),
             (MC + ["--seed", str(2**128)], f"--seed must be within 0..{2**128 - 1}, got {2**128}"),
-            (EXACT + ["--digits", "4301"], "--digits must be <= 4300, got 4301"),
         ],
     )
     def test_usage_error(self, rts_file, trace_file, capsys, argv, message):

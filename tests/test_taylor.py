@@ -339,12 +339,6 @@ class TestEvaluate:
                 assert evaluate_expression(generate_expression(order), mom, 1) == target
 
 
-def _geom_sample_moments():
-    """Exact plug-in moments of 30 seeded geom(1/20) steps, central orders to 16."""
-    dist = DistributionSpec.geometric(Fraction(1, 20))
-    return sample_moments(mc.sample(dist, 30, mc.replicate_stream(7, 0)), 16, exact=True)
-
-
 def _order_one(coef):
     return VarianceExpression(order=1, terms=(Term(coef=coef, n_exponent=1, mu_exponent=0,
                                                    moment_powers=((2, 1),)),))
@@ -354,16 +348,23 @@ class TestCollapsed:
     """The exact evaluator reads each expression collapsed at N; the per-term
     Fraction sum in oracles is the reference."""
 
-    @pytest.mark.parametrize("case", ["uniform-1-40-n5", "geom-1/2-n30", "sample-n30",
-                                      "uniform-1-40-n1"])
-    def test_matches_per_term_sum(self, case):
-        mom, n = {
-            "uniform-1-40-n5": lambda: (exact_moments(DistributionSpec.uniform(1, 40), 16), 5),
-            "geom-1/2-n30": lambda: (exact_moments(DistributionSpec.geometric(Fraction(1, 2)),
-                                                   16), 30),
-            "sample-n30": lambda: (_geom_sample_moments(), 30),
-            "uniform-1-40-n1": lambda: (exact_moments(DistributionSpec.uniform(1, 40), 16), 1),
-        }[case]()
+    @pytest.mark.parametrize("dist, n", [
+        (DistributionSpec.uniform(1, 40), 5),
+        (DistributionSpec.geometric(Fraction(1, 2)), 30),
+        (DistributionSpec.uniform(1, 40), 1),
+        # the per-term path took any rational N; the collapse keeps that
+        (DistributionSpec.uniform(1, 40), Fraction(7, 2)),
+    ])
+    def test_matches_per_term_sum_on_exact_moments(self, dist, n):
+        self._check_orders(exact_moments(dist, 16), n)
+
+    def test_matches_per_term_sum_on_sample_moments(self):
+        dist = DistributionSpec.geometric(Fraction(1, 20))
+        steps = mc.sample(dist, 30, mc.replicate_stream(7, 0))
+        self._check_orders(sample_moments(steps, 16, exact=True), 30)
+
+    @staticmethod
+    def _check_orders(mom, n):
         for order in range(1, 9):
             expr = generate_expression(order)
             value = evaluate_expression(expr, mom, n)
@@ -377,6 +378,7 @@ class TestCollapsed:
         assert len(set(keys)) == len(keys)
         assert set(keys) == {(t.mu_exponent, t.moment_powers) for t in expr.terms}
         assert len(form) < len(expr.terms)
+        assert _prepared(expr, 5, True) is form
 
     def test_float_form_is_one_entry_per_term(self):
         expr = generate_expression(8)
