@@ -1,16 +1,15 @@
-# Rebuild the exact-moment variance table for the two reference
-# distributions.  Rational arithmetic end to end; only the final
-# rendering rounds.
+"""Rebuild the exact-moment variance table for the two reference
+distributions.  Rational arithmetic end to end; only the final
+rendering rounds."""
 
-import argparse
 from fractions import Fraction
 
-from restime.core import DistributionSpec, format_rational
+from restime.cli import _MAX_DIGITS, _Parser
+from restime.core import DistributionSpec, DomainError, format_rational
 from restime.estimators import ratio_variance_from_moments
 from restime.mc import exact_variance_small
 from restime.moments import exact_moments
 from restime.taylor import evaluate_expression, generate_expression
-from restime.core import DomainError
 
 
 def column(dist, n):
@@ -27,9 +26,11 @@ def column(dist, n):
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--digits", type=int, default=16)
+    ap = _Parser(description=__doc__)
+    ap.add_argument("--digits", type=int, default=16, help=f"significant digits, 1..{_MAX_DIGITS}")
     args = ap.parse_args()
+    if not 1 <= args.digits <= _MAX_DIGITS:
+        ap.error(f"--digits must be within 1..{_MAX_DIGITS}, got {args.digits}")
 
     grid = [
         (DistributionSpec.geometric(Fraction(1, 20)), (30, 1000)),

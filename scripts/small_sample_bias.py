@@ -1,16 +1,14 @@
-# How fast does the plug-in bias of the variance estimators die off with
-# sample size?  Sweeps N on a log grid for one distribution and prints
-# the mean estimate relative to the replicate reference.
+"""How fast does the plug-in bias of the variance estimators die off with
+sample size?  Sweeps N on a log grid for one distribution and prints
+the mean estimate relative to the replicate reference."""
 
-import argparse
-from fractions import Fraction
-
-from restime.core import DistributionSpec, ParseError
+from restime.cli import _Parser
+from restime.core import DistributionSpec, DomainError, ParseError
 from restime.mc import ExperimentConfig, run_experiment
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = _Parser(description=__doc__)
     ap.add_argument("--dist", default="geom:p=1/20",
                     help="geom:p=<rational> or uniform:a=<int>,b=<int>")
     ap.add_argument("--sizes", nargs="+", type=int,
@@ -18,15 +16,18 @@ def main():
     ap.add_argument("--replicates", type=int, default=20_000)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
-
-    dist = DistributionSpec.parse(args.dist)
-    cfg = ExperimentConfig(
-        dist=dist,
-        sizes=tuple(args.sizes),
-        replicates=args.replicates,
-        seed=args.seed,
-        estimators=("ratio", "taylor1", "taylor3", "taylor8"),
-    )
+    if not 0 <= args.seed < 2**128:
+        ap.error(f"--seed must be within 0..{2**128 - 1}, got {args.seed}")
+    try:
+        cfg = ExperimentConfig(
+            dist=DistributionSpec.parse(args.dist),
+            sizes=tuple(args.sizes),
+            replicates=args.replicates,
+            seed=args.seed,
+            estimators=("ratio", "taylor1", "taylor3", "taylor8"),
+        )
+    except (ParseError, DomainError) as exc:
+        ap.error(str(exc))
     labels = cfg.estimators
     header = f"{'N':>6}{'reference':>14}" + "".join(f"{k:>12}" for k in labels)
     print(header)

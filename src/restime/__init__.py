@@ -17,9 +17,7 @@ from .core import (
     ResidenceSample,
     Term,
     VarianceExpression,
-    format_fixed,
     format_rational,
-    normalize_expression,
 )
 from .estimators import (
     build_report,
@@ -70,12 +68,10 @@ __all__ = [
     "exact_variance_small",
     "extract_residences",
     "filter_transient_escapes",
-    "format_fixed",
     "format_rational",
     "generate_expression",
     "mean_residence_steps",
     "mean_residual_steps",
-    "normalize_expression",
     "parse_traces",
     "ratio_variance_from_moments",
     "read_steps_csv",

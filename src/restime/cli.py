@@ -77,8 +77,8 @@ def _parse_orders(text: str) -> list[int]:
             orders = [int(tok) for tok in text.split(",")]
     except ValueError as exc:
         raise ParseError(f"bad orders {text!r}: use forms like 1..8 or 1,3,8") from exc
-    if not orders or any(m < 1 or m > 8 for m in orders):
-        raise ParseError("orders must lie within 1..8")
+    if not orders or any(m < 1 or m > taylor.MAX_ORDER for m in orders):
+        raise ParseError(f"orders must lie within 1..{taylor.MAX_ORDER}")
     return orders
 
 
@@ -117,7 +117,7 @@ def cmd_extract(args: argparse.Namespace) -> None:
 def cmd_estimate(args: argparse.Namespace) -> None:
     _check_positive("--dt", args.dt)
     if args.method != "ratio":
-        _check_range("--order", args.order, 1, 8)
+        _check_range("--order", args.order, 1, taylor.MAX_ORDER)
     with open(args.rts, "r", encoding="utf-8") as fh:
         sample = ResidenceSample(steps=trace.read_steps_csv(fh))
     series = f"taylor{args.order}"
@@ -127,7 +127,7 @@ def cmd_estimate(args: argparse.Namespace) -> None:
 
 
 def cmd_gen_expr(args: argparse.Namespace) -> None:
-    _check_range("--order", args.order, 1, 8)
+    _check_range("--order", args.order, 1, taylor.MAX_ORDER)
     expr = taylor.generate_expression(args.order)
     if args.format == "json":
         _write_output(args, expr.to_json())
@@ -165,7 +165,7 @@ def cmd_mc(args: argparse.Namespace) -> None:
     dist = DistributionSpec.parse(args.dist)
     sizes = _parse_sizes(args.n)
     _check_range("--reps", args.reps, 2)
-    _check_range("--order", args.order, 1, 8)
+    _check_range("--order", args.order, 1, taylor.MAX_ORDER)
     _check_range("--seed", args.seed, 0, 2**128 - 1)
     labels = ("ratio", f"taylor{args.order}")
     cfg = mc.ExperimentConfig(
@@ -278,7 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--order", type=int, default=8)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="no effect (must be >= 1); kept because perfbench passes 1 and 2")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_mc)
 

@@ -242,37 +242,11 @@ class VarianceExpression:
         taylor._prepared fills it."""
         return {}
 
-    @cached_property
-    def float_coefs(self) -> tuple[float, ...]:
-        """Each term's coefficient as a float, in term order."""
-        return tuple(float(t.coef) for t in self.terms)
-
     def to_dict(self) -> dict:
         return {"order": self.order, "terms": [t.to_dict() for t in self.terms]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
-
-
-def normalize_expression(expr: VarianceExpression) -> VarianceExpression:
-    """Merge like terms, drop zero coefficients, restore canonical ordering."""
-    acc: dict[tuple, Fraction] = {}
-    for t in expr.terms:
-        powers = tuple(sorted((int(m), int(c)) for m, c in t.moment_powers if c))
-        if any(m < 2 or c < 0 for m, c in powers):
-            raise DomainError("moment powers need order >= 2 and positive count")
-        if t.n_exponent < 1:
-            raise DomainError("every term must decay in N (n_exponent >= 1)")
-        if sum(m * c for m, c in powers) > 2 * expr.order:
-            raise DomainError("term exceeds the expression's moment order budget")
-        key = (t.n_exponent, t.mu_exponent, powers)
-        acc[key] = acc.get(key, Fraction(0)) + Fraction(t.coef)
-    terms = tuple(
-        Term(coef=q, n_exponent=e, mu_exponent=g, moment_powers=powers)
-        for (e, g, powers), q in sorted(acc.items())
-        if q != 0
-    )
-    return VarianceExpression(order=expr.order, terms=terms)
 
 
 @dataclass(frozen=True)
@@ -347,15 +321,3 @@ def format_rational(value: Fraction | float, digits: int = 16) -> str:
         return sign + s[:point] + "." + s[point:]
     return sign + "0." + "0" * (-point) + s
 
-
-def format_fixed(value: Fraction | float, decimals: int) -> str:
-    """Decimal string with a fixed number of places after the point."""
-    if decimals < 0:
-        raise DomainError("decimals must be >= 0")
-    fr = Fraction(value)
-    sign = "-" if fr < 0 else ""
-    q = round(abs(fr) * 10**decimals)
-    s = str(q).rjust(decimals + 1, "0")
-    if decimals == 0:
-        return sign + s
-    return sign + s[:-decimals] + "." + s[-decimals:]

@@ -10,7 +10,7 @@ import numpy as np
 
 from .core import DomainError, EstimateReport, MomentVector, ResidenceSample
 from .moments import sample_moments
-from .taylor import evaluate_expression, generate_expression
+from .taylor import MAX_ORDER, evaluate_expression, generate_expression
 
 
 def mean_residual_steps(s: ResidenceSample, exact: bool = False):
@@ -100,7 +100,7 @@ def ratio_variance_from_moments(mom: MomentVector, n: int):
 
 
 # estimator label -> series order, 0 standing for the delta-method ratio
-_LABEL_ORDERS = {"ratio": 0, **{f"taylor{m}": m for m in range(1, 9)}}
+_LABEL_ORDERS = {"ratio": 0, **{f"taylor{m}": m for m in range(1, MAX_ORDER + 1)}}
 
 
 def _series_order(label: str) -> int:
@@ -112,8 +112,8 @@ def _series_order(label: str) -> int:
 
 def var_mrt_taylor(s: ResidenceSample, order: int = 8, exact: bool = False):
     """Series variance estimator of the given order on plug-in sample moments."""
-    if not 1 <= order <= 8:
-        raise DomainError("series order must lie in 1..8")
+    if not 1 <= order <= MAX_ORDER:
+        raise DomainError(f"series order must lie in 1..{MAX_ORDER}")
     expr = generate_expression(order)
     mom = sample_moments(s, max_central_order=2 * order, exact=exact)
     return evaluate_expression(expr, mom, s.n)

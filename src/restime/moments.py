@@ -8,6 +8,7 @@ from math import comb, isfinite
 import numpy as np
 
 from .core import DistributionSpec, DomainError, MomentVector, ResidenceSample
+from .taylor import MAX_ORDER
 
 
 def sample_moments(s: ResidenceSample, max_central_order: int = 4, exact: bool = False) -> MomentVector:
@@ -80,8 +81,8 @@ def exact_moments(d: DistributionSpec, max_central_order: int = 4) -> MomentVect
     E[X^n] = A_n(1-p)/p^n; uniform ones from direct summation over the
     support.  Central moments follow by binomial transform.
     """
-    if not 2 <= max_central_order <= 16:
-        raise DomainError("central order must lie in 2..16")
+    if not 2 <= max_central_order <= 2 * MAX_ORDER:
+        raise DomainError(f"central order must lie in 2..{2 * MAX_ORDER}")
     top = max(max_central_order, 4)
     if d.kind == "geom":
         p = Fraction(d.p)

@@ -28,6 +28,9 @@ import numpy as np
 
 from .core import DomainError, MomentVector, Term, VarianceExpression
 
+# the highest series order that the CLI, the estimator labels and exact_moments accept
+MAX_ORDER = 8
+
 
 @lru_cache(maxsize=None)
 def _slot_runs(top: tuple[int, int], kr: int, lr: int) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -166,7 +169,8 @@ _Row = tuple[int, int, int, tuple[tuple[int, int], ...]]
 
 
 def _build_block(k: int, l: int) -> tuple[_Row, ...]:
-    """Raw (unmerged) terms of one (k, l) pair of expansion orders, as integer rows."""
+    """Raw (unmerged) terms of one (k, l) pair of expansion orders, as integer
+    rows; kept, with _block, for expression_blocks, which perfbench reads."""
     g = 2 - k - l  # mu exponents of the two coefficients, 1 - k and 1 - l
     return tuple(
         (sign * q, e, g, powers)
@@ -181,7 +185,8 @@ def _block(k: int, l: int) -> tuple[_Row, ...]:
     """Cached raw rows of the (k, l) block.
 
     Cov(A, B) = Cov(B, A) makes the (l, k) block the same multiset of terms
-    as the (k, l) block, so only k <= l is ever built.
+    as the (k, l) block, so only k <= l is ever built.  Kept for
+    expression_blocks, which perfbench reads.
     """
     if k > l:
         return _block(l, k)
@@ -217,6 +222,8 @@ def expression_blocks(order: int) -> dict[tuple[int, int], tuple[Term, ...]]:
     """Per-(k, l) contributions for all 1 <= k, l <= order.
 
     Built from the raw rows of _block, which generate_expression never reads.
+    No package code calls this; it stays because perfbench/child.py reads it
+    for its taylor.raw_terms count.
     """
     if order < 1:
         raise DomainError("order must be >= 1")
@@ -240,7 +247,7 @@ def generate_expression(order: int) -> VarianceExpression:
     Generation is exact and cached per order.  The merged (k, l) blocks are
     summed as integers over the common denominator 4 * (order!)^2, each
     off-diagonal block counted twice; nonzero sums become the terms, sorted
-    as normalize_expression sorts them.
+    by (n_exponent, mu_exponent, moment_powers).
     """
     if order < 1:
         raise DomainError("order must be >= 1")
@@ -302,7 +309,7 @@ def _prepared(expr: VarianceExpression, n, exact: bool) -> tuple:
     """(coefficient at N, mu_exponent, moment_powers) entries of expr at N = n.
 
     The exact form is _collapsed.  The float form keeps one entry per term,
-    holding float_coef * float(N) ** -n_exponent, the product a per-term
+    holding float(coef) * float(N) ** -n_exponent, the product a per-term
     float sum starts each term with, so float results keep every byte.
     Kept on the expression, at most _PREPARED_BOUND forms, oldest dropped first.
     """
@@ -314,8 +321,8 @@ def _prepared(expr: VarianceExpression, n, exact: bool) -> tuple:
         else:
             nn = float(n)
             form = tuple(
-                (coef * nn ** (-t.n_exponent), t.mu_exponent, t.moment_powers)
-                for t, coef in zip(expr.terms, expr.float_coefs)
+                (float(t.coef) * nn ** (-t.n_exponent), t.mu_exponent, t.moment_powers)
+                for t in expr.terms
             )
         if len(cache) >= _PREPARED_BOUND:
             del cache[next(iter(cache))]

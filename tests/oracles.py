@@ -1,4 +1,4 @@
-"""Independent reference implementations used only by the test suite.
+"""Independent reference implementations and helpers used only by the test suite.
 
 Everything here is deliberately written from first principles, without
 importing any package internals, so a shared bug cannot hide: finite
@@ -8,13 +8,16 @@ direct double sum for the truncated series, a plain scan and a window-sum
 construction for the gap filter, a plain scan for run extraction, a token
 walk for trace parsing, partial sums with rigorous tail bounds for
 geometric moments, a binomial transform from central to raw moments, a
-per-term Fraction sum for the series value, and a per-row inverse-CDF for
-replicate draws.
+per-term Fraction sum for the series value, a per-row inverse-CDF for
+replicate draws, a merge of like terms into canonical order
+(`normalize_expression`) and fixed-decimal rendering (`format_fixed`).
 
-The one exception is `coefficient`: a test-only view of the package's own
-derivative coefficient (`taylor._coefficient_parts`), which the
-finite-difference checks put under test and the direct double sum takes
-as its coefficient function.
+What is imported from the package is its error type, the value types
+`Term` and `VarianceExpression` (which `normalize_expression` takes and
+returns), and one internal: `coefficient` is a test-only view of the
+package's own derivative coefficient (`taylor._coefficient_parts`), which
+the finite-difference checks put under test and the direct double sum
+takes as its coefficient function.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from restime.core import DomainError
+from restime.core import DomainError, Term, VarianceExpression
 from restime.taylor import _coefficient_parts
 
 
@@ -380,6 +383,40 @@ def per_term_series(expr, mom, n) -> Fraction:
             val *= Fraction(mom.central[m]) ** c
         total += val
     return total
+
+
+def normalize_expression(expr: VarianceExpression) -> VarianceExpression:
+    """Merge like terms, drop zero coefficients, restore canonical ordering."""
+    acc: dict[tuple, Fraction] = {}
+    for t in expr.terms:
+        powers = tuple(sorted((int(m), int(c)) for m, c in t.moment_powers if c))
+        if any(m < 2 or c < 0 for m, c in powers):
+            raise DomainError("moment powers need order >= 2 and positive count")
+        if t.n_exponent < 1:
+            raise DomainError("every term must decay in N (n_exponent >= 1)")
+        if sum(m * c for m, c in powers) > 2 * expr.order:
+            raise DomainError("term exceeds the expression's moment order budget")
+        key = (t.n_exponent, t.mu_exponent, powers)
+        acc[key] = acc.get(key, Fraction(0)) + Fraction(t.coef)
+    terms = tuple(
+        Term(coef=q, n_exponent=e, mu_exponent=g, moment_powers=powers)
+        for (e, g, powers), q in sorted(acc.items())
+        if q != 0
+    )
+    return VarianceExpression(order=expr.order, terms=terms)
+
+
+def format_fixed(value: Fraction | float, decimals: int) -> str:
+    """Decimal string with a fixed number of places after the point."""
+    if decimals < 0:
+        raise DomainError("decimals must be >= 0")
+    fr = Fraction(value)
+    sign = "-" if fr < 0 else ""
+    q = round(abs(fr) * 10**decimals)
+    s = str(q).rjust(decimals + 1, "0")
+    if decimals == 0:
+        return sign + s
+    return sign + s[:-decimals] + "." + s[-decimals:]
 
 
 def per_row_draws(dist, n, rng):

@@ -19,7 +19,6 @@ from restime.core import (
     DistributionSpec,
     MomentVector,
     OccupancyTrace,
-    format_fixed,
     format_rational,
 )
 from restime.estimators import (
@@ -44,6 +43,7 @@ from .oracles import (
     coefficient,
     fd_partial,
     filter_by_convolution,
+    format_fixed,
     gap_fill_reference,
     inspection_identity_rhs,
     multiset_enumeration_variance,

@@ -15,10 +15,10 @@ from restime.core import (
     ResidenceSample,
     Term,
     VarianceExpression,
-    format_fixed,
     format_rational,
-    normalize_expression,
 )
+
+from .oracles import format_fixed, normalize_expression
 
 
 class TestResidenceSample:

@@ -20,7 +20,7 @@ from restime.estimators import (
 )
 from restime.moments import exact_moments, sample_moments
 
-from .oracles import autocorr_direct, inspection_identity_rhs, statistic
+from .oracles import autocorr_direct, format_fixed, inspection_identity_rhs, statistic
 
 samples = st.lists(st.integers(min_value=1, max_value=200), min_size=1, max_size=60)
 
@@ -110,8 +110,6 @@ class TestRatioVariance:
         assert format_rational(v, 16) == "0.1311584285189072"
 
     def test_geometric_reference_value(self):
-        from restime.core import format_fixed
-
         mom = exact_moments(DistributionSpec.geometric(Fraction(1, 20)), 4)
         assert format_fixed(ratio_variance_from_moments(mom, 30), 2) == "24.70"
 

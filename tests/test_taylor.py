@@ -19,7 +19,6 @@ from restime.core import (
     MomentVector,
     Term,
     VarianceExpression,
-    normalize_expression,
 )
 from restime.moments import exact_moments, sample_moments
 from restime.taylor import (
@@ -40,6 +39,7 @@ from .oracles import (
     coefficient,
     count_tuples_by_pattern,
     fd_partial,
+    normalize_expression,
     per_term_series,
     raw_from_central,
     uncorrected_coefficient,
@@ -310,18 +310,21 @@ class TestEvaluate:
 
     def test_coefficients_and_orders_are_converted_once(self):
         expr = generate_expression(8)
-        assert expr.float_coefs is expr.float_coefs
-        assert expr.float_coefs == tuple(float(t.coef) for t in expr.terms)
         assert expr.central_orders == tuple(range(2, 17))
-        # a second evaluation reads the stored conversions and converts no coefficient
         mom = MomentVector(mean=2.0, central={m: 1.0 for m in range(2, 17)}, raw={})
-        first = evaluate_expression(expr, mom, 30)
         calls = []
         real = Fraction.__float__
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(Fraction, "__float__", lambda q: calls.append(q) or real(q))
-            assert evaluate_expression(expr, mom, 30) == first
-        assert calls == []
+            # a float evaluation at a new N builds its form, one conversion per term
+            n = 977
+            assert (n, False) not in expr._prepared_forms
+            first = evaluate_expression(expr, mom, n)
+            assert calls == [t.coef for t in expr.terms]
+            # a second evaluation at that N reads the stored form and converts nothing
+            calls.clear()
+            assert evaluate_expression(expr, mom, n) == first
+            assert calls == []
 
     def test_exact_keeps_a_float_coefficient_exact(self):
         expr = VarianceExpression(order=1, terms=(Term(coef=0.1, n_exponent=1, mu_exponent=0,
