@@ -4,25 +4,8 @@ rendering rounds."""
 
 from fractions import Fraction
 
-from restime.cli import _MAX_DIGITS, _Parser
-from restime.core import DistributionSpec, DomainError, format_rational
-from restime.estimators import ratio_variance_from_moments
-from restime.mc import exact_variance_small
-from restime.moments import exact_moments
-from restime.taylor import evaluate_expression, generate_expression
-
-
-def column(dist, n):
-    mom = exact_moments(dist, max_central_order=16)
-    rows = [("ratio", ratio_variance_from_moments(mom, n))]
-    for m in range(1, 9):
-        expr = generate_expression(m)
-        rows.append((f"S{m}", evaluate_expression(expr, mom, n)))
-    try:
-        rows.append(("exact", exact_variance_small(dist, n)))
-    except DomainError:
-        pass
-    return rows
+from restime.cli import _MAX_DIGITS, _Parser, _exact_column
+from restime.core import DistributionSpec, format_rational
 
 
 def main():
@@ -39,8 +22,9 @@ def main():
     for dist, sizes in grid:
         for n in sizes:
             print(f"\n{dist}  N={n}")
-            for label, value in column(dist, n):
-                print(f"  {label:<6}{format_rational(value, args.digits)}")
+            rows, _ = _exact_column(dist, n, range(1, 9))
+            for label, value in rows:
+                print(f"  {label:<8}{format_rational(value, args.digits)}")
 
 
 if __name__ == "__main__":

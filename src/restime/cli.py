@@ -24,8 +24,8 @@ from .core import (
 )
 
 
-# CPython's default int-to-string limit (sys.get_int_max_str_digits());
-# format_rational prints an integer of up to --digits digits
+# an output-size bound on exact --digits, kept for compatibility: format_rational
+# itself prints any count, and 4300 was CPython's int-to-string limit
 _MAX_DIGITS = 4300
 
 
@@ -142,22 +142,26 @@ def cmd_exact(args: argparse.Namespace) -> None:
     _check_range("--digits", args.digits, 1)
     if args.digits > _MAX_DIGITS:
         raise ParseError(f"--digits must be <= {_MAX_DIGITS}, got {args.digits}")
-    mom = moments.exact_moments(dist, max_central_order=2 * max(orders))
-    lines = ["estimator,value"]
-    ratio = estimators.ratio_variance_from_moments(mom, args.n)
-    lines.append(f"ratio,{format_rational(ratio, args.digits)}")
-    for m in orders:
-        expr = taylor.generate_expression(m)
-        value = taylor.evaluate_expression(expr, mom, args.n)
-        lines.append(f"taylor{m},{format_rational(value, args.digits)}")
-    try:
-        exact = mc.exact_variance_small(dist, args.n)
-    except DomainError as exc:
-        # not enumerable (infinite support or a tractability guard); say why
-        print(f"note: exact row omitted: {exc}", file=sys.stderr)
-    else:
-        lines.append(f"exact,{format_rational(exact, args.digits)}")
+    rows, omitted = _exact_column(dist, args.n, orders)
+    if omitted:
+        print(f"note: exact row omitted: {omitted}", file=sys.stderr)
+    lines = ["estimator,value"] + [f"{lbl},{format_rational(v, args.digits)}" for lbl, v in rows]
     _write_output(args, "\n".join(lines))
+
+
+def _exact_column(dist: DistributionSpec, n: int, orders) -> tuple[list, str | None]:
+    """(label, Fraction) rows ratio, taylorM per order and, when enumerable, exact;
+    and None, or why exact is missing (infinite support or a tractability guard)."""
+    mom = moments.exact_moments(dist, max_central_order=2 * max(orders))
+    rows = [("ratio", estimators.ratio_variance_from_moments(mom, n))] + [
+        (f"taylor{m}", taylor.evaluate_expression(taylor.generate_expression(m), mom, n))
+        for m in orders
+    ]
+    try:
+        rows.append(("exact", mc.exact_variance_small(dist, n)))
+    except DomainError as exc:
+        return rows, str(exc)
+    return rows, None
 
 
 def cmd_mc(args: argparse.Namespace) -> None:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from functools import cached_property
 from typing import Mapping
@@ -279,45 +280,18 @@ class EstimateReport:
         return json.dumps(asdict(self), indent=2)
 
 
-def _floor_log10(fr: Fraction) -> int:
-    """Largest e with 10**e <= fr, for fr > 0, computed exactly."""
-    e = 0
-    if fr >= 1:
-        while fr >= 10:
-            fr /= 10
-            e += 1
-    else:
-        while fr < 1:
-            fr *= 10
-            e -= 1
-    return e
-
-
 def format_rational(value: Fraction | float, digits: int = 16) -> str:
     """Decimal string with the given number of significant digits.
 
-    Rounding is round-half-even on the exact rational, so the output agrees
-    with what exact decimal arithmetic would print.
+    The exact rational is divided in a decimal context of that precision,
+    which rounds half-even once, and the quotient is padded to the full
+    digit count; zero prints as 0 with digits - 1 zeros after the point.
     """
     if digits < 1:
         raise DomainError("digits must be >= 1")
     fr = Fraction(value)
-    if fr == 0:
-        return "0." + "0" * (digits - 1) if digits > 1 else "0"
-    sign = "-" if fr < 0 else ""
-    fr = abs(fr)
-    e = _floor_log10(fr)
-    shift = digits - 1 - e
-    q = round(fr * Fraction(10) ** shift)
-    if q >= 10**digits:
-        # rounding carried into a new decade: 9.99.. -> 10.0..
-        q //= 10
-        shift -= 1
-    s = str(q)
-    point = len(s) - shift
-    if shift <= 0:
-        return sign + s + "0" * (-shift)
-    if point > 0:
-        return sign + s[:point] + "." + s[point:]
-    return sign + "0." + "0" * (-point) + s
-
+    ctx = Context(prec=digits, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    q = ctx.divide(Decimal(fr.numerator), fr.denominator)
+    # an exact quotient may be shorter than digits: pad it with trailing zeros
+    q = q.quantize(Decimal((0, (1,), q.adjusted() - digits + 1)), context=ctx)
+    return format(q, "f")

@@ -116,6 +116,20 @@ CHUNK_DRAWS = 2_000_000
 # thousands of array ops whatever the row count, and its inputs are 8 bytes per
 # row for each of the mean and the central moments
 EVAL_BLOCK = 16_384
+# run_experiment refuses a sample size whose predicted peak memory exceeds this
+_MEMORY_LIMIT = 2 * 2**30
+
+
+def _layout(n: int, r: int, labels: int, top: int) -> tuple[int, int, int]:
+    """Draw chunk rows, series block rows and predicted peak bytes at sample size n.
+
+    The peak counts float64s: 3 + labels per replicate for the results and
+    their summary, about 4*top per block row for the moments and the series'
+    kept powers, and three (chunk, n) arrays for the draws and two temporaries.
+    """
+    chunk = min(CHUNK_ROWS, max(16, CHUNK_DRAWS // n), r)
+    block = max(1, EVAL_BLOCK // chunk) * chunk
+    return chunk, block, 8 * ((3 + labels) * r + (4 * top + 1) * min(block, r) + 3 * chunk * n)
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
@@ -130,21 +144,26 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
     central moments.  The draw and moment buffers are bounded by the chunk
     and the block; the results are not: f_vals and one array per estimator
     label are (reps,) float64, 8 bytes per replicate each (24 with the
-    CLI's two labels).
+    CLI's two labels).  A sample size whose predicted peak (_layout)
+    exceeds _MEMORY_LIMIT, 2 GiB, raises DomainError before any work.
     """
     orders = [_series_order(lbl) for lbl in cfg.estimators]
+    top = 2 * max(orders, default=0)
+    r = cfg.replicates
+    layouts = {n: _layout(n, r, len(cfg.estimators), top) for n in cfg.sizes}
+    for n, (_, _, need) in layouts.items():
+        if need > _MEMORY_LIMIT:
+            raise DomainError(f"N={n} with {r} replicates needs about {need / 2**30:,.1f} GiB,"
+                              f" past the {_MEMORY_LIMIT // 2**30} GiB memory limit")
     exprs = {order: taylor.generate_expression(order) for order in orders if order}
     ratio = [lbl for lbl, order in zip(cfg.estimators, orders) if not order]
     series = [(lbl, exprs[order]) for lbl, order in zip(cfg.estimators, orders) if order]
-    top = 2 * max(orders, default=0)
-    r = cfg.replicates
     rows = []
     rng = None
     for n in cfg.sizes:
         f_vals = np.empty(r)
         est_vals = {lbl: np.empty(r) for lbl in cfg.estimators}
-        chunk = min(CHUNK_ROWS, max(16, CHUNK_DRAWS // n), r)
-        block = max(1, EVAL_BLOCK // chunk) * chunk
+        chunk, block, _ = layouts[n]
         x_buf = np.empty((chunk, n))
         mean_buf = np.empty(min(block, r))
         central_buf = {m: np.empty_like(mean_buf) for m in range(2, top + 1)}

@@ -14,24 +14,15 @@ from .taylor import MAX_ORDER
 def sample_moments(s: ResidenceSample, max_central_order: int = 4, exact: bool = False) -> MomentVector:
     """Plug-in moments of a sample: central orders 2..max, and raw orders 1..4 when exact.
 
-    Central moments use the biased 1/N form throughout.  Exact mode stays
-    rational; float mode is row_moments on a single row and leaves raw empty,
-    and raises DomainError when a central moment overflows float64.
+    Central moments use the biased 1/N form throughout.  Exact mode puts the
+    raw power means through central_from_raw, as exact_moments does; float
+    mode is row_moments on a single row and leaves raw empty, and raises
+    DomainError when a central moment overflows float64.
     """
     if max_central_order < 2:
         raise DomainError("need central moments at least to order 2")
-    n = s.n
     if exact:
-        total = sum(s.steps)
-        mean = Fraction(total, n)
-        raw = {j: Fraction(sum(x**j for x in s.steps), n) for j in range(1, 5)}
-        # integer numerators n*x_i - total keep every centered power exact
-        nums = [n * x - total for x in s.steps]
-        central = {
-            m: Fraction(sum(v**m for v in nums), n ** (m + 1))
-            for m in range(2, max_central_order + 1)
-        }
-        return MomentVector(mean=mean, central=central, raw=raw, exact=True)
+        return _exact_vector(_power_means(s.steps, max(max_central_order, 4)), max_central_order)
     rows = s.floats[None, :]
     with np.errstate(over="ignore", invalid="ignore"):
         mean, central = row_moments(rows, rows.sum(axis=1), max_central_order)
@@ -85,36 +76,33 @@ def exact_moments(d: DistributionSpec, max_central_order: int = 4) -> MomentVect
         raise DomainError(f"central order must lie in 2..{2 * MAX_ORDER}")
     top = max(max_central_order, 4)
     if d.kind == "geom":
-        p = Fraction(d.p)
-        q = 1 - p
-        rows = _eulerian_rows(top)
-        raw_full = {
-            n: sum(Fraction(c) * q**j for j, c in enumerate(rows[n])) / p**n
-            for n in range(1, top + 1)
-        }
+        q, rows = 1 - d.p, _eulerian_rows(top)
+        raw = {n: sum(c * q**j for j, c in enumerate(rows[n])) / d.p**n for n in range(1, top + 1)}
     else:
-        width = d.b - d.a + 1
-        raw_full = {
-            n: Fraction(sum(x**n for x in range(d.a, d.b + 1)), width)
-            for n in range(1, top + 1)
-        }
-    mean = raw_full[1]
-    central_full = central_from_raw(raw_full, mean)
-    central = {m: v for m, v in central_full.items() if m <= max_central_order}
-    raw = {n: raw_full[n] for n in range(1, 5)}
-    return MomentVector(mean=mean, central=central, raw=raw, exact=True)
+        raw = _power_means(range(d.a, d.b + 1), top)
+    return _exact_vector(raw, max_central_order)
+
+
+def _power_means(xs, top: int) -> dict:
+    """Exact raw moments of orders 1..top of the values xs, each weighted equally."""
+    return {j: Fraction(sum(x**j for x in xs), len(xs)) for j in range(1, top + 1)}
+
+
+def _exact_vector(raw: dict, max_central_order: int) -> MomentVector:
+    """Exact MomentVector from raw moments of orders 1..max(4, max_central_order)."""
+    return MomentVector(
+        mean=raw[1],
+        central=central_from_raw({j: raw[j] for j in range(1, max_central_order + 1)}, raw[1]),
+        raw={j: raw[j] for j in range(1, 5)},
+        exact=True,
+    )
 
 
 def central_from_raw(raw, mean):
     """Binomial transform raw -> central; raw must cover orders 1..max(raw)."""
-    out = {}
-    for m in sorted(raw):
-        if m < 2:
-            continue
-        acc = 0
-        for j in range(0, m + 1):
-            rj = 1 if j == 0 else raw[j]
-            acc = acc + comb(m, j) * rj * (-mean) ** (m - j)
-        out[m] = acc
-    return out
+    full = {0: 1, **raw}
+    return {
+        m: sum(comb(m, j) * full[j] * (-mean) ** (m - j) for j in range(m + 1))
+        for m in sorted(raw) if m >= 2
+    }
 

@@ -238,9 +238,7 @@ def expression_blocks(order: int) -> dict[tuple[int, int], tuple[Term, ...]]:
     }
 
 
-_EXPR_CACHE: dict[int, VarianceExpression] = {}
-
-
+@lru_cache(maxsize=None)
 def generate_expression(order: int) -> VarianceExpression:
     """Merged, canonically ordered variance expression of the given order.
 
@@ -251,8 +249,6 @@ def generate_expression(order: int) -> VarianceExpression:
     """
     if order < 1:
         raise DomainError("order must be >= 1")
-    if order in _EXPR_CACHE:
-        return _EXPR_CACHE[order]
     top = factorial(order)
     acc: dict[tuple, int] = {}
     for k in range(1, order + 1):
@@ -268,9 +264,7 @@ def generate_expression(order: int) -> VarianceExpression:
         for (e, g, powers), q in sorted(acc.items())
         if q
     )
-    expr = VarianceExpression(order=order, terms=terms)
-    _EXPR_CACHE[order] = expr
-    return expr
+    return VarianceExpression(order=order, terms=terms)
 
 
 def _needed_central(expr: VarianceExpression, central, convert) -> dict:

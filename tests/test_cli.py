@@ -3,7 +3,9 @@ import io
 import json
 import time
 import warnings
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -335,8 +337,11 @@ def test_gen_expr_rejects_bad_input_in_one_line(order, fmt, extra):
 
 @given(
     dist=_DIST,
-    n=_flag(st.sampled_from(["2", "12", "3,5"]), st.sampled_from(["0", "-2", "x", "", "1,,2", "4,0"])),
-    reps=_flag(st.integers(2, 50).map(str), st.sampled_from(["1", "0", "-3", "x", "1.5"])),
+    # huge sizes and replicate counts are refused by the memory prediction
+    n=_flag(st.sampled_from(["2", "12", "3,5"]),
+            st.sampled_from(["0", "-2", "x", "", "1,,2", "4,0", "1000000000000", "3,10000000000"])),
+    reps=_flag(st.integers(2, 50).map(str),
+               st.sampled_from(["1", "0", "-3", "x", "1.5", "10000000000000", "3000000000"])),
     seed=_flag(st.integers(0, 2**32).map(str),
                st.sampled_from(["-1", str(2**128), str(2**130), "x", "1.5"])),
     order=_ORDER,
@@ -346,10 +351,12 @@ def test_gen_expr_rejects_bad_input_in_one_line(order, fmt, extra):
 def test_mc_rejects_bad_input_in_one_line(dist, n, reps, seed, order, threads):
     if not (dist[1] or n[1] or reps[1] or seed[1] or order[1] or threads[1]):
         reps = ("1", True)
-    _assert_one_line_failure(
-        ["mc", "--dist", dist[0], "--n", n[0], "--reps", reps[0], "--seed", seed[0],
-         "--order", order[0], "--threads", threads[0]]
-    )
+    # every case is refused, so none may allocate a result array
+    with mock.patch.object(np, "empty", side_effect=AssertionError("allocated")):
+        _assert_one_line_failure(
+            ["mc", "--dist", dist[0], "--n", n[0], "--reps", reps[0], "--seed", seed[0],
+             "--order", order[0], "--threads", threads[0]]
+        )
 
 
 class TestMc:
@@ -374,6 +381,24 @@ class TestMc:
 
     def test_bad_sizes(self, capsys):
         assert main(["mc", "--dist", "geom:p=1/2", "--n", "ten"]) == 2
+
+    @pytest.mark.parametrize("n, reps, gib", [
+        ("5", "10000000000000", "372,529.0"),
+        ("1000000000000", "10", "223,517.4"),
+        ("5", "3000000000", "111.8"),
+        ("5,12,100000000", "100", "35.8"),
+    ])
+    def test_huge_run_is_refused_before_allocating(self, capsys, n, reps, gib):
+        start = time.perf_counter()
+        with mock.patch.object(np, "empty", side_effect=AssertionError("allocated")):
+            assert main(["mc", "--dist", "geom:p=1/2", "--n", n, "--reps", reps]) == 1
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        size = n.split(",")[-1]
+        assert captured.err.splitlines() == [
+            f"error: N={size} with {reps} replicates needs about {gib} GiB, past the 2 GiB memory limit"
+        ]
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_threads_below_one_is_usage_error(self, capsys, threads):

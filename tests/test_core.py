@@ -1,9 +1,10 @@
 import json
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from restime.core import (
     DistributionSpec,
@@ -349,6 +350,59 @@ class TestFormatting:
         # the printed value never deviates by more than one unit in the last place
         parsed = Fraction(format_rational(v, digits))
         assert abs(parsed - v) / v <= Fraction(1, 10 ** (digits - 1))
+
+    @given(
+        st.one_of(
+            # signed rationals from about 1e-440 to 1e440
+            st.tuples(
+                st.builds(lambda a, b, j: Fraction(a, b) * Fraction(10) ** j,
+                          st.integers(-10**40, 10**40), st.integers(1, 10**40),
+                          st.integers(-400, 400)),
+                st.integers(1, 40),
+            ),
+            # exact ties (2k+1)/2 * 10^j, rounded at the place of the half
+            st.builds(lambda k, j, sign: (sign * Fraction(2 * k + 1, 2) * Fraction(10) ** j,
+                                          len(str(k))),
+                      st.integers(1, 10**30), st.integers(-300, 300), st.sampled_from([1, -1])),
+        )
+    )
+    @settings(max_examples=400)
+    def test_half_even_to_significant_digits(self, case):
+        v, digits = case
+        out = format_rational(v, digits)
+        if v == 0:
+            assert out == ("0." + "0" * (digits - 1) if digits > 1 else "0")
+            return
+        mag = abs(v)
+        e = len(str(mag.numerator)) - len(str(mag.denominator))  # floor(log10) or one above
+        if Fraction(10) ** e > mag:
+            e -= 1
+        ulp = Fraction(10) ** (e - digits + 1)
+        # exactly `digits` significant digits; an integer output pads with zeros
+        sig = out.lstrip("-").replace(".", "").lstrip("0")
+        if "." in out:
+            assert len(sig) == digits
+        else:
+            assert len(sig) >= digits and set(sig[digits:]) <= {"0"}
+        # within half a unit in the input's last place, and a tie goes to even
+        q = Fraction(out) / ulp
+        assert q.denominator == 1
+        assert abs(Fraction(out) - v) <= ulp / 2
+        if (v / ulp).denominator == 2:
+            assert q.numerator % 2 == 0
+        assert out.startswith("-") == (v < 0)
+
+    def test_prints_past_the_int_string_limit(self):
+        old_limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            third = format_rational(Fraction(1, 3), 4300)
+            big = format_rational(Fraction(10**5000 + 1, 7), 4300)
+        finally:
+            sys.set_int_max_str_digits(old_limit)
+        assert third == "0." + "3" * 4300
+        # 10^5000/7 = 142857 repeated: the 4301st digit, 5 (then 7...), rounds 1428 up
+        assert big == "142857" * 716 + "1429" + "0" * 700
 
 
 class TestEstimateReport:

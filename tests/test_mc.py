@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -194,6 +195,31 @@ class TestRunExperiment:
         )
         run_experiment(cfg)
         assert calls == [(2, 30, 10_000), (8, 30, 10_000), (2, 158, 10_000), (8, 158, 10_000)]
+
+    @pytest.mark.parametrize("n, reps, order", [(158, 3000, 8), (5, 20_000, 8), (30, 5000, 2), (20_000, 20, 1)])
+    def test_peak_bytes_predicts_the_traced_peak(self, n, reps, order):
+        cfg = ExperimentConfig(dist=GEOM_HALF, sizes=(n,), replicates=reps, seed=3,
+                               estimators=("ratio", f"taylor{order}"))
+        run_experiment(cfg)  # the expression and its prepared form are kept from here on
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        predicted = mc._layout(n, reps, 2, 2 * order)[2]
+        assert 0.6 * predicted < peak < 1.05 * predicted
+
+    def test_memory_limit_is_checked_per_size_before_any_work(self, monkeypatch):
+        cfg = ExperimentConfig(dist=GEOM_HALF, sizes=(5, 40), replicates=50, seed=1)
+        need = mc._layout(40, 50, 2, 16)[2]
+        assert need > mc._layout(5, 50, 2, 16)[2]
+        monkeypatch.setattr(mc, "_MEMORY_LIMIT", need)
+        assert len(run_experiment(cfg)) == 2
+        monkeypatch.setattr(mc, "_MEMORY_LIMIT", need - 1)
+        monkeypatch.setattr(mc, "replicate_stream", None)  # N=5 drawing first would fail
+        with pytest.raises(DomainError, match="^N=40 with 50 replicates needs about"):
+            run_experiment(cfg)
 
 
 ENGINE_DISTS = [

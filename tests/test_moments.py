@@ -73,6 +73,17 @@ def test_exact_sample_moments_match_definition(steps, order):
     assert m.central.get(2, 0) >= 0
 
 
+@given(st.lists(st.integers(min_value=1, max_value=10**30), min_size=1, max_size=12),
+       st.integers(min_value=2, max_value=16))
+@settings(max_examples=40)
+def test_exact_sample_moments_match_definition_on_large_steps(steps, order):
+    # the binomial transform of raw power sums stays exact however large the steps
+    m = sample_moments(ResidenceSample(steps=tuple(steps)), max_central_order=order, exact=True)
+    assert m.central == central_moments_direct(steps, order)
+    assert m.raw == {j: Fraction(sum(x**j for x in steps), len(steps)) for j in range(1, 5)}
+    assert m.mean == m.raw[1]
+
+
 class TestExactMoments:
     def test_uniform_closed_forms(self):
         m = exact_moments(DistributionSpec.uniform(1, 100))

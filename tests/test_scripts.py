@@ -56,3 +56,19 @@ def test_bad_value_is_one_error_line(script):
     assert done.returncode == 2
     assert done.stderr.splitlines() == [line]
     assert done.stdout == ""
+
+
+def test_exact_table_prints_the_exact_subcommand_column():
+    done = _run("exact_table.py", "--digits", "6")
+    assert done.returncode == 0
+    blocks = done.stdout.split("\n\n")
+    block = next(b for b in blocks if b.startswith("uniform:a=93,b=100  N=10\n"))
+    table = [line.split() for line in block.splitlines()[1:]]
+    cli = subprocess.run(
+        [sys.executable, "-m", "restime.cli", "exact", "--dist", "uniform:a=93,b=100", "--n", "10",
+         "--digits", "6"],
+        env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, timeout=60,
+    )
+    assert cli.returncode == 0
+    assert table == [line.split(",") for line in cli.stdout.splitlines()[1:]]
+    assert [label for label, _ in table] == ["ratio"] + [f"taylor{m}" for m in range(1, 9)] + ["exact"]

@@ -220,6 +220,10 @@ class TestGenerate:
             expr = generate_expression(order)
             assert normalize_expression(expr) == expr
 
+    def test_generation_is_cached_per_order(self):
+        assert generate_expression(6) is generate_expression(6)
+        assert generate_expression.cache_info().currsize >= 1
+
     def test_generation_builds_no_raw_rows(self):
         code = (
             "import restime.taylor as t; t.generate_expression(8); "
