@@ -286,10 +286,14 @@ def format_rational(value: Fraction | float, digits: int = 16) -> str:
     The exact rational is divided in a decimal context of that precision,
     which rounds half-even once, and the quotient is padded to the full
     digit count; zero prints as 0 with digits - 1 zeros after the point.
+    A NaN or infinite float raises DomainError.
     """
     if digits < 1:
         raise DomainError("digits must be >= 1")
-    fr = Fraction(value)
+    try:
+        fr = Fraction(value)
+    except (ValueError, OverflowError):
+        raise DomainError(f"cannot format {value!r}: not a finite number") from None
     ctx = Context(prec=digits, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX, Emin=MIN_EMIN)
     q = ctx.divide(Decimal(fr.numerator), fr.denominator)
     # an exact quotient may be shorter than digits: pad it with trailing zeros

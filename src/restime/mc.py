@@ -109,9 +109,11 @@ class ExperimentRow:
     ses: dict[str, float]
 
 
-# a draw chunk holds at most CHUNK_ROWS replicates and about CHUNK_DRAWS draws
+# a draw chunk holds at most CHUNK_ROWS replicates and about CHUNK_DRAWS draws;
+# a (chunk, n) float64 array is then at most 512 KiB, so the three a chunk pass
+# holds at once (x and two temporaries) fit a 2 MiB per-core L2 cache
 CHUNK_ROWS = 4096
-CHUNK_DRAWS = 2_000_000
+CHUNK_DRAWS = 65_536
 # replicates whose moments are collected for one series evaluation; its cost is
 # thousands of array ops whatever the row count, and its inputs are 8 bytes per
 # row for each of the mean and the central moments

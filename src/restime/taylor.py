@@ -238,14 +238,23 @@ def expression_blocks(order: int) -> dict[tuple[int, int], tuple[Term, ...]]:
     }
 
 
-@lru_cache(maxsize=None)
 def generate_expression(order: int) -> VarianceExpression:
     """Merged, canonically ordered variance expression of the given order.
 
-    Generation is exact and cached per order.  The merged (k, l) blocks are
-    summed as integers over the common denominator 4 * (order!)^2, each
-    off-diagonal block counted twice; nonzero sums become the terms, sorted
-    by (n_exponent, mu_exponent, moment_powers).
+    Generation is exact and cached per order: a positional and a keyword
+    call return the same expression.  cache_info() reports the cache.
+    """
+    return _generate(order)
+
+
+@lru_cache(maxsize=None)
+def _generate(order: int) -> VarianceExpression:
+    """generate_expression's body, cached by the order alone.
+
+    The merged (k, l) blocks are summed as integers over the common
+    denominator 4 * (order!)^2, each off-diagonal block counted twice;
+    nonzero sums become the terms, sorted by (n_exponent, mu_exponent,
+    moment_powers).
     """
     if order < 1:
         raise DomainError("order must be >= 1")
@@ -265,6 +274,9 @@ def generate_expression(order: int) -> VarianceExpression:
         if q
     )
     return VarianceExpression(order=order, terms=terms)
+
+
+generate_expression.cache_info = _generate.cache_info
 
 
 def _needed_central(expr: VarianceExpression, central, convert) -> dict:

@@ -334,6 +334,11 @@ class TestFormatting:
     def test_large_integer_scale(self):
         assert format_rational(Fraction(12345, 1), 3) == "12300"
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=repr)
+    def test_non_finite_float_is_a_domain_error(self, value):
+        with pytest.raises(DomainError, match=r"^cannot format .*: not a finite number$"):
+            format_rational(value, 16)
+
     def test_fixed_decimals(self):
         assert format_fixed(Fraction(317, 100), 2) == "3.17"
         assert format_fixed(Fraction(741, 1000), 8) == "0.74100000"

@@ -265,7 +265,9 @@ class TestEngineMatchesReference:
         assert repr(rows) == repr(self._per_replicate_engine(cfg, monkeypatch))
 
     def test_multi_chunk(self, monkeypatch):
-        # N=1000 takes chunks of 2000 rows, so 4500 replicates span three
+        # with a 2,000,000-draw budget N=1000 takes chunks of 2000 rows, so
+        # 4500 replicates span three
+        monkeypatch.setattr(mc, "CHUNK_DRAWS", 2_000_000)
         cfg = ExperimentConfig(
             dist=DistributionSpec.geometric(Fraction(1, 20)),
             sizes=(1000,),
@@ -276,16 +278,20 @@ class TestEngineMatchesReference:
         assert repr(rows) == repr(self._per_replicate_engine(cfg, monkeypatch))
 
     @pytest.mark.parametrize(
-        "block, evaluated",
+        "draws, block, evaluated",
         [
-            # a block rounds down to whole chunks, and holds at least one:
-            # N=30 takes chunks of 4096 rows, N=1000 chunks of 2000
-            (1000, [4096, 404, 2000, 2000, 500]),
-            (4000, [4096, 404, 4000, 500]),
+            # a block rounds down to whole chunks, and holds at least one;
+            # with a 2,000,000-draw budget N=30 takes chunks of 4096 rows,
+            # N=1000 chunks of 2000
+            (2_000_000, 1000, [4096, 404, 2000, 2000, 500]),
+            (2_000_000, 4000, [4096, 404, 4000, 500]),
+            # with the default 65,536 N=30 takes chunks of 2184 rows and
+            # N=1000 chunks of 65, so a 1000-row block holds 15 of them
+            (65_536, 1000, [2184, 2184, 132, 975, 975, 975, 975, 600]),
         ],
-        ids=["block1000", "block4000"],
+        ids=["block1000", "block4000", "draws65536-block1000"],
     )
-    def test_multi_block(self, block, evaluated, monkeypatch):
+    def test_multi_block(self, draws, block, evaluated, monkeypatch):
         cfg = ExperimentConfig(
             dist=DistributionSpec.geometric(Fraction(1, 20)),
             sizes=(30, 1000),
@@ -293,6 +299,7 @@ class TestEngineMatchesReference:
             seed=11,
             estimators=("ratio", "taylor8"),
         )
+        monkeypatch.setattr(mc, "CHUNK_DRAWS", draws)
         monkeypatch.setattr(mc, "EVAL_BLOCK", block)
         calls = _record_batches(monkeypatch)
         rows = run_experiment(cfg)
@@ -300,6 +307,21 @@ class TestEngineMatchesReference:
         # the per-replicate engine runs with the default block, one per size
         monkeypatch.undo()
         assert repr(rows) == repr(self._per_replicate_engine(cfg, monkeypatch))
+
+    def test_rows_do_not_depend_on_the_draw_budget(self, monkeypatch):
+        cfg = ExperimentConfig(
+            dist=DistributionSpec.geometric(Fraction(1, 20)),
+            sizes=(30, 158),
+            replicates=3000,
+            seed=11,
+            estimators=("ratio", "taylor8"),
+        )
+        outputs = []
+        # chunks at N=30 and N=158: 3000 and 3000 rows, 2184 and 414, 33 and 16
+        for draws in (2_000_000, 65_536, 1000):
+            monkeypatch.setattr(mc, "CHUNK_DRAWS", draws)
+            outputs.append(repr(run_experiment(cfg)))
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 class TestExactVariance:

@@ -224,6 +224,9 @@ class TestGenerate:
         assert generate_expression(6) is generate_expression(6)
         assert generate_expression.cache_info().currsize >= 1
 
+    def test_keyword_call_shares_the_cache(self):
+        assert generate_expression(order=3) is generate_expression(3)
+
     def test_generation_builds_no_raw_rows(self):
         code = (
             "import restime.taylor as t; t.generate_expression(8); "
