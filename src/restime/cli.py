@@ -9,6 +9,7 @@ for domain errors (e.g. empty sample, a step beyond float range).
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import math
 import sys
@@ -241,7 +242,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The restime parser, built once per process and shared by every main() call.
+
+    Parsing leaves it unchanged, and usage and error text are formatted when
+    printed, so a shared parser prints what a new one would.
+    """
     parser = _Parser(
         prog="restime",
         description="Residence and residual time estimation from 0/1 traces",

@@ -12,6 +12,7 @@ from dataclasses import asdict, dataclass
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import Mapping
 
 import numpy as np
@@ -143,6 +144,22 @@ class MomentVector:
             raise DomainError("central moment orders start at 2")
         if 2 in self.central and self.central[2] < 0:
             raise DomainError("second central moment cannot be negative")
+
+
+def _integer_scale(mean, values: Mapping[int, Scalar]) -> tuple[int, int, dict[int, int]]:
+    """Integers (d, M, {m: B_m}) with mean = M/d and values[m] = B_m/d^m.
+
+    mean and the values are exact (Fraction or int).  d starts as mean's
+    denominator and, order by order, takes on the part of values[m]'s
+    denominator that d^m does not yet divide.  Any such d gives the same
+    exact results; this greedy one stays near the moments' own scale.
+    """
+    top, bottom = mean.as_integer_ratio()
+    ratios = {m: v.as_integer_ratio() for m, v in sorted(values.items())}
+    d = bottom
+    for m, (_, q) in ratios.items():
+        d *= q // gcd(q, d**m)
+    return d, top * (d // bottom), {m: p * (d**m // q) for m, (p, q) in ratios.items()}
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ from math import comb, isfinite
 
 import numpy as np
 
-from .core import DistributionSpec, DomainError, MomentVector, ResidenceSample
+from .core import DistributionSpec, DomainError, MomentVector, ResidenceSample, _integer_scale
 from .taylor import MAX_ORDER
 
 
@@ -99,10 +99,17 @@ def _exact_vector(raw: dict, max_central_order: int) -> MomentVector:
 
 
 def central_from_raw(raw, mean):
-    """Binomial transform raw -> central; raw must cover orders 1..max(raw)."""
-    full = {0: 1, **raw}
+    """Binomial transform raw -> central; raw must cover orders 1..max(raw).
+
+    The values are exact (Fraction or int), and so are the Fraction
+    results.  With raw_j = R_j/d^j and mean = M/d in integers
+    (core._integer_scale), mu_m = sum_j C(m, j) R_j (-M)^(m-j) / d^m, so
+    each central moment is one integer sum and one Fraction.
+    """
+    d, shifted, scaled = _integer_scale(mean, raw)
+    full = {0: 1, **scaled}
     return {
-        m: sum(comb(m, j) * full[j] * (-mean) ** (m - j) for j in range(m + 1))
+        m: Fraction(sum(comb(m, j) * full[j] * (-shifted) ** (m - j) for j in range(m + 1)), d**m)
         for m in sorted(raw) if m >= 2
     }
 

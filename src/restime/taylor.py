@@ -26,7 +26,7 @@ from math import factorial, lcm
 
 import numpy as np
 
-from .core import DomainError, MomentVector, Term, VarianceExpression
+from .core import DomainError, MomentVector, Term, VarianceExpression, _integer_scale
 
 # the highest series order that the CLI, the estimator labels and exact_moments accept
 MAX_ORDER = 8
@@ -292,32 +292,46 @@ _PREPARED_BOUND = 8
 
 
 def _collapsed(expr: VarianceExpression, n) -> tuple:
-    """Exact prepared form: the terms summed per (mu_exponent, moment_powers) at N = n.
+    """Exact prepared form at N = n: (entries, den, shift), all integers.
 
-    Each sum is built in integers over one denominator, the lcm of the
-    coefficient denominators times N^e_max, then made one Fraction.
+    Every term has total degree 2 in the moments (mu_exponent + sum of
+    m * c over its moment powers is 2), so with mean = A/d and
+    mu_m = B_m/d^m a term is its coefficient times A^g * prod(B_m^c) / d^2.
+    The coefficients at N are written over one denominator den, the lcm of
+    the coefficient denominators times N^e_max, and their numerators are
+    summed per (mu_exponent, moment_powers).  Each entry is (numerator,
+    g + shift, moment_powers), with shift = max(0, -min g) so that every
+    power of A is whole; the series is then
+    sum(numerator * A^(g + shift) * prod(B_m^c)) / (den * d^2 * A^shift).
+    A term of any other degree raises DomainError.
     """
-    coefs = [Fraction(t.coef) for t in expr.terms]
-    den = lcm(*(q.denominator for q in coefs))
+    for t in expr.terms:
+        if t.mu_exponent + sum(m * c for m, c in t.moment_powers) != 2:
+            raise DomainError(f"term {t.text()} is not of total degree 2 in the moments")
+    ratios = [Fraction(t.coef).as_integer_ratio() for t in expr.terms]
+    den = lcm(*(q for _, q in ratios))
     top = max((t.n_exponent for t in expr.terms), default=0)
+    shift = max(0, *(-t.mu_exponent for t in expr.terms))
     # N = p/r, so N^-e = r^e * p^(top - e) / p^top
     p, r = Fraction(n).as_integer_ratio()
     scale = {e: p ** (top - e) * r**e for e in {t.n_exponent for t in expr.terms}}
     acc: dict[tuple, int] = {}
-    for t, q in zip(expr.terms, coefs):
-        key = (t.mu_exponent, t.moment_powers)
-        acc[key] = acc.get(key, 0) + q.numerator * (den // q.denominator) * scale[t.n_exponent]
-    den *= p**top
-    return tuple((Fraction(v, den), g, powers) for (g, powers), v in acc.items())
+    for t, (a, q) in zip(expr.terms, ratios):
+        key = (t.mu_exponent + shift, t.moment_powers)
+        acc[key] = acc.get(key, 0) + a * (den // q) * scale[t.n_exponent]
+    entries = tuple((v, g, powers) for (g, powers), v in acc.items())
+    return entries, den * p**top, shift
 
 
 def _prepared(expr: VarianceExpression, n, exact: bool) -> tuple:
-    """(coefficient at N, mu_exponent, moment_powers) entries of expr at N = n.
+    """The prepared form of expr at N = n, whose entries _evaluate reads.
 
-    The exact form is _collapsed.  The float form keeps one entry per term,
-    holding float(coef) * float(N) ** -n_exponent, the product a per-term
-    float sum starts each term with, so float results keep every byte.
-    Kept on the expression, at most _PREPARED_BOUND forms, oldest dropped first.
+    The exact form is _collapsed's (entries, den, shift), in integers.  The
+    float form is a tuple of one (coefficient at N, mu_exponent,
+    moment_powers) entry per term, the coefficient being
+    float(coef) * float(N) ** -n_exponent, the product a per-term float sum
+    starts each term with, so float results keep every byte.  Kept on the
+    expression, at most _PREPARED_BOUND forms, oldest dropped first.
     """
     cache = expr._prepared_forms
     form = cache.get((n, exact))
@@ -336,19 +350,20 @@ def _prepared(expr: VarianceExpression, n, exact: bool) -> tuple:
     return form
 
 
-def _evaluate(form: tuple, mean, central: dict, num):
-    """The one series evaluator: substitute moments into a prepared form.
+def _evaluate(entries: tuple, mean, central: dict, num):
+    """The one series evaluator: substitute moments into prepared entries.
 
-    form is _prepared's tuple of (coefficient at N, mu_exponent,
-    moment_powers), so N is already in the coefficients; num is Fraction or
-    float and gives the zero the sum starts from.  mean and central hold
-    Fractions, Python floats or float64 arrays, and ** acts on them as
-    given, so every regime keeps its own pow.  Each distinct power is
-    computed once; the operations run in one fixed order, entry by entry.
+    entries are (coefficient, mu_exponent, moment_powers) triples with N
+    already in the coefficients: the float form of _prepared, or the
+    integer entries of the exact one.  num is float or int and gives the
+    zero the sum starts from.  mean and central hold Python ints (the exact
+    form's A and B_m), Python floats or float64 arrays, and ** acts on
+    them as given, so every regime keeps its own pow.  Each distinct power
+    is computed once; the operations run in one fixed order, entry by entry.
     """
     total = num(0)
     mu_pows, powers = {}, {}
-    for val, mu_exponent, moment_powers in form:
+    for val, mu_exponent, moment_powers in entries:
         if mu_exponent:
             if mu_exponent not in mu_pows:
                 mu_pows[mu_exponent] = mean**mu_exponent
@@ -364,17 +379,21 @@ def _evaluate(form: tuple, mean, central: dict, num):
 def evaluate_expression(expr: VarianceExpression, mom: MomentVector, n: int):
     """Substitute moments and N into an expression; exact when mom is exact.
 
+    The exact value is integer work on _collapsed's form and on the moments
+    written over one integer d (core._integer_scale), then one Fraction.
     A float power that overflows raises DomainError.
     """
     if n < 1:
         raise DomainError("N must be >= 1")
-    num = Fraction if mom.exact else float
-    mean, central = num(mom.mean), _needed_central(expr, mom.central, num)
+    if mom.exact:
+        central = _needed_central(expr, mom.central, Fraction)
+        d, mean, central = _integer_scale(Fraction(mom.mean), central)
+        entries, den, shift = _prepared(expr, n, True)
+        return Fraction(_evaluate(entries, mean, central, int), den * d * d * mean**shift)
+    mean, central = float(mom.mean), _needed_central(expr, mom.central, float)
     try:
-        return _evaluate(_prepared(expr, n, mom.exact), mean, central, num)
+        return _evaluate(_prepared(expr, n, False), mean, central, float)
     except OverflowError:
-        if mom.exact:
-            raise
         raise DomainError(f"order-{expr.order} series overflows float64") from None
 
 

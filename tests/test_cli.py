@@ -1,15 +1,19 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from restime.cli import main
+from restime.cli import build_parser, main
 
 TRACES = "0 1 1 0 1 1 1 0 0 1 1 0\n0 1 0 1 1 1 1 0\n"
 
@@ -578,3 +582,23 @@ class TestUsage:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err != ""
+
+    def test_calls_in_one_process_print_what_fresh_processes_print(self, rts_file, capsys):
+        # main() reuses one parser per process; a usage error must leave nothing
+        # behind for the calls after it
+        calls = [
+            ["exact", "--dist", "uniform:a=1,b=40", "--n"],
+            ["exact", "--dist", "uniform:a=1,b=40", "--n", "5", "--orders", "1..8"],
+            ["estimate", "--rts", rts_file, "--order", "3", "--dt", "0.5"],
+            ["estimate", "--rts", rts_file, "--method", "nope"],
+            ["exact", "--dist", "uniform:a=93,b=100", "--n", "10", "--digits", "6"],
+        ]
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        for argv in calls:
+            code = main(argv)
+            captured = capsys.readouterr()
+            fresh = subprocess.run([sys.executable, "-m", "restime.cli", *argv], env=env,
+                                   capture_output=True, text=True, timeout=60)
+            assert code == fresh.returncode
+            assert (captured.out, captured.err) == (fresh.stdout, fresh.stderr)
+        assert build_parser() is build_parser()

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import time
 import tracemalloc
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from restime import mc, taylor
-from restime.core import DistributionSpec, DomainError
+from restime.core import DistributionSpec, DomainError, format_rational
 from restime.mc import (
     ExperimentConfig,
     exact_variance_small,
@@ -356,14 +357,23 @@ class TestExactVariance:
         assert time.perf_counter() - start < 0.5
 
     @given(
-        st.integers(min_value=1, max_value=30),
-        st.integers(min_value=0, max_value=5),
+        # a up to 10^12 and widths up to 10 vary the packed field width from 1 to 29 bytes
+        st.integers(min_value=1, max_value=10**12),
+        st.integers(min_value=0, max_value=10),
         st.integers(min_value=1, max_value=5),
     )
     @settings(max_examples=60, deadline=None)
     def test_matches_multiset_enumeration(self, a, width, n):
         got = exact_variance_small(DistributionSpec.uniform(a, a + width), n)
         assert got == multiset_enumeration_variance(a, a + width, n)
+
+    def test_largest_accepted_class_keeps_its_value(self):
+        # uniform 1..50 at N=40 (predicted work 1,913,000, just under the guard), as
+        # computed by the triple recurrence over S that the packed products replaced
+        v = exact_variance_small(DistributionSpec.uniform(1, 50), 40)
+        digest = hashlib.sha256(f"{v.numerator}/{v.denominator}".encode()).hexdigest()
+        assert digest == "d7cfbf242726592e8e0f4895c98130ed587fe792e3db145a7a15df5aecaa515c"
+        assert format_rational(v, 20) == "0.95891475157278695800"
 
     def test_rejects_zero_draws(self):
         with pytest.raises(DomainError):

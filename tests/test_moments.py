@@ -132,6 +132,21 @@ class TestTransforms:
         for order, v in m.central.items():
             assert central[order] == v
 
+    @given(
+        st.builds(Fraction, st.integers(min_value=-10**6, max_value=10**6),
+                  st.integers(min_value=1, max_value=10**4)),
+        st.lists(st.builds(Fraction, st.integers(min_value=-10**200, max_value=10**200),
+                           st.integers(min_value=1, max_value=10**30)), min_size=1, max_size=15),
+    )
+    @settings(max_examples=60)
+    def test_round_trip_on_random_exact_moments(self, mean, central):
+        # any mean, integer or not, and central moments far from one common scale
+        central = {m: v for m, v in enumerate(central, start=2)}
+        central[2] = abs(central[2])
+        back = central_from_raw(raw_from_central(central, mean), mean)
+        assert back == central
+        assert all(type(v) is Fraction for v in back.values())
+
     @given(st.lists(st.integers(min_value=1, max_value=30), min_size=2, max_size=15))
     @settings(max_examples=40)
     def test_round_trip_on_samples(self, steps):

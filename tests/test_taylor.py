@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import restime
 from restime import mc
@@ -381,13 +382,49 @@ class TestCollapsed:
             assert isinstance(value, Fraction)
             assert value == per_term_series(expr, mom, n)
 
+    def test_every_term_has_total_degree_two(self):
+        # the exact form writes each term over d^2, d the moments' common scale
+        for order in range(1, 9):
+            for t in generate_expression(order).terms:
+                assert t.mu_exponent + sum(m * c for m, c in t.moment_powers) == 2
+
+    def test_term_of_another_degree_is_refused(self):
+        expr = VarianceExpression(order=1, terms=(Term(coef=Fraction(1, 4), n_exponent=1,
+                                                       mu_exponent=-1, moment_powers=((2, 1),)),))
+        mom = MomentVector(mean=Fraction(2), central={2: Fraction(3)}, raw={}, exact=True)
+        with pytest.raises(DomainError, match="not of total degree 2"):
+            evaluate_expression(expr, mom, 7)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_term_sum_on_random_moments(self, data):
+        order = data.draw(st.integers(min_value=1, max_value=8))
+        expr = generate_expression(order)
+        ratio = st.builds(Fraction, st.integers(min_value=-10**200, max_value=10**200),
+                          st.integers(min_value=1, max_value=10**30))
+        central = {m: data.draw(ratio) for m in expr.central_orders}
+        central[2] = abs(central[2])
+        # a mean of either sign, integer or not; N an integer or a rational >= 1
+        mean = data.draw(st.builds(Fraction, st.integers(min_value=1, max_value=10**6),
+                                   st.integers(min_value=1, max_value=10**4)))
+        mean *= data.draw(st.sampled_from([1, -1]))
+        n = data.draw(st.one_of(st.integers(min_value=1, max_value=10**4),
+                                st.builds(lambda q, k: Fraction(q + k, q),
+                                          st.integers(min_value=1, max_value=10**3),
+                                          st.integers(min_value=0, max_value=10**5))))
+        mom = MomentVector(mean=mean, central=central, raw={}, exact=True)
+        assert evaluate_expression(expr, mom, n) == per_term_series(expr, mom, n)
+
     def test_one_entry_per_monomial(self):
         expr = generate_expression(8)
         form = _prepared(expr, 5, True)
-        keys = [(g, powers) for _, g, powers in form]
+        entries, den, shift = form
+        assert shift == -min(t.mu_exponent for t in expr.terms) == 14
+        keys = [(g - shift, powers) for _, g, powers in entries]
         assert len(set(keys)) == len(keys)
         assert set(keys) == {(t.mu_exponent, t.moment_powers) for t in expr.terms}
-        assert len(form) < len(expr.terms)
+        assert len(entries) < len(expr.terms)
+        assert all(type(v) is int for v, _, _ in entries) and type(den) is int
         assert _prepared(expr, 5, True) is form
 
     def test_float_form_is_one_entry_per_term(self):
