@@ -153,7 +153,8 @@ def cmd_exact(args: argparse.Namespace) -> None:
 def _exact_column(dist: DistributionSpec, n: int, orders) -> tuple[list, str | None]:
     """(label, Fraction) rows ratio, taylorM per order and, when enumerable, exact;
     and None, or why exact is missing (infinite support or a tractability guard)."""
-    mom = moments.exact_moments(dist, max_central_order=2 * max(orders))
+    # the ratio row reads central orders up to 4, the series up to 2 * order
+    mom = moments.exact_moments(dist, max_central_order=max(4, 2 * max(orders)))
     rows = [("ratio", estimators.ratio_variance_from_moments(mom, n))] + [
         (f"taylor{m}", taylor.evaluate_expression(taylor.generate_expression(m), mom, n))
         for m in orders

@@ -28,11 +28,16 @@ class ParseError(ValueError):
     """Malformed textual input."""
 
 
-def _is_positive_int(x) -> bool:
+def _is_integer(x) -> bool:
+    """True when x equals an int: an int, a bool, a numpy integer or an integral float."""
     try:
-        return x == int(x) and x >= 1
+        return x == int(x)
     except (TypeError, ValueError, OverflowError):
         return False
+
+
+def _is_positive_int(x) -> bool:
+    return _is_integer(x) and x >= 1
 
 
 @dataclass(frozen=True)
@@ -126,24 +131,25 @@ class OccupancyTrace:
 
 @dataclass(frozen=True)
 class MomentVector:
-    """Mean plus central moments (orders >= 2) and raw moments (orders 1..4).
+    """Mean plus central moments of orders >= 2, all Fractions or all floats.
 
-    exact=True means every stored value is a Fraction, otherwise floats.
-    The order-1 central moment is identically zero and not stored.  Float
-    sample moments (moments.sample_moments with exact=False) leave raw
-    empty, since no float estimator reads it.
+    The order-1 central moment is identically zero and not stored.  Every
+    estimator reads only these: the series and the delta-method ratio alike.
     """
 
     mean: Scalar
     central: Mapping[int, Scalar]
-    raw: Mapping[int, Scalar]
-    exact: bool = False
 
     def __post_init__(self):
         if any(m < 2 for m in self.central):
             raise DomainError("central moment orders start at 2")
         if 2 in self.central and self.central[2] < 0:
             raise DomainError("second central moment cannot be negative")
+
+    @property
+    def exact(self) -> bool:
+        """True when the mean is a Fraction, so evaluation stays rational."""
+        return isinstance(self.mean, Fraction)
 
 
 def _integer_scale(mean, values: Mapping[int, Scalar]) -> tuple[int, int, dict[int, int]]:
@@ -177,10 +183,11 @@ class DistributionSpec:
                 raise DomainError("geometric parameter p must satisfy 0 < p < 1")
             object.__setattr__(self, "p", Fraction(self.p))
         elif self.kind == "uniform":
-            if self.a is None or self.b is None or not 1 <= self.a <= self.b:
-                raise DomainError("uniform bounds must satisfy 1 <= a <= b")
-            object.__setattr__(self, "a", int(self.a))
-            object.__setattr__(self, "b", int(self.b))
+            a, b = self.a, self.b
+            if not (_is_positive_int(a) and _is_positive_int(b) and a <= b):
+                raise DomainError(f"uniform bounds must be integers 1 <= a <= b, got a={a!r}, b={b!r}")
+            object.__setattr__(self, "a", int(a))
+            object.__setattr__(self, "b", int(b))
         else:
             raise DomainError(f"unknown distribution kind {self.kind!r}")
 

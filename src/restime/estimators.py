@@ -10,7 +10,7 @@ import numpy as np
 
 from .core import DomainError, EstimateReport, MomentVector, ResidenceSample
 from .moments import sample_moments
-from .taylor import MAX_ORDER, evaluate_expression, generate_expression
+from .taylor import MAX_ORDER, _needed_central, evaluate_expression, generate_expression
 
 
 def mean_residual_steps(s: ResidenceSample, exact: bool = False):
@@ -60,13 +60,13 @@ def var_mean_residence(s: ResidenceSample, exact: bool = False):
 
 
 def var_mrt_ratio(s: ResidenceSample, exact: bool = False):
-    """Delta-method variance of the residual-time statistic from raw moments.
+    """Delta-method variance of the residual-time statistic.
 
     Exact mode evaluates ratio_variance_from_moments on the rational plug-in
     moments; float mode is ratio_variance_rows on a single row.
     """
     if exact:
-        return ratio_variance_from_moments(sample_moments(s, 2, exact=True), s.n)
+        return ratio_variance_from_moments(sample_moments(s, 4, exact=True), s.n)
     x = s.floats[None, :]
     x2 = x * x
     return float(ratio_variance_rows(x, x2, x.mean(axis=1), x2.mean(axis=1))[0])
@@ -88,14 +88,18 @@ def ratio_variance_rows(x: np.ndarray, x2: np.ndarray, m1: np.ndarray, m2: np.nd
 
 
 def ratio_variance_from_moments(mom: MomentVector, n: int):
-    """The same delta-method estimator evaluated from stored raw moments."""
+    """The same delta-method estimator from the mean and central moments 2..4.
+
+    With d = x - mean and a = mean - mu2/mean, the residual x^2 - (m2/m1)*x
+    is d^2 + a*d - mu2, so the mean of its square is
+    mu4 + 2*a*mu3 + a^2*mu2 - mu2^2.
+    """
     if n < 1:
         raise DomainError("N must be >= 1")
-    for j in (1, 2, 3, 4):
-        if j not in mom.raw:
-            raise DomainError(f"raw moment of order {j} required")
-    m1, m2, m3, m4 = (mom.raw[j] for j in (1, 2, 3, 4))
-    bracket = m4 - 2 * m2 * m3 / m1 + m2**3 / m1**2
+    m1 = mom.mean
+    mu2, mu3, mu4 = _needed_central((2, 3, 4), mom.central, lambda v: v).values()
+    a = m1 - mu2 / m1
+    bracket = mu4 + 2 * a * mu3 + a * a * mu2 - mu2 * mu2
     return bracket / (4 * n * m1 * m1)
 
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import taylor
-from .core import DistributionSpec, DomainError, ResidenceSample
+from .core import DistributionSpec, DomainError, ResidenceSample, _is_integer
 from .estimators import _series_order, ratio_variance_rows
 from .moments import row_moments
 
@@ -88,12 +88,16 @@ class ExperimentConfig:
     estimators: tuple[str, ...] = ("ratio", "taylor8")
 
     def __post_init__(self):
+        for n in self.sizes:
+            if not _is_integer(n):
+                raise DomainError(f"sample size must be an integer, got {n!r}")
         sizes = tuple(int(n) for n in self.sizes)
         if not sizes or any(n < 1 for n in sizes):
             raise DomainError("sizes must be a nonempty list of positive integers")
         object.__setattr__(self, "sizes", sizes)
-        if self.replicates < 2:
-            raise DomainError("need at least 2 replicates")
+        if not (_is_integer(self.replicates) and self.replicates >= 2):
+            raise DomainError(f"need an integer number of replicates >= 2, got {self.replicates!r}")
+        object.__setattr__(self, "replicates", int(self.replicates))
         for label in self.estimators:
             _series_order(label)
 

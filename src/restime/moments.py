@@ -12,17 +12,17 @@ from .taylor import MAX_ORDER
 
 
 def sample_moments(s: ResidenceSample, max_central_order: int = 4, exact: bool = False) -> MomentVector:
-    """Plug-in moments of a sample: central orders 2..max, and raw orders 1..4 when exact.
+    """Plug-in mean and central moments of orders 2..max of a sample.
 
     Central moments use the biased 1/N form throughout.  Exact mode puts the
     raw power means through central_from_raw, as exact_moments does; float
-    mode is row_moments on a single row and leaves raw empty, and raises
-    DomainError when a central moment overflows float64.
+    mode is row_moments on a single row, and raises DomainError when a
+    central moment overflows float64.
     """
     if max_central_order < 2:
         raise DomainError("need central moments at least to order 2")
     if exact:
-        return _exact_vector(_power_means(s.steps, max(max_central_order, 4)), max_central_order)
+        return _exact_vector(_power_means(s.steps, max_central_order))
     rows = s.floats[None, :]
     with np.errstate(over="ignore", invalid="ignore"):
         mean, central = row_moments(rows, rows.sum(axis=1), max_central_order)
@@ -30,7 +30,7 @@ def sample_moments(s: ResidenceSample, max_central_order: int = 4, exact: bool =
     bad = [m for m, v in central.items() if not isfinite(v)]
     if bad:
         raise DomainError(f"central moment of order {bad[0]} overflows float64")
-    return MomentVector(mean=float(mean[0]), central=central, raw={}, exact=False)
+    return MomentVector(mean=float(mean[0]), central=central)
 
 
 def row_moments(x: np.ndarray, sums: np.ndarray, max_order: int):
@@ -55,13 +55,9 @@ def _eulerian_rows(nmax: int) -> list[list[int]]:
     """Triangle of Eulerian numbers A(n, j) for rows 0..nmax."""
     rows = [[1]]
     for n in range(1, nmax + 1):
-        prev = rows[-1]
-        row = []
-        for j in range(n):
-            left = prev[j] if j < len(prev) else 0
-            up = prev[j - 1] if j >= 1 else 0
-            row.append((j + 1) * left + (n - j) * up)
-        rows.append(row)
+        # A(n, j) = (j + 1) A(n-1, j) + (n - j) A(n-1, j-1), zero outside the row
+        prev = [0, *rows[-1], 0]
+        rows.append([(j + 1) * prev[j + 1] + (n - j) * prev[j] for j in range(n)])
     return rows
 
 
@@ -74,13 +70,13 @@ def exact_moments(d: DistributionSpec, max_central_order: int = 4) -> MomentVect
     """
     if not 2 <= max_central_order <= 2 * MAX_ORDER:
         raise DomainError(f"central order must lie in 2..{2 * MAX_ORDER}")
-    top = max(max_central_order, 4)
+    top = max_central_order
     if d.kind == "geom":
         q, rows = 1 - d.p, _eulerian_rows(top)
         raw = {n: sum(c * q**j for j, c in enumerate(rows[n])) / d.p**n for n in range(1, top + 1)}
     else:
         raw = _power_means(range(d.a, d.b + 1), top)
-    return _exact_vector(raw, max_central_order)
+    return _exact_vector(raw)
 
 
 def _power_means(xs, top: int) -> dict:
@@ -88,14 +84,9 @@ def _power_means(xs, top: int) -> dict:
     return {j: Fraction(sum(x**j for x in xs), len(xs)) for j in range(1, top + 1)}
 
 
-def _exact_vector(raw: dict, max_central_order: int) -> MomentVector:
-    """Exact MomentVector from raw moments of orders 1..max(4, max_central_order)."""
-    return MomentVector(
-        mean=raw[1],
-        central=central_from_raw({j: raw[j] for j in range(1, max_central_order + 1)}, raw[1]),
-        raw={j: raw[j] for j in range(1, 5)},
-        exact=True,
-    )
+def _exact_vector(raw: dict) -> MomentVector:
+    """Exact MomentVector from raw moments of orders 1..max(raw); the raw ones are not kept."""
+    return MomentVector(mean=raw[1], central=central_from_raw(raw, raw[1]))
 
 
 def central_from_raw(raw, mean):

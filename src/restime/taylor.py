@@ -9,11 +9,11 @@ repetition pattern and counted combinatorially instead of being enumerated
 one tuple at a time.
 
 Each (k, l) block exists in two forms, both built from one per-pattern
-kernel.  The raw block (_block, expression_blocks) keeps one integer row
-per pattern, covariance term and power of N: 52,677 rows at order 8, built
-only when asked for.  The merged block (_merged_block), which is all that
-generate_expression reads, sums those rows per (power of N, moment powers)
-without making them: patterns are first summed per slot count and
+kernel.  The raw block (_build_block) is one integer row per pattern,
+covariance term and power of N: 52,677 rows at order 8, built only by
+expression_blocks and never kept.  The merged block (_merged_block), all
+that generate_expression reads, sums those rows per (power of N, moment
+powers) without making them: patterns are first summed per slot count and
 covariance term, as weights on the four parts of the coefficient product.
 """
 
@@ -170,7 +170,7 @@ _Row = tuple[int, int, int, tuple[tuple[int, int], ...]]
 
 def _build_block(k: int, l: int) -> tuple[_Row, ...]:
     """Raw (unmerged) terms of one (k, l) pair of expansion orders, as integer
-    rows; kept, with _block, for expression_blocks, which perfbench reads."""
+    rows; kept for expression_blocks, which perfbench reads."""
     g = 2 - k - l  # mu exponents of the two coefficients, 1 - k and 1 - l
     return tuple(
         (sign * q, e, g, powers)
@@ -178,19 +178,6 @@ def _build_block(k: int, l: int) -> tuple[_Row, ...]:
         for e, q in _n_poly(k, l, d, (c, c * pa, c * pb, c * pa * pb))
         for sign, powers in sigma
     )
-
-
-@lru_cache(maxsize=None)
-def _block(k: int, l: int) -> tuple[_Row, ...]:
-    """Cached raw rows of the (k, l) block.
-
-    Cov(A, B) = Cov(B, A) makes the (l, k) block the same multiset of terms
-    as the (k, l) block, so only k <= l is ever built.  Kept for
-    expression_blocks, which perfbench reads.
-    """
-    if k > l:
-        return _block(l, k)
-    return _build_block(k, l)
 
 
 @lru_cache(maxsize=None)
@@ -219,23 +206,24 @@ def _merged_block(k: int, l: int) -> tuple[tuple[tuple[int, tuple[tuple[int, int
 
 
 def expression_blocks(order: int) -> dict[tuple[int, int], tuple[Term, ...]]:
-    """Per-(k, l) contributions for all 1 <= k, l <= order.
+    """Per-(k, l) contributions for all 1 <= k, l <= order, from the raw rows.
 
-    Built from the raw rows of _block, which generate_expression never reads.
-    No package code calls this; it stays because perfbench/child.py reads it
-    for its taylor.raw_terms count.
+    Cov(A, B) = Cov(B, A) makes the (l, k) block the same multiset of terms
+    as the (k, l) block, so each k <= l block is built once per call and
+    serves (l, k) too; nothing is kept between calls.  No package code calls
+    this; perfbench/child.py reads it for its taylor.raw_terms count.
     """
     if order < 1:
         raise DomainError("order must be >= 1")
-    return {
-        (k, l): tuple(
-            Term(coef=Fraction(num, 4 * factorial(k) * factorial(l)), n_exponent=e,
-                 mu_exponent=g, moment_powers=powers)
-            for num, e, g, powers in _block(k, l)
-        )
-        for k in range(1, order + 1)
-        for l in range(1, order + 1)
-    }
+    built = {}
+    for k in range(1, order + 1):
+        for l in range(k, order + 1):
+            scale = 4 * factorial(k) * factorial(l)
+            built[k, l] = built[l, k] = tuple(
+                Term(coef=Fraction(num, scale), n_exponent=e, mu_exponent=g, moment_powers=powers)
+                for num, e, g, powers in _build_block(k, l)
+            )
+    return {(k, l): built[k, l] for k in range(1, order + 1) for l in range(1, order + 1)}
 
 
 def generate_expression(order: int) -> VarianceExpression:
@@ -279,12 +267,12 @@ def _generate(order: int) -> VarianceExpression:
 generate_expression.cache_info = _generate.cache_info
 
 
-def _needed_central(expr: VarianceExpression, central, convert) -> dict:
-    """The central moments expr uses, each passed through convert once."""
-    missing = [m for m in expr.central_orders if m not in central]
+def _needed_central(orders, central, convert) -> dict:
+    """The central moments of the given orders, each passed through convert once."""
+    missing = [m for m in orders if m not in central]
     if missing:
         raise DomainError(f"central orders {missing} missing")
-    return {m: convert(central[m]) for m in expr.central_orders}
+    return {m: convert(central[m]) for m in orders}
 
 
 # prepared forms kept per expression; a few sizes cover the CLI and an mc grid
@@ -386,11 +374,11 @@ def evaluate_expression(expr: VarianceExpression, mom: MomentVector, n: int):
     if n < 1:
         raise DomainError("N must be >= 1")
     if mom.exact:
-        central = _needed_central(expr, mom.central, Fraction)
+        central = _needed_central(expr.central_orders, mom.central, Fraction)
         d, mean, central = _integer_scale(Fraction(mom.mean), central)
         entries, den, shift = _prepared(expr, n, True)
         return Fraction(_evaluate(entries, mean, central, int), den * d * d * mean**shift)
-    mean, central = float(mom.mean), _needed_central(expr, mom.central, float)
+    mean, central = float(mom.mean), _needed_central(expr.central_orders, mom.central, float)
     try:
         return _evaluate(_prepared(expr, n, False), mean, central, float)
     except OverflowError:
@@ -406,5 +394,6 @@ def evaluate_expression_batch(
     per input row comes back.
     """
     mean = np.asarray(mean, dtype=np.float64)
-    central = _needed_central(expr, central, lambda v: np.asarray(v, dtype=np.float64))
+    central = _needed_central(expr.central_orders, central,
+                              lambda v: np.asarray(v, dtype=np.float64))
     return np.zeros_like(mean) + _evaluate(_prepared(expr, n, False), mean, central, float)

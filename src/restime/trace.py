@@ -9,7 +9,7 @@ from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
-from .core import DomainError, OccupancyTrace, ParseError, ResidenceSample
+from .core import DomainError, OccupancyTrace, ParseError, ResidenceSample, _is_positive_int
 
 _DIGIT_TO_BIT = bytes.maketrans(b"01", b"\x00\x01")
 # the ASCII characters that str.split() separates tokens on
@@ -24,8 +24,8 @@ class FilterConfig:
     k: int = 1
 
     def __post_init__(self):
-        if self.k < 1 or self.k != int(self.k):
-            raise DomainError("filter window k must be an integer >= 1")
+        if not _is_positive_int(self.k):
+            raise DomainError(f"filter window k must be an integer >= 1, got {self.k!r}")
         object.__setattr__(self, "k", int(self.k))
 
     @classmethod

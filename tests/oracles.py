@@ -7,10 +7,11 @@ and by weighted multiset) for exact variances and pattern counts, a
 direct double sum for the truncated series, a plain scan and a window-sum
 construction for the gap filter, a plain scan for run extraction, a token
 walk for trace parsing, partial sums with rigorous tail bounds for
-geometric moments, a binomial transform from central to raw moments, a
-per-term Fraction sum for the series value, a per-row inverse-CDF for
-replicate draws, a merge of like terms into canonical order
-(`normalize_expression`) and fixed-decimal rendering (`format_fixed`).
+geometric moments, a binomial transform from central to raw moments, the
+delta-method ratio estimator from integer step sums, a per-term Fraction
+sum for the series value, a per-row inverse-CDF for replicate draws, a
+merge of like terms into canonical order (`normalize_expression`) and
+fixed-decimal rendering (`format_fixed`).
 
 What is imported from the package is its error type, the value types
 `Term` and `VarianceExpression` (which `normalize_expression` takes and
@@ -40,6 +41,18 @@ def statistic(xs):
     s1 = sum(xs)
     s2 = sum(x * x for x in xs)
     return Fraction(1, 2) + Fraction(s2, 2 * s1)
+
+
+def ratio_from_sums(xs) -> Fraction:
+    """Delta-method ratio estimator of a sample, from integer sums alone.
+
+    With S1 = sum(x) and S2 = sum(x^2), the residual x^2 - (S2/S1) x is
+    (S1 x^2 - S2 x) / S1, and the estimator, the mean of its square over
+    4 N mean^2, is sum((S1 x^2 - S2 x)^2) / (4 S1^4).
+    """
+    s1 = sum(xs)
+    s2 = sum(x * x for x in xs)
+    return Fraction(sum((s1 * x * x - s2 * x) ** 2 for x in xs), 4 * s1**4)
 
 
 def fd_partial(multiplicities, n: int, mu: Fraction, h: Fraction) -> Fraction:

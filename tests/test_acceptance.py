@@ -47,7 +47,6 @@ from .oracles import (
     gap_fill_reference,
     inspection_identity_rhs,
     multiset_enumeration_variance,
-    raw_from_central,
     uncorrected_coefficient,
 )
 
@@ -138,13 +137,7 @@ def _random_moment_vector(rng: random.Random, max_central: int) -> MomentVector:
     central = {2: Fraction(rng.randrange(1, 2**8), 2**6)}
     for m in range(3, max_central + 1):
         central[m] = Fraction(rng.randrange(-(2**7), 2**8), 2**6)
-    raw = raw_from_central(central, mean)
-    return MomentVector(
-        mean=mean,
-        central=central,
-        raw={j: raw[j] for j in raw if j <= 4},
-        exact=True,
-    )
+    return MomentVector(mean=mean, central=central)
 
 
 def test_criterion_3():

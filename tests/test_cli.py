@@ -133,6 +133,15 @@ class TestExact:
         assert table["taylor3"] == "0.1311923130039270"
         assert "exact" in table
 
+    def test_order_one_keeps_the_ratio_row(self, capsys):
+        # the series needs central orders up to 2, the ratio row up to 4
+        assert main(["exact", "--dist", "uniform:a=1,b=40", "--n", "5", "--orders", "1"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert [line.split(",")[0] for line in lines] == ["estimator", "ratio", "taylor1", "exact"]
+        full = main(["exact", "--dist", "uniform:a=1,b=40", "--n", "5"])
+        assert full == 0
+        assert capsys.readouterr().out.splitlines()[1] == lines[1]
+
     def test_geometric_has_no_exact_row(self, capsys):
         assert main(["exact", "--dist", "geom:p=1/2", "--n", "5", "--orders", "1,2"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()

@@ -1,4 +1,7 @@
+import dataclasses
 import json
+import math
+import re
 import sys
 from fractions import Fraction
 
@@ -18,6 +21,8 @@ from restime.core import (
     VarianceExpression,
     format_rational,
 )
+from restime.mc import ExperimentConfig
+from restime.trace import FilterConfig
 
 from .oracles import format_fixed, normalize_expression
 
@@ -172,11 +177,22 @@ class TestOccupancyTrace:
 class TestMomentVector:
     def test_rejects_low_central_order(self):
         with pytest.raises(DomainError):
-            MomentVector(mean=1.0, central={1: 0.0}, raw={1: 1.0})
+            MomentVector(mean=1.0, central={1: 0.0})
 
     def test_rejects_negative_variance(self):
         with pytest.raises(DomainError):
-            MomentVector(mean=1.0, central={2: -0.5}, raw={1: 1.0})
+            MomentVector(mean=1.0, central={2: -0.5})
+
+    def test_holds_the_mean_and_central_moments_only(self):
+        assert [f.name for f in dataclasses.fields(MomentVector)] == ["mean", "central"]
+        with pytest.raises(TypeError):
+            MomentVector(mean=Fraction(2), central={}, raw={1: Fraction(2)})
+
+    def test_exact_follows_the_mean(self):
+        assert MomentVector(mean=Fraction(5, 2), central={2: Fraction(1, 4)}).exact
+        assert not MomentVector(mean=2.5, central={2: 0.25}).exact
+        with pytest.raises(AttributeError):
+            MomentVector(mean=2.5, central={}).exact = True
 
 
 class TestDistributionSpec:
@@ -218,6 +234,32 @@ class TestDistributionSpec:
             DistributionSpec.geometric(Fraction(0))
         with pytest.raises(DomainError):
             DistributionSpec.uniform(4, 2)
+
+
+def _config(sizes=(5,), replicates=10):
+    return ExperimentConfig(dist=DistributionSpec.uniform(1, 3), sizes=sizes,
+                            replicates=replicates, seed=0)
+
+
+@pytest.mark.parametrize("build, named", [
+    # each used to pass as another value (a=1, N=2) or to end in a TypeError or OverflowError
+    (lambda: DistributionSpec.uniform(1.5, 3), "got a=1.5, b=3"),
+    (lambda: _config(sizes=(2.5,)), "sample size must be an integer, got 2.5"),
+    (lambda: _config(replicates=2.5), "replicates >= 2, got 2.5"),
+    (lambda: FilterConfig(k=math.inf), "filter window k must be an integer >= 1, got inf"),
+    (lambda: FilterConfig(k=math.nan), "got nan"),
+], ids=["uniform-a", "mc-size", "mc-replicates", "filter-inf", "filter-nan"])
+def test_non_integer_parameter_is_a_domain_error_naming_it(build, named):
+    with pytest.raises(DomainError, match=re.escape(named)):
+        build()
+
+
+def test_integral_parameters_still_become_ints():
+    assert DistributionSpec.uniform(1.0, 3.0) == DistributionSpec.uniform(1, 3)
+    cfg = _config(sizes=(5.0, np.int64(7)), replicates=np.int64(10))
+    assert (cfg.sizes, cfg.replicates) == ((5, 7), 10)
+    assert all(type(v) is int for v in (*cfg.sizes, cfg.replicates))
+    assert FilterConfig(k=4.0).k == 4
 
 
 class TestTermText:

@@ -20,7 +20,14 @@ from restime.estimators import (
 )
 from restime.moments import exact_moments, sample_moments
 
-from .oracles import autocorr_direct, format_fixed, inspection_identity_rhs, statistic
+from .oracles import (
+    autocorr_direct,
+    format_fixed,
+    inspection_identity_rhs,
+    ratio_from_sums,
+    raw_from_central,
+    statistic,
+)
 
 samples = st.lists(st.integers(min_value=1, max_value=200), min_size=1, max_size=60)
 
@@ -113,11 +120,29 @@ class TestRatioVariance:
         mom = exact_moments(DistributionSpec.geometric(Fraction(1, 20)), 4)
         assert format_fixed(ratio_variance_from_moments(mom, 30), 2) == "24.70"
 
-    def test_needs_raw_moments(self):
+    @given(st.lists(st.integers(min_value=1, max_value=10**30), min_size=1, max_size=40))
+    @settings(max_examples=80)
+    def test_exact_matches_the_integer_sum_oracle(self, steps):
+        assert var_mrt_ratio(ResidenceSample(steps=tuple(steps)), exact=True) == ratio_from_sums(steps)
+
+    @pytest.mark.parametrize("dist", [
+        DistributionSpec.geometric(Fraction(1, 20)),
+        DistributionSpec.geometric(Fraction(2, 7)),
+        DistributionSpec.uniform(1, 40),
+        DistributionSpec.uniform(93, 100),
+    ])
+    @pytest.mark.parametrize("n", [1, 5, 30])
+    def test_central_form_equals_the_raw_moment_bracket(self, dist, n):
+        mom = exact_moments(dist, 4)
+        m1, m2, m3, m4 = (raw_from_central(mom.central, mom.mean)[j] for j in (1, 2, 3, 4))
+        bracket = m4 - 2 * m2 * m3 / m1 + m2**3 / m1**2
+        assert ratio_variance_from_moments(mom, n) == bracket / (4 * n * m1 * m1)
+
+    def test_float_order_two_alone_is_refused(self):
         from restime.core import MomentVector
 
-        mom = MomentVector(mean=2.0, central={2: 1.0}, raw={1: 2.0, 2: 5.0})
-        with pytest.raises(DomainError):
+        mom = MomentVector(mean=2.0, central={2: 1.0})
+        with pytest.raises(DomainError, match=r"central orders \[3, 4\] missing"):
             ratio_variance_from_moments(mom, 5)
 
 

@@ -17,7 +17,7 @@ class TestSampleMoments:
     def test_constant_sample(self):
         m = sample_moments(ResidenceSample(steps=(2, 2, 2)), exact=True)
         assert m.mean == 2
-        assert m.raw[2] == 4
+        assert raw_from_central(m.central, m.mean)[2] == 4
         assert all(v == 0 for v in m.central.values())
 
     def test_two_point(self):
@@ -25,12 +25,13 @@ class TestSampleMoments:
         assert m.mean == 2
         assert m.central[2] == 1
         assert m.central[3] == 0
-        assert m.raw[2] == 5
+        assert raw_from_central(m.central, m.mean)[2] == 5
 
     def test_one_two_three(self):
         m = sample_moments(ResidenceSample(steps=(1, 2, 3)), exact=True)
-        assert m.raw[1] == 2
-        assert m.raw[2] == Fraction(14, 3)
+        raw = raw_from_central(m.central, m.mean)
+        assert raw[1] == 2
+        assert raw[2] == Fraction(14, 3)
         assert m.central[2] == Fraction(2, 3)
 
     def test_rejects_low_order(self):
@@ -80,8 +81,9 @@ def test_exact_sample_moments_match_definition_on_large_steps(steps, order):
     # the binomial transform of raw power sums stays exact however large the steps
     m = sample_moments(ResidenceSample(steps=tuple(steps)), max_central_order=order, exact=True)
     assert m.central == central_moments_direct(steps, order)
-    assert m.raw == {j: Fraction(sum(x**j for x in steps), len(steps)) for j in range(1, 5)}
-    assert m.mean == m.raw[1]
+    raw = raw_from_central(m.central, m.mean)
+    assert raw == {j: Fraction(sum(x**j for x in steps), len(steps)) for j in range(1, order + 1)}
+    assert m.mean == raw[1]
 
 
 class TestExactMoments:
@@ -94,7 +96,7 @@ class TestExactMoments:
         m = exact_moments(DistributionSpec.geometric(Fraction(1, 2)))
         assert m.mean == 2
         assert m.central[2] == 2
-        assert m.raw[2] == 6
+        assert raw_from_central(m.central, m.mean)[2] == 6
 
     def test_narrow_uniform_variance(self):
         # an 8-wide block has variance 63/12, so the order-1 estimate at
@@ -154,8 +156,8 @@ class TestTransforms:
         raw = raw_from_central(m.central, m.mean)
         back = central_from_raw(raw, m.mean)
         assert all(back[k] == m.central[k] for k in m.central)
-        # the first four raw moments are stored directly; they must agree
-        assert all(raw[j] == m.raw[j] for j in (1, 2, 3, 4))
+        # the transform recovers every raw power mean of the sample
+        assert all(raw[j] == Fraction(sum(x**j for x in steps), len(steps)) for j in range(1, 7))
 
 
 def test_empirical_moments_match_exact():

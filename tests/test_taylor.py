@@ -42,7 +42,6 @@ from .oracles import (
     fd_partial,
     normalize_expression,
     per_term_series,
-    raw_from_central,
     uncorrected_coefficient,
 )
 
@@ -61,7 +60,8 @@ EXPRESSION_SHA256 = {
     8: "3533826cc2748d2f91655ff0a88084e247e30dc79ae47a29544226b7bf69448c",
 }
 
-# sha256 over repr(sorted(_block(k, l))) for k, l = 1..8 in turn, as produced
+# sha256 over repr(sorted(_build_block(min(k, l), max(k, l)))) for k, l = 1..8
+# in turn (the rows expression_blocks serves for (k, l)), as produced
 # by the generator that built every raw row before merging
 RAW_ROWS_SHA256 = "0714cb203dbe2f4eb9da8f3a42ae52d09fe28bc0c2c91947873cbe89a449f514"
 
@@ -77,9 +77,7 @@ def random_moment_vector(rng: random.Random, max_order: int) -> MomentVector:
     central = {2: Fraction(rng.randrange(1, 2**8), 2**6)}
     for m in range(3, max_order + 1):
         central[m] = Fraction(rng.randrange(-(2**7), 2**8), 2**6)
-    raw_all = raw_from_central(central, mean)
-    raw = {j: raw_all[j] for j in raw_all if j <= 4}
-    return MomentVector(mean=mean, central=central, raw=raw, exact=True)
+    return MomentVector(mean=mean, central=central)
 
 
 class TestEnumerate:
@@ -203,8 +201,12 @@ class TestGenerate:
         for k in range(1, 9):
             for l in range(1, 9):
                 direct = Counter(taylor_mod._build_block(k, l))
-                assert direct == Counter(taylor_mod._block(k, l))
+                served = taylor_mod._build_block(min(k, l), max(k, l))
+                assert direct == Counter(served)
                 assert direct == Counter(taylor_mod._build_block(l, k))
+                scale = 4 * math.factorial(k) * math.factorial(l)
+                assert [(t.coef * scale, t.n_exponent, t.mu_exponent, t.moment_powers)
+                        for t in blocks[k, l]] == list(served)
 
     def test_raw_rows_digest(self):
         import restime.taylor as taylor_mod
@@ -212,7 +214,7 @@ class TestGenerate:
         h = hashlib.sha256()
         for k in range(1, 9):
             for l in range(1, 9):
-                h.update(repr(sorted(taylor_mod._block(k, l))).encode())
+                h.update(repr(sorted(taylor_mod._build_block(min(k, l), max(k, l)))).encode())
         assert h.hexdigest() == RAW_ROWS_SHA256
 
     def test_generated_expressions_are_canonical(self):
@@ -229,16 +231,20 @@ class TestGenerate:
         assert generate_expression(order=3) is generate_expression(3)
 
     def test_generation_builds_no_raw_rows(self):
+        # every _build_block call goes through the module global, so the wrapper
+        # sees them all; the last count shows that it does
         code = (
-            "import restime.taylor as t; t.generate_expression(8); "
-            "print(t._block.cache_info().currsize, t._merged_block.cache_info().currsize)"
+            "import restime.taylor as t; calls = []; build = t._build_block\n"
+            "t._build_block = lambda k, l: calls.append((k, l)) or build(k, l)\n"
+            "t.generate_expression(8); print(len(calls), t._merged_block.cache_info().currsize)\n"
+            "t.expression_blocks(2); print(len(calls))"
         )
         src = str(Path(restime.__file__).resolve().parent.parent)
         out = subprocess.run(
             [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True,
             text=True, check=True,
         ).stdout
-        assert out.split() == ["0", "36"]
+        assert out.split() == ["0", "36", "3"]
 
     def test_nesting_consistency(self):
         blocks = expression_blocks(3)
@@ -256,22 +262,22 @@ class TestGenerate:
 class TestEvaluate:
     def test_missing_moment_order(self):
         expr = generate_expression(2)
-        mom = MomentVector(mean=2.0, central={2: 1.0}, raw={1: 2.0})
+        mom = MomentVector(mean=2.0, central={2: 1.0})
         with pytest.raises(DomainError, match="central orders"):
             evaluate_expression(expr, mom, 10)
 
     def test_float_overflow_is_domain_error(self):
         expr = generate_expression(2)
-        huge = MomentVector(mean=2.0, central={2: 1e200, 3: 1.0, 4: 1.0}, raw={})
+        huge = MomentVector(mean=2.0, central={2: 1e200, 3: 1.0, 4: 1.0})
         with pytest.raises(DomainError, match="order-2 series overflows float64"):
             evaluate_expression(expr, huge, 10)
         exact = MomentVector(mean=Fraction(2), central={2: Fraction(10**200), 3: Fraction(1),
-                                                        4: Fraction(1)}, raw={}, exact=True)
+                                                        4: Fraction(1)})
         assert isinstance(evaluate_expression(expr, exact, 10), Fraction)
 
     def test_rejects_bad_n(self):
         expr = generate_expression(1)
-        mom = MomentVector(mean=2.0, central={2: 1.0}, raw={1: 2.0})
+        mom = MomentVector(mean=2.0, central={2: 1.0})
         with pytest.raises(DomainError):
             evaluate_expression(expr, mom, 0)
 
@@ -280,7 +286,6 @@ class TestEvaluate:
         mom_f = MomentVector(
             mean=float(mom_x.mean),
             central={m: float(v) for m, v in mom_x.central.items()},
-            raw={j: float(v) for j, v in mom_x.raw.items()},
         )
         expr = generate_expression(8)
         a = evaluate_expression(expr, mom_x, 30)
@@ -291,8 +296,6 @@ class TestEvaluate:
         mom = MomentVector(
             mean=Fraction(5),
             central={m: Fraction(0) for m in range(2, 17)},
-            raw={1: Fraction(5)},
-            exact=True,
         )
         for order in (1, 4, 8):
             assert evaluate_expression(generate_expression(order), mom, 12) == 0
@@ -311,7 +314,6 @@ class TestEvaluate:
             floats = MomentVector(
                 mean=float(m.mean),
                 central={o: float(v) for o, v in m.central.items()},
-                raw={},
             )
             scalar = evaluate_expression(expr, floats, 25)
             assert math.isclose(batch[i], scalar, rel_tol=1e-12)
@@ -319,7 +321,7 @@ class TestEvaluate:
     def test_coefficients_and_orders_are_converted_once(self):
         expr = generate_expression(8)
         assert expr.central_orders == tuple(range(2, 17))
-        mom = MomentVector(mean=2.0, central={m: 1.0 for m in range(2, 17)}, raw={})
+        mom = MomentVector(mean=2.0, central={m: 1.0 for m in range(2, 17)})
         calls = []
         real = Fraction.__float__
         with pytest.MonkeyPatch.context() as mp:
@@ -337,7 +339,7 @@ class TestEvaluate:
     def test_exact_keeps_a_float_coefficient_exact(self):
         expr = VarianceExpression(order=1, terms=(Term(coef=0.1, n_exponent=1, mu_exponent=0,
                                                        moment_powers=((2, 1),)),))
-        mom = MomentVector(mean=Fraction(2), central={2: Fraction(3)}, raw={}, exact=True)
+        mom = MomentVector(mean=Fraction(2), central={2: Fraction(3)})
         assert evaluate_expression(expr, mom, 7) == Fraction(0.1) * 3 / 7
 
     def test_n_one_recovers_exact_variance(self):
@@ -391,7 +393,7 @@ class TestCollapsed:
     def test_term_of_another_degree_is_refused(self):
         expr = VarianceExpression(order=1, terms=(Term(coef=Fraction(1, 4), n_exponent=1,
                                                        mu_exponent=-1, moment_powers=((2, 1),)),))
-        mom = MomentVector(mean=Fraction(2), central={2: Fraction(3)}, raw={}, exact=True)
+        mom = MomentVector(mean=Fraction(2), central={2: Fraction(3)})
         with pytest.raises(DomainError, match="not of total degree 2"):
             evaluate_expression(expr, mom, 7)
 
@@ -412,7 +414,7 @@ class TestCollapsed:
                                 st.builds(lambda q, k: Fraction(q + k, q),
                                           st.integers(min_value=1, max_value=10**3),
                                           st.integers(min_value=0, max_value=10**5))))
-        mom = MomentVector(mean=mean, central=central, raw={}, exact=True)
+        mom = MomentVector(mean=mean, central=central)
         assert evaluate_expression(expr, mom, n) == per_term_series(expr, mom, n)
 
     def test_one_entry_per_monomial(self):
@@ -438,8 +440,8 @@ class TestCollapsed:
         ]
 
     def test_hand_made_expressions_of_one_order_stay_apart(self):
-        mom = MomentVector(mean=Fraction(2), central={2: Fraction(3)}, raw={}, exact=True)
-        floats = MomentVector(mean=2.0, central={2: 3.0}, raw={})
+        mom = MomentVector(mean=Fraction(2), central={2: Fraction(3)})
+        floats = MomentVector(mean=2.0, central={2: 3.0})
         a, b = _order_one(Fraction(1, 3)), _order_one(0.25)
         for m in (mom, floats):
             assert evaluate_expression(a, m, 7) != evaluate_expression(b, m, 7)
@@ -450,7 +452,7 @@ class TestCollapsed:
         expr = generate_expression(8)
         exact = exact_moments(DistributionSpec.uniform(1, 40), 16)
         floats = MomentVector(mean=float(exact.mean),
-                              central={m: float(v) for m, v in exact.central.items()}, raw={})
+                              central={m: float(v) for m, v in exact.central.items()})
         for mom in (exact, floats):
             first = evaluate_expression(expr, mom, 5)
             other = evaluate_expression(expr, mom, 6)
@@ -460,8 +462,7 @@ class TestCollapsed:
 
     def test_cache_is_bounded(self):
         expr = generate_expression(2)
-        mom = MomentVector(mean=Fraction(2), central={m: Fraction(m) for m in (2, 3, 4)}, raw={},
-                           exact=True)
+        mom = MomentVector(mean=Fraction(2), central={m: Fraction(m) for m in (2, 3, 4)})
         values = [evaluate_expression(expr, mom, n) for n in range(1, 3 * _PREPARED_BOUND)]
         assert len(expr._prepared_forms) == _PREPARED_BOUND
         assert values == [per_term_series(expr, mom, n) for n in range(1, 3 * _PREPARED_BOUND)]
@@ -470,7 +471,7 @@ class TestCollapsed:
 
 class TestBruteForce:
     def test_guards(self):
-        mom = MomentVector(mean=Fraction(2), central={2: Fraction(1)}, raw={}, exact=True)
+        mom = MomentVector(mean=Fraction(2), central={2: Fraction(1)})
         with pytest.raises(ValueError):
             brute_force_truncated_variance(mom, 7, 2, coefficient)
         with pytest.raises(ValueError):
@@ -486,8 +487,6 @@ class TestBruteForce:
         mom = MomentVector(
             mean=Fraction(3),
             central={m: Fraction(0) for m in range(2, 9)},
-            raw={},
-            exact=True,
         )
         assert brute_force_truncated_variance(mom, 3, 4, coefficient) == 0
 
