@@ -111,7 +111,7 @@ def cmd_extract(args: argparse.Namespace) -> None:
         traces = trace.parse_traces(fh)
     sample = trace.collect_sample(traces, cfg, policy)
     buf = io.StringIO()
-    trace.write_steps_csv(sample.steps, buf)
+    trace.write_steps_csv(sample.array, buf)
     _write_output(args, buf.getvalue())
 
 

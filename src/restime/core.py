@@ -8,7 +8,7 @@ everywhere else.  All types here are immutable values.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import FrozenInstanceError, asdict, dataclass
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from functools import cached_property
@@ -40,54 +40,88 @@ def _is_positive_int(x) -> bool:
     return _is_integer(x) and x >= 1
 
 
-@dataclass(frozen=True)
 class ResidenceSample:
-    """Positive integer residence durations x_i, in time-step units."""
+    """Positive integer residence durations x_i, in time-step units.
 
-    steps: tuple[int, ...]
+    The checked steps are kept in `array`, one read-only 1-d array that the
+    sample owns: int64, or object dtype holding exact Python ints when some
+    step does not fit in int64.  `n` and `floats` read it.  `steps`, the same
+    values as a tuple of Python ints, is built on first use; only the exact
+    paths read it.  Equality, hash and repr are those of a frozen dataclass
+    whose one field is `steps`.
+    """
 
-    def __post_init__(self):
-        steps = self.steps
+    def __init__(self, steps):
+        array = None
         if isinstance(steps, np.ndarray) and steps.dtype == np.int64 and steps.ndim == 1:
             if steps.size and steps.min() >= 1:
-                # the reader's and the sampler's array: one min checks every step,
-                # and the float copy is made here, from the array, not from the tuple
-                floats = steps.astype(np.float64)
-                floats.flags.writeable = False
-                self.__dict__["floats"] = floats
-                object.__setattr__(self, "steps", tuple(steps.tolist()))
-                return
-            steps = steps.tolist()  # Python ints, so an error names x as a tuple would
-        steps = tuple(steps)
-        if not steps:
-            raise DomainError("sample must contain at least one residence")
-        if set(map(type, steps)) == {int}:
-            ok, ints = min(steps) >= 1, steps
-        else:  # bools, numpy ints and integral floats are converted
+                # the reader's, the extractor's and the sampler's array: one min
+                # checks every step, and the copy makes it the sample's own
+                array = steps.copy()
+            else:
+                steps = steps.tolist()  # Python ints, so an error names x as a tuple would
+        if array is None:
+            ints = _positive_ints(steps)
             try:
-                ints = tuple(map(int, steps))
-            except (TypeError, ValueError, OverflowError):
-                ints = None
-            ok = ints == steps and min(ints) >= 1
-        if not ok:
-            # some value is bad: the slower scan names the first one
-            bad = next(x for x in steps if not _is_positive_int(x))
-            raise DomainError(f"residence durations must be integers >= 1, got {bad!r}")
-        object.__setattr__(self, "steps", ints)
+                array = np.array(ints, dtype=np.int64)
+            except OverflowError:  # a step past int64 stays an exact Python int
+                array = np.array(ints, dtype=object)
+            self.__dict__["steps"] = ints
+        array.flags.writeable = False
+        self.__dict__["array"] = array
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return np.array_equal(self.array, other.array)
+
+    def __hash__(self) -> int:
+        return hash((self.steps,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(steps={self.steps!r})"
 
     @property
     def n(self) -> int:
-        return len(self.steps)
+        return len(self.array)
+
+    @cached_property
+    def steps(self) -> tuple[int, ...]:
+        """The steps as a tuple of Python ints, built on first use."""
+        return tuple(self.array.tolist())
 
     @cached_property
     def floats(self) -> np.ndarray:
-        """The steps as one read-only float64 array.
-
-        Built on first use, or at construction from an int64 steps array.
-        """
-        a = np.asarray(self.steps, dtype=np.float64)
+        """The steps as one read-only float64 array, built on first use."""
+        a = self.array.astype(np.float64)
         a.flags.writeable = False
         return a
+
+
+def _positive_ints(steps) -> tuple[int, ...]:
+    """The steps as a tuple of Python ints; DomainError names the first bad one."""
+    steps = tuple(steps)
+    if not steps:
+        raise DomainError("sample must contain at least one residence")
+    if set(map(type, steps)) == {int}:
+        ok, ints = min(steps) >= 1, steps
+    else:  # bools, numpy ints and integral floats are converted
+        try:
+            ints = tuple(map(int, steps))
+        except (TypeError, ValueError, OverflowError):
+            ints = None
+        ok = ints == steps and min(ints) >= 1
+    if not ok:
+        # some value is bad: the slower scan names the first one
+        bad = next(x for x in steps if not _is_positive_int(x))
+        raise DomainError(f"residence durations must be integers >= 1, got {bad!r}")
+    return ints
 
 
 @dataclass(frozen=True)

@@ -74,7 +74,9 @@ def sample(dist: DistributionSpec, n: int, rng: np.random.Generator) -> Residenc
         raise DomainError("sample size must be >= 1")
     x = np.empty(n)
     _fill_row(dist, x, rng)
-    return ResidenceSample(steps=tuple(map(int, _finish_rows(dist, x))))
+    x = _finish_rows(dist, x)
+    # a draw at or above 2**63 does not fit in int64 and stays an exact Python int
+    return ResidenceSample(steps=x.astype(np.int64) if x.max() < 2.0**63 else tuple(map(int, x)))
 
 
 @dataclass(frozen=True)
@@ -98,6 +100,9 @@ class ExperimentConfig:
         if not (_is_integer(self.replicates) and self.replicates >= 2):
             raise DomainError(f"need an integer number of replicates >= 2, got {self.replicates!r}")
         object.__setattr__(self, "replicates", int(self.replicates))
+        if not (_is_integer(self.seed) and 0 <= int(self.seed) < 2**128):
+            raise DomainError(f"seed must be an integer in 0..2**128-1, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))
         for label in self.estimators:
             _series_order(label)
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from restime import trace
 from restime.cli import build_parser, main
 
 TRACES = "0 1 1 0 1 1 1 0 0 1 1 0\n0 1 0 1 1 1 1 0\n"
@@ -67,6 +68,20 @@ class TestExtract:
         path.write_text("0 0 0 0\n")
         assert main(["extract", "--input", str(path)]) == 1
 
+    def test_sample_keeps_no_tuple_of_ints(self, trace_file, capsys, monkeypatch):
+        samples = []
+        collect_sample = trace.collect_sample
+
+        def collect(*args):
+            samples.append(collect_sample(*args))
+            return samples[-1]
+
+        monkeypatch.setattr(trace, "collect_sample", collect)
+        assert main(["extract", "--input", trace_file, "--k", "1"]) == 0
+        assert capsys.readouterr().out == "steps\n2\n3\n2\n1\n4\n"
+        (s,) = samples
+        assert s.array.dtype == np.int64 and "steps" not in vars(s)
+
 
 class TestEstimate:
     def test_report_composition(self, rts_file, capsys):
@@ -87,6 +102,25 @@ class TestEstimate:
         path = tmp_path / "bad.csv"
         path.write_text("steps\nfour\n")
         assert main(["estimate", "--rts", str(path)]) == 2
+
+    @pytest.mark.parametrize("content, message", [
+        (b"steps \n 2\n3 \n\t2\n1\n4\n", None),
+        (b"steps\r\n2\r\n3\r\n2\r\n1\r\n4\r\n", None),
+        (b"steps\r\n 2 \n\n3\r\n2\n1 \r\n4", None),
+        (b"steps \r\n2\r\n 3x\r\n", "error: line 3: expected an integer, got '3x'"),
+        (b"steps\r\n2 \r\n0 \r\n", "error: line 3: residence steps must be >= 1, got '0'"),
+    ], ids=["padded", "crlf", "mixed", "bad-token", "zero"])
+    def test_padded_and_crlf_files(self, rts_file, tmp_path, capsys, content, message):
+        path = tmp_path / "odd.csv"
+        path.write_bytes(content)
+        code = main(["estimate", "--rts", str(path)])
+        got = capsys.readouterr()
+        if message is None:
+            assert code == 0 and got.err == ""
+            assert main(["estimate", "--rts", rts_file]) == 0
+            assert got.out == capsys.readouterr().out
+        else:
+            assert code == 2 and got.out == "" and got.err.splitlines() == [message]
 
     @pytest.mark.parametrize("step", ["0", "-3"])
     def test_nonpositive_step_is_parse_error(self, tmp_path, capsys, step):

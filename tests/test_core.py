@@ -139,6 +139,31 @@ class TestResidenceSampleFromInt64:
         assert s == want
         assert "floats" not in vars(s)
 
+    @pytest.mark.parametrize("steps", [(3, 1, 4), (7,), (1, 2**63 - 1), (2, 2**63, 10**30)],
+                             ids=["small", "one", "int64-max", "past-int64"])
+    def test_every_container_gives_one_sample(self, steps):
+        dtype = np.int64 if max(steps) < 2**63 else object
+        built = [ResidenceSample(steps=given) for given in
+                 (steps, list(steps), np.array(steps, dtype=dtype), np.array(steps, dtype=object))]
+        for s in built:
+            assert s == built[0] and hash(s) == hash(built[0]) and repr(s) == repr(built[0])
+            assert s.array.dtype == dtype and not s.array.flags.writeable
+        assert repr(built[0]) == f"ResidenceSample(steps={steps!r})"
+        assert built[0] != ResidenceSample(steps=(*steps[:-1], steps[-1] + 1))
+        assert built[0] != ResidenceSample(steps=steps + (1,)) and built[0] != steps
+
+    def test_steps_tuple_is_built_on_first_use(self):
+        s = ResidenceSample(steps=np.array(self.STEPS, dtype=np.int64))
+        assert s.n == len(self.STEPS) and "steps" not in vars(s)
+        assert s.steps is s.steps
+
+    def test_sample_is_frozen(self):
+        s = ResidenceSample(steps=(1, 2))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.steps = (3,)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del s.array
+
 
 class TestOccupancyTrace:
     def test_len(self):
@@ -254,12 +279,24 @@ def test_non_integer_parameter_is_a_domain_error_naming_it(build, named):
         build()
 
 
+@pytest.mark.parametrize("seed", [2.5, -1, 2**128, "3", None, math.nan],
+                         ids=["fraction", "negative", "past-128-bits", "str", "none", "nan"])
+def test_seed_outside_philox_keys_is_a_domain_error_naming_it(seed):
+    # each used to end in a TypeError or in numpy's ValueError about the key
+    message = f"seed must be an integer in 0..2**128-1, got {seed!r}"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        ExperimentConfig(dist=DistributionSpec.uniform(1, 3), sizes=(5,), replicates=10, seed=seed)
+
+
 def test_integral_parameters_still_become_ints():
     assert DistributionSpec.uniform(1.0, 3.0) == DistributionSpec.uniform(1, 3)
     cfg = _config(sizes=(5.0, np.int64(7)), replicates=np.int64(10))
     assert (cfg.sizes, cfg.replicates) == ((5, 7), 10)
     assert all(type(v) is int for v in (*cfg.sizes, cfg.replicates))
     assert FilterConfig(k=4.0).k == 4
+    cfg = ExperimentConfig(dist=DistributionSpec.uniform(1, 3), sizes=(5,), replicates=10,
+                           seed=np.uint64(2**64 - 1))
+    assert cfg.seed == 2**64 - 1 and type(cfg.seed) is int
 
 
 class TestTermText:

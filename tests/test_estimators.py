@@ -3,6 +3,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -297,6 +298,13 @@ class TestReport:
     def test_rejects_series_labels_outside_one_to_eight(self, label):
         with pytest.raises(DomainError):
             build_report(ResidenceSample(steps=(2, 5, 3)), methods=(label,))
+
+    def test_int64_sample_builds_no_tuple_of_ints(self):
+        s = ResidenceSample(steps=np.array([3, 1, 4, 1, 5, 9], dtype=np.int64))
+        rep = build_report(s, dt=0.1, methods=("ratio", "taylor8"))
+        assert "steps" not in vars(s)
+        assert rep == build_report(ResidenceSample(steps=(3, 1, 4, 1, 5, 9)), dt=0.1,
+                                   methods=("ratio", "taylor8"))
 
     def test_json_payload_is_complete(self):
         rep = build_report(ResidenceSample(steps=(2, 5, 3)), dt=0.2)

@@ -199,6 +199,12 @@ class TestCollect:
         with pytest.raises(DomainError):
             collect_sample([], FilterConfig(k=1), INCLUDE)
 
+    def test_sample_holds_one_int64_array(self):
+        traces = [OccupancyTrace(bits=(1, 0, 1)), OccupancyTrace(bits=(0, 1, 1, 0))]
+        s = collect_sample(traces, FilterConfig(k=1), INCLUDE)
+        assert s.array.dtype == np.int64 and s.array.tolist() == [1, 1, 2]
+        assert "steps" not in vars(s)
+
 
 bit_traces = st.lists(st.integers(min_value=0, max_value=1), max_size=64).map(tuple)
 
@@ -336,6 +342,27 @@ class TestCsv:
         monkeypatch.setattr(trace, "_checked_steps", None)
         assert read_steps_csv(io.StringIO("steps\n3\n\n007\n12")).tolist() == [3, 7, 12]
 
+    @pytest.mark.parametrize("text", [
+        "steps \n 3\n4 \n\t12\t\n", "steps\r\n3\r\n4\r\n12\r\n", "steps\r\n 3 \n\n4\r\n\x0b12",
+        "  steps\n3\n4\n12",
+    ], ids=["padded", "crlf", "mixed", "padded-header"])
+    def test_padded_and_crlf_files_take_the_stripped_pass(self, monkeypatch, text):
+        monkeypatch.setattr(trace, "_checked_steps", None)
+        got = read_steps_csv(io.StringIO(text))
+        assert got.dtype == np.int64 and got.tolist() == [3, 4, 12]
+
+    @pytest.mark.parametrize("text, message", [
+        ("steps \n3 \n x\n", "line 3: expected an integer, got 'x'"),
+        ("steps\r\n3\r\n0\r\n", "line 3: residence steps must be >= 1, got '0'"),
+        ("steps\r\n3 4\r\n", "line 2: expected an integer, got '3 4'"),
+        ("\r\nsteps\r\n3\r\n\u0663\r\n", "line 4: expected an integer, got '\u0663'"),
+        (" Steps \n3\n", "expected a 'steps' header on the first line"),
+    ], ids=["padded-token", "crlf-zero", "crlf-two-tokens", "crlf-non-ascii", "padded-header"])
+    def test_padded_and_crlf_errors_name_the_line(self, text, message):
+        with pytest.raises(ParseError) as info:
+            read_steps_csv(io.StringIO(text))
+        assert str(info.value) == message
+
 
 def _per_line_csv(steps) -> str:
     buf = io.StringIO()
@@ -351,6 +378,7 @@ _STEP_INPUTS = {
     "int64": lambda: np.array([7, 1, 2**62], dtype=np.int64),
     "bool": lambda: [True, 2],
     "4301-digit": lambda: [5, 10**4300],
+    "int64-nonpositive": lambda: np.array([3, 0, -12], dtype=np.int64),
 }
 
 
@@ -373,6 +401,21 @@ def test_write_matches_per_line_writes(name, max_digits):
             assert buf.getvalue() == want
     finally:
         sys.set_int_max_str_digits(old_limit)
+
+
+# 1, 2**63 - 1 and each power of ten in between with its neighbours: the digit-count edges
+_INT64_EDGES = sorted({1, 2**63 - 1} | {10**e + d for e in range(1, 19) for d in (-1, 0, 1)})
+
+
+@given(st.lists(st.integers(1, 2**63 - 1) | st.sampled_from(_INT64_EDGES), min_size=1, max_size=40))
+@example(steps=_INT64_EDGES)
+@example(steps=[1])
+@example(steps=[2**63 - 1])
+@settings(max_examples=300, deadline=None)
+def test_int64_array_writes_the_bytes_of_the_join(steps):
+    buf = io.StringIO()
+    write_steps_csv(np.array(steps, dtype=np.int64), buf)
+    assert buf.getvalue() == "\n".join(["steps", *map(str, steps), ""])
 
 
 _CSV_STEP = st.integers(1, 10**6).map(str) | st.builds(
