@@ -47,8 +47,11 @@ class ResidenceSample:
     sample owns: int64, or object dtype holding exact Python ints when some
     step does not fit in int64.  `n` and `floats` read it.  `steps`, the same
     values as a tuple of Python ints, is built on first use; only the exact
-    paths read it.  Equality, hash and repr are those of a frozen dataclass
-    whose one field is `steps`.
+    paths read it.  A sample built from any other iterable builds its array
+    at construction and keeps the checked tuple as `steps` too, so it holds
+    the steps twice; the reader, the extractor and the float estimators pass
+    and read int64 arrays.  Equality, hash and repr are those of a frozen
+    dataclass whose one field is `steps`.
     """
 
     def __init__(self, steps):

@@ -74,9 +74,7 @@ def sample(dist: DistributionSpec, n: int, rng: np.random.Generator) -> Residenc
         raise DomainError("sample size must be >= 1")
     x = np.empty(n)
     _fill_row(dist, x, rng)
-    x = _finish_rows(dist, x)
-    # a draw at or above 2**63 does not fit in int64 and stays an exact Python int
-    return ResidenceSample(steps=x.astype(np.int64) if x.max() < 2.0**63 else tuple(map(int, x)))
+    return ResidenceSample(steps=tuple(map(int, _finish_rows(dist, x))))
 
 
 @dataclass(frozen=True)

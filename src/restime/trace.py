@@ -139,33 +139,12 @@ def collect_sample(
 
 
 def write_steps_csv(steps: Iterable[int], fh: TextIO) -> None:
-    """Write residence step counts one per line under a 'steps' header.
-
-    A 1-d int64 array of steps >= 1 is formatted in one vectorised pass; any
-    other iterable is joined from str(int(x)).  The bytes are the same.
-    """
-    is_int64 = isinstance(steps, np.ndarray) and steps.dtype == np.int64 and steps.ndim == 1
-    if is_int64 and steps.size and steps.min() >= 1:
-        fh.write("steps\n" + _int64_lines(steps))
+    """Write residence step counts one per line under a 'steps' header."""
+    if isinstance(steps, np.ndarray) and steps.dtype == np.int64 and steps.ndim == 1:
+        ints = steps.tolist()  # Python ints in one C pass, so no int() per step
     else:
-        fh.write("\n".join(["steps", *map(str, map(int, steps)), ""]))
-
-
-def _int64_lines(steps: np.ndarray) -> str:
-    """Each int64 step >= 1 in decimal digits, one per line, each line ended by '\n'."""
-    # one row per step: its digits right-aligned in `width` columns, then '\n';
-    # a digit is kept when the quotient it comes from is nonzero, so no leading zero is
-    width = len(str(int(steps.max())))
-    chars = np.empty((steps.size, width + 1), dtype=np.uint8)
-    keep = np.empty((steps.size, width + 1), dtype=bool)
-    chars[:, width], keep[:, width] = ord("\n"), True
-    q = steps
-    for col in range(width - 1, -1, -1):
-        np.not_equal(q, 0, out=keep[:, col])
-        rest = q // 10
-        np.subtract(q, rest * 10 - ord("0"), out=chars[:, col], casting="unsafe")
-        q = rest
-    return chars[keep].tobytes().decode("ascii")
+        ints = map(int, steps)
+    fh.write("\n".join(["steps", *map(str, ints), ""]))
 
 
 def read_steps_csv(fh: TextIO) -> np.ndarray:
@@ -176,34 +155,22 @@ def read_steps_csv(fh: TextIO) -> np.ndarray:
     int64, or object dtype holding exact Python ints when some step does not
     fit in int64.
     """
-    text = fh.read()
-    # a non-ASCII character becomes b"?", which fails the one-pass check
-    data = text.encode("ascii", "replace")
-    steps = _one_pass_steps(data)
-    if steps is None:
-        # padding or CRLF line ends: strip every line at C speed and try again
-        steps = _one_pass_steps(b"\n".join(map(bytes.strip, data.split(b"\n"))))
-    if steps is not None:
-        return steps
-    # anything else, or a bad step: the line-by-line pass names the first bad line
-    steps = _checked_steps(text.split("\n"))
-    try:
-        return np.array(steps, dtype=np.int64)
-    except OverflowError:  # a step past int64 stays an exact Python int
-        return np.array(steps, dtype=object)
-
-
-def _one_pass_steps(data: bytes) -> np.ndarray | None:
-    """The steps of the common file, a bare header then only ASCII digits and
-    newlines, parsed by one numpy call; None for any other file."""
-    head, _, body = data.partition(b"\n")
-    if head == b"steps" and not body.translate(None, b"0123456789\n"):
-        steps = np.fromstring(body, dtype=np.int64, sep=" ")
+    head, _, body = fh.read().partition("\n")
+    # the common file: a bare header, then only ASCII digits and newlines
+    # (a non-ASCII character becomes b"?", which fails the check)
+    data = body.encode("ascii", "replace")
+    if head == "steps" and not data.translate(None, b"0123456789\n"):
+        steps = np.fromstring(data, dtype=np.int64, sep=" ")
         # a blank body parses to [0] and strtoll saturates at 2**63-1, so a zero
         # or a step of 10**18 or more is left to the exact pass
         if not steps.size or (steps.min() >= 1 and steps.max() < 10**18):
             return steps
-    return None
+    # anything else, or a bad step: the line-by-line pass names the first bad line
+    steps = _checked_steps([head, *body.split("\n")])
+    try:
+        return np.array(steps, dtype=np.int64)
+    except OverflowError:  # a step past int64 stays an exact Python int
+        return np.array(steps, dtype=object)
 
 
 def _checked_steps(lines: Iterable[str]) -> list[int]:
