@@ -139,12 +139,33 @@ def collect_sample(
 
 
 def write_steps_csv(steps: Iterable[int], fh: TextIO) -> None:
-    """Write residence step counts one per line under a 'steps' header."""
-    if isinstance(steps, np.ndarray) and steps.dtype == np.int64 and steps.ndim == 1:
-        ints = steps.tolist()  # Python ints in one C pass, so no int() per step
+    """Write residence step counts one per line under a 'steps' header.
+
+    A 1-d int64 array of steps >= 1 is formatted in one vectorised pass; any
+    other iterable is joined from str(int(x)).  The bytes are the same.
+    """
+    is_int64 = isinstance(steps, np.ndarray) and steps.dtype == np.int64 and steps.ndim == 1
+    if is_int64 and steps.size and steps.min() >= 1:
+        fh.write("steps\n" + _int64_lines(steps))
     else:
-        ints = map(int, steps)
-    fh.write("\n".join(["steps", *map(str, ints), ""]))
+        fh.write("\n".join(["steps", *map(str, map(int, steps)), ""]))
+
+
+def _int64_lines(steps: np.ndarray) -> str:
+    """Each int64 step >= 1 in decimal digits, one per line, each line ended by '\n'."""
+    # one row per step: its digits right-aligned in `width` columns, then '\n';
+    # a digit is kept when the quotient it comes from is nonzero, so no leading zero is
+    width = len(str(int(steps.max())))
+    chars = np.empty((steps.size, width + 1), dtype=np.uint8)
+    keep = np.empty((steps.size, width + 1), dtype=bool)
+    chars[:, width], keep[:, width] = ord("\n"), True
+    q = steps
+    for col in range(width - 1, -1, -1):
+        np.not_equal(q, 0, out=keep[:, col])
+        rest = q // 10
+        np.subtract(q, rest * 10 - ord("0"), out=chars[:, col], casting="unsafe")
+        q = rest
+    return chars[keep].tobytes().decode("ascii")
 
 
 def read_steps_csv(fh: TextIO) -> np.ndarray:

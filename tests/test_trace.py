@@ -402,7 +402,7 @@ def test_write_matches_per_line_writes(name, max_digits):
         sys.set_int_max_str_digits(old_limit)
 
 
-# 1, 2**63 - 1 and each power of ten in between with its neighbours
+# 1, 2**63 - 1 and each power of ten in between with its neighbours: the digit-count edges
 _INT64_EDGES = sorted({1, 2**63 - 1} | {10**e + d for e in range(1, 19) for d in (-1, 0, 1)})
 
 
