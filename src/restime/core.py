@@ -47,29 +47,17 @@ class ResidenceSample:
     sample owns: int64, or object dtype holding exact Python ints when some
     step does not fit in int64.  `n` and `floats` read it.  `steps`, the same
     values as a tuple of Python ints, is built on first use; only the exact
-    paths read it.  A sample built from any other iterable builds its array
-    at construction and keeps the checked tuple as `steps` too, so it holds
-    the steps twice; the reader, the extractor and the float estimators pass
-    and read int64 arrays.  Equality, hash and repr are those of a frozen
-    dataclass whose one field is `steps`.
+    paths read it.  Equality, hash and repr are those of a frozen dataclass
+    whose one field is `steps`.
     """
 
     def __init__(self, steps):
-        array = None
-        if isinstance(steps, np.ndarray) and steps.dtype == np.int64 and steps.ndim == 1:
-            if steps.size and steps.min() >= 1:
-                # the reader's, the extractor's and the sampler's array: one min
-                # checks every step, and the copy makes it the sample's own
-                array = steps.copy()
-            else:
-                steps = steps.tolist()  # Python ints, so an error names x as a tuple would
-        if array is None:
-            ints = _positive_ints(steps)
-            try:
-                array = np.array(ints, dtype=np.int64)
-            except OverflowError:  # a step past int64 stays an exact Python int
-                array = np.array(ints, dtype=object)
-            self.__dict__["steps"] = ints
+        is_int64 = isinstance(steps, np.ndarray) and steps.dtype == np.int64 and steps.ndim == 1
+        if is_int64 and steps.size and steps.min() >= 1:
+            # one min checks every step, and the copy makes the array the sample's own
+            array = steps.copy()
+        else:  # an int64 array's Python ints, so an error names x as a tuple would
+            array = _step_array(_positive_ints(steps.tolist() if is_int64 else steps))
         array.flags.writeable = False
         self.__dict__["array"] = array
 
@@ -105,6 +93,14 @@ class ResidenceSample:
         a = self.array.astype(np.float64)
         a.flags.writeable = False
         return a
+
+
+def _step_array(ints) -> np.ndarray:
+    """Python ints as one 1-d array: int64, or object dtype when some value does not fit."""
+    try:
+        return np.array(ints, dtype=np.int64)
+    except OverflowError:  # a step past int64 stays an exact Python int
+        return np.array(ints, dtype=object)
 
 
 def _positive_ints(steps) -> tuple[int, ...]:
@@ -213,6 +209,7 @@ class DistributionSpec:
     p: Fraction | None = None
     a: int | None = None
     b: int | None = None
+    _FIELDS = {"geom": ("p",), "uniform": ("a", "b")}  # parse's field names, not a field
 
     def __post_init__(self):
         if self.kind == "geom":
@@ -238,15 +235,20 @@ class DistributionSpec:
 
     @classmethod
     def parse(cls, text: str) -> "DistributionSpec":
-        """Parse 'geom:p=<rational>' or 'uniform:a=<int>,b=<int>'."""
+        """Parse 'geom:p=<rational>' or 'uniform:a=<int>,b=<int>', each field once."""
         try:
             kind, _, rest = text.partition(":")
-            fields = dict(part.split("=", 1) for part in rest.split(",") if part)
+            if kind not in cls._FIELDS:
+                raise ValueError(f"unknown kind {kind!r}")
+            fields = {}
+            for name, eq, value in (part.partition("=") for part in rest.split(",") if part):
+                if not eq or name in fields or name not in cls._FIELDS[kind]:
+                    why = "no '=' after" if not eq else "repeated" if name in fields else "unknown"
+                    raise ValueError(f"{why} field {name!r}")
+                fields[name] = value
             if kind == "geom":
                 return cls.geometric(Fraction(fields["p"]))
-            if kind == "uniform":
-                return cls.uniform(int(fields["a"]), int(fields["b"]))
-            raise ValueError(f"unknown kind {kind!r}")
+            return cls.uniform(int(fields["a"]), int(fields["b"]))
         except (KeyError, ValueError, ZeroDivisionError) as exc:
             # bad parameter values are usage errors at this boundary too
             raise ParseError(f"bad distribution spec {text!r}: {exc}") from exc

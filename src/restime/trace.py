@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
-from .core import DomainError, OccupancyTrace, ParseError, ResidenceSample, _is_positive_int
+from .core import DomainError, OccupancyTrace, ParseError, ResidenceSample
+from .core import _is_positive_int, _step_array
 
 _DIGIT_TO_BIT = bytes.maketrans(b"01", b"\x00\x01")
 # the ASCII characters that str.split() separates tokens on
@@ -83,6 +83,13 @@ def _is_bit_line(raw: bytes) -> bool:
     return not (digit[1:] & digit[:-1]).any()
 
 
+def _runs(bits: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Maximal runs of the (nonempty) bits in order: each run's value, 0 or 1, and length."""
+    b = np.frombuffer(bits, dtype=np.uint8)
+    bounds = np.concatenate(([0], np.flatnonzero(b[1:] != b[:-1]) + 1, [len(b)]))
+    return b[bounds[:-1]], np.diff(bounds)
+
+
 def filter_transient_escapes(x: OccupancyTrace, cfg: FilterConfig) -> OccupancyTrace:
     """Bridge interior 0-runs strictly shorter than k that are bounded by 1s.
 
@@ -91,9 +98,7 @@ def filter_transient_escapes(x: OccupancyTrace, cfg: FilterConfig) -> OccupancyT
     """
     if cfg.k == 1 or not x.bits:
         return x
-    b = np.frombuffer(x.bits, dtype=np.uint8)
-    bounds = np.concatenate(([0], np.flatnonzero(b[1:] != b[:-1]) + 1, [len(b)]))
-    values, lengths = b[bounds[:-1]], np.diff(bounds)
+    values, lengths = _runs(x.bits)
     # runs alternate, so a 0-run other than the first and last lies between 1s
     gap = (values == 0) & (lengths < cfg.k)
     gap[0] = gap[-1] = False
@@ -101,27 +106,23 @@ def filter_transient_escapes(x: OccupancyTrace, cfg: FilterConfig) -> OccupancyT
     return OccupancyTrace._trusted(np.repeat(values, lengths).tobytes())
 
 
-def extract_residences(x: OccupancyTrace, policy: ExtractionPolicy) -> list[int]:
-    """Lengths of maximal 1-runs in temporal order.
+def extract_residences(x: OccupancyTrace, policy: ExtractionPolicy) -> np.ndarray:
+    """Lengths of maximal 1-runs in temporal order, as a 1-d int64 array.
 
     Under the 'drop' policy, runs touching either end of the trace are
     censored (their true duration is unknown) and omitted.
     """
-    n = len(x.bits)
-    padded = np.zeros(n + 2, dtype=np.uint8)
-    padded[1:-1] = np.frombuffer(x.bits, dtype=np.uint8)
-    # with 0 on both sides, the edges alternate between run starts and run ends
-    edges = np.flatnonzero(padded[1:] != padded[:-1])
-    starts, ends = edges[::2], edges[1::2]
-    lengths = ends - starts
+    if not x.bits:
+        return np.empty(0, dtype=np.int64)
+    values, lengths = _runs(x.bits)
     if policy.boundary == "drop":
-        lengths = lengths[(starts > 0) & (ends < n)]
-    return lengths.tolist()
+        values[0] = values[-1] = 0
+    return lengths[values == 1]
 
 
 def per_trace_residences(
     traces: Iterable[OccupancyTrace], cfg: FilterConfig, policy: ExtractionPolicy
-) -> Iterator[list[int]]:
+) -> Iterator[np.ndarray]:
     """Yield each trace's residences, after filtering, in trace order."""
     for t in traces:
         yield extract_residences(filter_transient_escapes(t, cfg), policy)
@@ -131,8 +132,8 @@ def collect_sample(
     traces: Iterable[OccupancyTrace], cfg: FilterConfig, policy: ExtractionPolicy
 ) -> ResidenceSample:
     """Filter each trace, extract residences, and pool them into one sample."""
-    residences = chain.from_iterable(per_trace_residences(traces, cfg, policy))
-    steps = np.fromiter(residences, dtype=np.int64)
+    # the empty seed lets no traces at all reach the refusal below
+    steps = np.concatenate([np.empty(0, np.int64), *per_trace_residences(traces, cfg, policy)])
     if not steps.size:
         raise DomainError("no residences found in the given traces")
     return ResidenceSample(steps=steps)
@@ -187,11 +188,7 @@ def read_steps_csv(fh: TextIO) -> np.ndarray:
         if not steps.size or (steps.min() >= 1 and steps.max() < 10**18):
             return steps
     # anything else, or a bad step: the line-by-line pass names the first bad line
-    steps = _checked_steps([head, *body.split("\n")])
-    try:
-        return np.array(steps, dtype=np.int64)
-    except OverflowError:  # a step past int64 stays an exact Python int
-        return np.array(steps, dtype=object)
+    return _step_array(_checked_steps([head, *body.split("\n")]))
 
 
 def _checked_steps(lines: Iterable[str]) -> list[int]:

@@ -244,6 +244,9 @@ _DIST = _flag(
         st.sampled_from(["1.5", "x", "", "2e0", "1/2"]).map(lambda a: f"uniform:a={a},b=4"),
         st.sampled_from(["0", "1", "-1/3", "3/2", "7", "1/0", "p", ""]).map(lambda p: f"geom:p={p}"),
         st.sampled_from(["uniform:a=1", "geom", "geom:q=1/2", "", ":"]),
+        # a repeated field, an unknown field, or a field without '='
+        st.sampled_from(["geom:p=1/2,p=1/3", "uniform:a=1,b=4,b=5", "uniform:a=1,b=40,c=3",
+                         "geom:p=1/2,a=3", "geom:p", "uniform:a=1,b"]),
     ),
 )
 _N = _flag(st.integers(1, 6).map(str), st.integers(-5, 0).map(str) | st.sampled_from(["x", "1.5", ""]))

@@ -157,6 +157,14 @@ class TestResidenceSampleFromInt64:
         assert s.n == len(self.STEPS) and "steps" not in vars(s)
         assert s.steps is s.steps
 
+    @pytest.mark.parametrize("given", [tuple, list], ids=["tuple", "list"])
+    def test_sequence_built_sample_stores_its_steps_once(self, given):
+        s = ResidenceSample(steps=given(self.STEPS))
+        assert "steps" not in vars(s) and s.array.dtype == np.int64
+        want = ResidenceSample(steps=np.array(self.STEPS, dtype=np.int64))
+        assert s == want and hash(s) == hash(want) and repr(s) == repr(want)
+        assert vars(s)["steps"] == self.STEPS
+
     def test_sample_is_frozen(self):
         s = ResidenceSample(steps=(1, 2))
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -248,11 +256,31 @@ class TestDistributionSpec:
             "uniform:a=x,b=3",
             "geom:p=1/0",
             "",
+            "geom:p=1/2,p=1/3",
+            "uniform:a=1,b=40,a=1",
+            "uniform:a=1,b=40,c=3",
+            "geom:p=1/2,a=3",
+            "geom:p",
+            "uniform:a=1,b",
         ],
     )
     def test_parse_rejects(self, bad):
         with pytest.raises(ParseError):
             DistributionSpec.parse(bad)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("geom:p=1/2,p=1/3", "repeated field 'p'"),
+            ("uniform:a=1,b=40,c=3", "unknown field 'c'"),
+            ("geom:p=1/2,a=3", "unknown field 'a'"),
+            ("geom:p", "no '=' after field 'p'"),
+        ],
+    )
+    def test_parse_names_the_bad_field(self, bad, message):
+        with pytest.raises(ParseError) as info:
+            DistributionSpec.parse(bad)
+        assert str(info.value) == f"bad distribution spec {bad!r}: {message}"
 
     def test_constructor_validation(self):
         with pytest.raises(DomainError):

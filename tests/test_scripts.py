@@ -58,6 +58,15 @@ def test_bad_value_is_one_error_line(script):
     assert done.stdout == ""
 
 
+@pytest.mark.parametrize("script", ["mc_grid.py", "small_sample_bias.py"])
+def test_seed_out_of_range_is_one_error_line(script):
+    # ExperimentConfig's own check, before any replicate is drawn
+    done = _run(script, "--seed=-1")
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == ["error: seed must be an integer in 0..2**128-1, got -1"]
+    assert done.stdout == ""
+
+
 def test_exact_table_prints_the_exact_subcommand_column():
     done = _run("exact_table.py", "--digits", "6")
     assert done.returncode == 0

@@ -156,16 +156,16 @@ class TestFilter:
 class TestExtract:
     def test_interior_runs(self):
         t = OccupancyTrace(bits=(0, 1, 1, 0, 1, 1, 1, 0))
-        assert extract_residences(t, DROP) == [2, 3]
-        assert extract_residences(t, INCLUDE) == [2, 3]
+        assert extract_residences(t, DROP).tolist() == [2, 3]
+        assert extract_residences(t, INCLUDE).tolist() == [2, 3]
 
     def test_censored_runs(self):
         t = OccupancyTrace(bits=(1, 1, 0, 1))
-        assert extract_residences(t, DROP) == []
-        assert extract_residences(t, INCLUDE) == [2, 1]
+        assert extract_residences(t, DROP).tolist() == []
+        assert extract_residences(t, INCLUDE).tolist() == [2, 1]
 
     def test_no_runs(self):
-        assert extract_residences(OccupancyTrace(bits=(0, 0, 0)), DROP) == []
+        assert extract_residences(OccupancyTrace(bits=(0, 0, 0)), DROP).tolist() == []
 
 
 class TestCollect:
@@ -180,8 +180,10 @@ class TestCollect:
             OccupancyTrace(bits=()),
             OccupancyTrace(bits=(0, 1, 1, 0)),
         ]
-        assert list(per_trace_residences(traces, FilterConfig(k=2), INCLUDE)) == [[3], [], [2]]
-        assert list(per_trace_residences(traces, FilterConfig(k=1), DROP)) == [[], [], [2]]
+        per_trace = per_trace_residences(traces, FilterConfig(k=2), INCLUDE)
+        assert [r.tolist() for r in per_trace] == [[3], [], [2]]
+        per_trace = per_trace_residences(traces, FilterConfig(k=1), DROP)
+        assert [r.tolist() for r in per_trace] == [[], [], [2]]
 
     def test_interior_run_survives_both_policies(self):
         # bounded by 0s on both sides, so nothing about it is censored
@@ -198,6 +200,19 @@ class TestCollect:
     def test_no_traces(self):
         with pytest.raises(DomainError):
             collect_sample([], FilterConfig(k=1), INCLUDE)
+
+    @pytest.mark.parametrize(
+        "traces, policy",
+        [
+            ([], INCLUDE),
+            ([OccupancyTrace(bits=()), OccupancyTrace(bits=())], INCLUDE),
+            ([OccupancyTrace(bits=(1, 1, 0)), OccupancyTrace(bits=(1, 0, 1))], DROP),
+        ],
+        ids=["no-traces", "only-empty-traces", "only-censored-runs"],
+    )
+    def test_every_empty_pool_gets_one_refusal(self, traces, policy):
+        with pytest.raises(DomainError, match="^no residences found in the given traces$"):
+            collect_sample(traces, FilterConfig(k=1), policy)
 
     def test_sample_holds_one_int64_array(self):
         traces = [OccupancyTrace(bits=(1, 0, 1)), OccupancyTrace(bits=(0, 1, 1, 0))]
@@ -218,7 +233,7 @@ def test_edge_traces_match_references(bits):
     for k in (1, 2, 3, 4, len(bits) + 1, 10**30):
         assert tuple(filter_transient_escapes(t, FilterConfig(k=k)).bits) == gap_fill_reference(bits, k)
     for policy in (DROP, INCLUDE):
-        assert extract_residences(t, policy) == runs_reference(bits, policy.boundary)
+        assert extract_residences(t, policy).tolist() == runs_reference(bits, policy.boundary)
 
 
 @given(bits=bit_traces, k=st.integers(min_value=1, max_value=8))
@@ -256,16 +271,19 @@ def test_extract_matches_reference_exhaustively(n):
     for bits in itertools.product((0, 1), repeat=n):
         t = OccupancyTrace(bits=bits)
         for policy in (DROP, INCLUDE):
-            assert extract_residences(t, policy) == runs_reference(bits, policy.boundary)
+            assert extract_residences(t, policy).tolist() == runs_reference(bits, policy.boundary)
 
 
 @given(bits=bit_traces)
+@example(bits=())
 @example(bits=(1,) * 5)
 @example(bits=(0, 0, 1, 0, 1, 1, 0, 0, 0, 1, 0))
 def test_extract_matches_reference(bits):
     t = OccupancyTrace(bits=bits)
     for policy in (DROP, INCLUDE):
-        assert extract_residences(t, policy) == runs_reference(bits, policy.boundary)
+        out = extract_residences(t, policy)
+        assert out.dtype == np.int64 and out.ndim == 1
+        assert out.tolist() == runs_reference(bits, policy.boundary)
 
 
 @given(bits=bit_traces)
