@@ -9,6 +9,10 @@ workload (BENCHMARK.json's run length), at --trace 0 (end-to-end metrics)
 and at --trace 1 (per-layer spans and counters). For each run and
 workload it keeps the `provenance` line and the final JSON result line,
 and writes them to BENCH_<N>.json at the checkout root.
+
+It refuses a checkout whose `src/` holds a `__pycache__` directory: a
+stale bytecode cache makes setup faster and peak RSS lower than a fresh
+checkout reads, so run it in a clean copy (`git archive` or `git clone`).
 """
 
 from __future__ import annotations
@@ -54,6 +58,9 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     if args.n < 0:
         ap.error(f"n must be >= 0, got {args.n}")
+    cache = next((ROOT / "src").rglob("__pycache__"), None)
+    if cache is not None:
+        raise SystemExit(f"error: {cache} exists; snapshot a checkout without bytecode caches")
     snapshot = {
         "seed": SEED,
         "seconds": SECONDS,

@@ -8,7 +8,7 @@ everywhere else.  All types here are immutable values.
 from __future__ import annotations
 
 import json
-from dataclasses import FrozenInstanceError, asdict, dataclass
+from dataclasses import asdict, dataclass
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from functools import cached_property
@@ -40,6 +40,7 @@ def _is_positive_int(x) -> bool:
     return _is_integer(x) and x >= 1
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class ResidenceSample:
     """Positive integer residence durations x_i, in time-step units.
 
@@ -60,12 +61,6 @@ class ResidenceSample:
             array = _step_array(_positive_ints(steps.tolist() if is_int64 else steps))
         array.flags.writeable = False
         self.__dict__["array"] = array
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -108,19 +103,13 @@ def _positive_ints(steps) -> tuple[int, ...]:
     steps = tuple(steps)
     if not steps:
         raise DomainError("sample must contain at least one residence")
-    if set(map(type, steps)) == {int}:
-        ok, ints = min(steps) >= 1, steps
-    else:  # bools, numpy ints and integral floats are converted
-        try:
-            ints = tuple(map(int, steps))
-        except (TypeError, ValueError, OverflowError):
-            ints = None
-        ok = ints == steps and min(ints) >= 1
-    if not ok:
-        # some value is bad: the slower scan names the first one
-        bad = next(x for x in steps if not _is_positive_int(x))
-        raise DomainError(f"residence durations must be integers >= 1, got {bad!r}")
-    return ints
+    if set(map(type, steps)) != {int} or min(steps) < 1:
+        # bools, numpy ints and integral floats are converted; the first bad value is named
+        for x in steps:
+            if not _is_positive_int(x):
+                raise DomainError(f"residence durations must be integers >= 1, got {x!r}")
+        steps = tuple(map(int, steps))
+    return steps
 
 
 @dataclass(frozen=True)
@@ -134,22 +123,15 @@ class OccupancyTrace:
     bits: bytes
 
     def __post_init__(self):
-        bits = self.bits
-        # only exact bytes: bytes() of a numpy array reads its memory, not its elements
-        if type(bits) is bytes:
-            ok = not bits.translate(None, b"\x00\x01")
-        else:
-            bits = tuple(bits)
-            try:
-                # check before int(), which would also take 0.5, "1" and 1.9
-                ok = {0, 1}.issuperset(bits)
-            except TypeError:  # an unhashable element
-                ok = False
-            if ok:
-                bits = bytes(map(int, bits))
+        bits = tuple(self.bits)
+        try:
+            # check before int(), which would also take 0.5, "1" and 1.9
+            ok = {0, 1}.issuperset(bits)
+        except TypeError:  # an unhashable element
+            ok = False
         if not ok:
             raise DomainError("trace elements must be 0 or 1")
-        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "bits", bytes(map(int, bits)))
 
     @classmethod
     def _trusted(cls, bits: bytes) -> "OccupancyTrace":
@@ -209,7 +191,7 @@ class DistributionSpec:
     p: Fraction | None = None
     a: int | None = None
     b: int | None = None
-    _FIELDS = {"geom": ("p",), "uniform": ("a", "b")}  # parse's field names, not a field
+    _FIELDS = {"geom": {"p": Fraction}, "uniform": {"a": int, "b": int}}  # not a dataclass field
 
     def __post_init__(self):
         if self.kind == "geom":
@@ -246,17 +228,18 @@ class DistributionSpec:
                     why = "no '=' after" if not eq else "repeated" if name in fields else "unknown"
                     raise ValueError(f"{why} field {name!r}")
                 fields[name] = value
-            if kind == "geom":
-                return cls.geometric(Fraction(fields["p"]))
-            return cls.uniform(int(fields["a"]), int(fields["b"]))
-        except (KeyError, ValueError, ZeroDivisionError) as exc:
+            values = {}
+            for name, convert in cls._FIELDS[kind].items():
+                if name not in fields:
+                    raise ValueError(f"missing field {name!r}")
+                values[name] = convert(fields[name])
+            return cls(kind, **values)
+        except (ValueError, ZeroDivisionError) as exc:
             # bad parameter values are usage errors at this boundary too
             raise ParseError(f"bad distribution spec {text!r}: {exc}") from exc
 
     def __str__(self) -> str:
-        if self.kind == "geom":
-            return f"geom:p={self.p}"
-        return f"uniform:a={self.a},b={self.b}"
+        return f"{self.kind}:" + ",".join(f"{f}={getattr(self, f)}" for f in self._FIELDS[self.kind])
 
 
 @dataclass(frozen=True)

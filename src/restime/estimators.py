@@ -133,9 +133,7 @@ def rt_autocorrelation(per_trace_rts, max_lag: int) -> list[tuple[int, float, fl
     """
     if max_lag < 0:
         raise DomainError("max_lag must be >= 0")
-    # sized by the first contributing trace, which holds more than max_lag residences
-    per_lag: list[list[float]] = []
-    contributing = short = 0
+    rows, short = [], 0  # rows: lags 0..max_lag of each contributing trace
     for idx, rts in enumerate(per_trace_rts):
         if len(rts) < max_lag + 2:
             short += 1
@@ -146,19 +144,15 @@ def rt_autocorrelation(per_trace_rts, max_lag: int) -> list[tuple[int, float, fl
         if denom == 0.0:
             warnings.warn(f"trace {idx} is constant, excluded from autocorrelation")
             continue
-        if not per_lag:
-            per_lag = [[] for _ in range(max_lag + 1)]
-        contributing += 1
-        for h in range(max_lag + 1):
-            per_lag[h].append(float(np.dot(d[: len(d) - h], d[h:]) / denom))
+        rows.append([float(np.dot(d[: len(d) - h], d[h:]) / denom) for h in range(max_lag + 1)])
     if short:
         warnings.warn(
             f"{short} trace(s) with fewer than max_lag+2 residences excluded from autocorrelation"
         )
-    if contributing == 0:
+    if not rows:
         raise DomainError("no usable trace for the requested lags")
     out = []
-    for h, vals in enumerate(per_lag):
+    for h, vals in enumerate(zip(*rows)):
         arr = np.asarray(vals)
         sd = float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
         out.append((h, float(arr.mean()), sd))

@@ -170,9 +170,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
         if need > _MEMORY_LIMIT:
             raise DomainError(f"N={n} with {r} replicates needs about {need / 2**30:,.1f} GiB,"
                               f" past the {_MEMORY_LIMIT // 2**30} GiB memory limit")
-    exprs = {order: taylor.generate_expression(order) for order in orders if order}
     ratio = [lbl for lbl, order in zip(cfg.estimators, orders) if not order]
-    series = [(lbl, exprs[order]) for lbl, order in zip(cfg.estimators, orders) if order]
+    series = [(lbl, taylor.generate_expression(order))
+              for lbl, order in zip(cfg.estimators, orders) if order]
     rows = []
     rng = None
     for n in cfg.sizes:

@@ -86,18 +86,18 @@ def _power_means(xs, top: int) -> dict:
 
 def _exact_vector(raw: dict) -> MomentVector:
     """Exact MomentVector from raw moments of orders 1..max(raw); the raw ones are not kept."""
-    return MomentVector(mean=raw[1], central=central_from_raw(raw, raw[1]))
+    return MomentVector(mean=raw[1], central=central_from_raw(raw))
 
 
-def central_from_raw(raw, mean):
+def central_from_raw(raw):
     """Binomial transform raw -> central; raw must cover orders 1..max(raw).
 
     The values are exact (Fraction or int), and so are the Fraction
-    results.  With raw_j = R_j/d^j and mean = M/d in integers
+    results.  With raw_j = R_j/d^j and the mean raw_1 = M/d in integers
     (core._integer_scale), mu_m = sum_j C(m, j) R_j (-M)^(m-j) / d^m, so
     each central moment is one integer sum and one Fraction.
     """
-    d, shifted, scaled = _integer_scale(mean, raw)
+    d, shifted, scaled = _integer_scale(raw[1], raw)
     full = {0: 1, **scaled}
     return {
         m: Fraction(sum(comb(m, j) * full[j] * (-shifted) ** (m - j) for j in range(m + 1)), d**m)

@@ -338,18 +338,18 @@ def _prepared(expr: VarianceExpression, n, exact: bool) -> tuple:
     return form
 
 
-def _evaluate(entries: tuple, mean, central: dict, num):
+def _evaluate(entries: tuple, mean, central: dict):
     """The one series evaluator: substitute moments into prepared entries.
 
     entries are (coefficient, mu_exponent, moment_powers) triples with N
     already in the coefficients: the float form of _prepared, or the
-    integer entries of the exact one.  num is float or int and gives the
-    zero the sum starts from.  mean and central hold Python ints (the exact
-    form's A and B_m), Python floats or float64 arrays, and ** acts on
-    them as given, so every regime keeps its own pow.  Each distinct power
+    integer entries of the exact one.  mean and central hold Python ints
+    (the exact form's A and B_m), Python floats or float64 arrays, and **
+    acts on them as given, so every regime keeps its own pow; the sum
+    starts from 0, which adds nothing in any of them.  Each distinct power
     is computed once; the operations run in one fixed order, entry by entry.
     """
-    total = num(0)
+    total = 0
     mu_pows, powers = {}, {}
     for val, mu_exponent, moment_powers in entries:
         if mu_exponent:
@@ -377,10 +377,10 @@ def evaluate_expression(expr: VarianceExpression, mom: MomentVector, n: int):
         central = _needed_central(expr.central_orders, mom.central, Fraction)
         d, mean, central = _integer_scale(Fraction(mom.mean), central)
         entries, den, shift = _prepared(expr, n, True)
-        return Fraction(_evaluate(entries, mean, central, int), den * d * d * mean**shift)
+        return Fraction(_evaluate(entries, mean, central), den * d * d * mean**shift)
     mean, central = float(mom.mean), _needed_central(expr.central_orders, mom.central, float)
     try:
-        return _evaluate(_prepared(expr, n, False), mean, central, float)
+        return _evaluate(_prepared(expr, n, False), mean, central)
     except OverflowError:
         raise DomainError(f"order-{expr.order} series overflows float64") from None
 
@@ -396,4 +396,4 @@ def evaluate_expression_batch(
     mean = np.asarray(mean, dtype=np.float64)
     central = _needed_central(expr.central_orders, central,
                               lambda v: np.asarray(v, dtype=np.float64))
-    return np.zeros_like(mean) + _evaluate(_prepared(expr, n, False), mean, central, float)
+    return np.zeros_like(mean) + _evaluate(_prepared(expr, n, False), mean, central)

@@ -3,6 +3,7 @@ import json
 import math
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -67,8 +68,17 @@ class TestResidenceSample:
 
     @pytest.mark.parametrize(
         "steps, want",
-        [((True,), (1,)), ((np.int64(3),), (3,)), ((10**30,), (10**30,))],
-        ids=["bool", "numpy-int", "beyond-int64"],
+        [
+            ((True,), (1,)),
+            ((np.int64(3),), (3,)),
+            ((10**30,), (10**30,)),
+            ((Fraction(3),), (3,)),
+            ((Decimal("2"),), (2,)),
+            ((np.uint64(5),), (5,)),
+            ((2.0**70,), (2**70,)),
+        ],
+        ids=["bool", "numpy-int", "beyond-int64", "fraction", "decimal", "numpy-uint64",
+             "float-2**70"],
     )
     def test_accepts_what_is_an_integer(self, steps, want):
         s = ResidenceSample(steps=steps)
@@ -167,10 +177,14 @@ class TestResidenceSampleFromInt64:
 
     def test_sample_is_frozen(self):
         s = ResidenceSample(steps=(1, 2))
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            s.steps = (3,)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            del s.array
+        # cached entries exist, so deleting them must still fail
+        assert s.steps == (1, 2) and len(s.floats) == 2
+        for name in ("array", "steps", "floats", "n", "other"):
+            with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot assign to field {name!r}$"):
+                setattr(s, name, (3,))
+            with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot delete field {name!r}$"):
+                delattr(s, name)
+        assert s.steps == (1, 2) and s.array.tolist() == [1, 2]
 
 
 class TestOccupancyTrace:
@@ -205,6 +219,21 @@ class TestOccupancyTrace:
         assert type(t.bits) is bytes
         assert all(type(b) is int for b in t.bits)
         assert OccupancyTrace(bits=b"\x01\x00") == OccupancyTrace(bits=(1, 0))
+
+    @pytest.mark.parametrize(
+        "bits",
+        [
+            b"\x01\x00\x00\x01",
+            bytearray(b"\x01\x00\x00\x01"),
+            np.array([1, 0, 0, 1], dtype=np.uint8),
+            [True, False, False, True],
+        ],
+        ids=["bytes", "bytearray", "uint8-array", "bools"],
+    )
+    def test_every_iterable_of_0_and_1_equals_the_tuple_built_trace(self, bits):
+        t = OccupancyTrace(bits=bits)
+        assert t == OccupancyTrace(bits=(1, 0, 0, 1))
+        assert type(t.bits) is bytes and t.bits == b"\x01\x00\x00\x01"
 
 
 class TestMomentVector:
@@ -275,6 +304,8 @@ class TestDistributionSpec:
             ("uniform:a=1,b=40,c=3", "unknown field 'c'"),
             ("geom:p=1/2,a=3", "unknown field 'a'"),
             ("geom:p", "no '=' after field 'p'"),
+            ("uniform:a=1", "missing field 'b'"),
+            ("geom:", "missing field 'p'"),
         ],
     )
     def test_parse_names_the_bad_field(self, bad, message):

@@ -1,6 +1,7 @@
 """The study scripts print their description and refuse bad flag values cleanly.
 
-No test starts a real run: mc_grid.py defaults to 100k replicates.
+No test starts a real run: mc_grid.py defaults to 100k replicates, and
+bench_snapshot.py is only run where it must refuse before any perfbench run.
 """
 
 import os
@@ -81,3 +82,20 @@ def test_exact_table_prints_the_exact_subcommand_column():
     assert cli.returncode == 0
     assert table == [line.split(",") for line in cli.stdout.splitlines()[1:]]
     assert [label for label, _ in table] == ["ratio"] + [f"taylor{m}" for m in range(1, 9)] + ["exact"]
+
+
+def test_bench_snapshot_refuses_a_bytecode_cache(tmp_path):
+    # a copy of the script in a tree with no perfbench: any run it started would fail otherwise
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / "scripts" / "bench_snapshot.py").write_bytes((SCRIPTS / "bench_snapshot.py").read_bytes())
+    cache = tmp_path / "src" / "restime" / "__pycache__"
+    cache.mkdir(parents=True)
+    done = subprocess.run(
+        [sys.executable, str(tmp_path / "scripts" / "bench_snapshot.py"), "7"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 1
+    assert done.stderr.splitlines() == [
+        f"error: {cache.resolve()} exists; snapshot a checkout without bytecode caches"
+    ]
+    assert done.stdout == "" and not (tmp_path / "BENCH_7.json").exists()
