@@ -13,6 +13,12 @@ and writes them to BENCH_<N>.json at the checkout root.
 It refuses a checkout whose `src/` holds a `__pycache__` directory: a
 stale bytecode cache makes setup faster and peak RSS lower than a fresh
 checkout reads, so run it in a clean copy (`git archive` or `git clone`).
+It also refuses to overwrite an existing BENCH_<N>.json. Both refusals
+come before any perfbench run.
+
+The snapshot records the name of the checkout's directory (`checkout`):
+peak RSS moves with it, so compare snapshots taken in directories whose
+names have equal length.
 """
 
 from __future__ import annotations
@@ -61,13 +67,16 @@ def main(argv: list[str] | None = None) -> int:
     cache = next((ROOT / "src").rglob("__pycache__"), None)
     if cache is not None:
         raise SystemExit(f"error: {cache} exists; snapshot a checkout without bytecode caches")
+    out = ROOT / f"BENCH_{args.n}.json"
+    if out.exists():
+        raise SystemExit(f"error: {out} exists; pick an unused snapshot index")
     snapshot = {
+        "checkout": ROOT.name,
         "seed": SEED,
         "seconds": SECONDS,
         "trace0": run_all(0),
         "trace1": run_all(1),
     }
-    out = ROOT / f"BENCH_{args.n}.json"
     out.write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
     print(out)
     return 0

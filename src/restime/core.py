@@ -8,6 +8,7 @@ everywhere else.  All types here are immutable values.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import asdict, dataclass
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
@@ -112,18 +113,21 @@ def _positive_ints(steps) -> tuple[int, ...]:
     return steps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class OccupancyTrace:
     """Binary presence sequence in temporal order, 1 = inside the region.
 
-    Stored as bytes, one per step: 0x01 inside, 0x00 outside.  Any iterable
-    whose elements equal 0 or 1 is accepted and normalised to that form.
+    Two forms of the same trace: `bits`, bytes with one per step (0x01
+    inside, 0x00 outside), and `runs`, its maximal runs in order as a pair
+    of read-only arrays (uint8 values, int64 lengths).  A trace holds the
+    form it was built from and builds the other the first time it is read.
+    Any iterable whose elements equal 0 or 1 is accepted as bits and
+    normalised to bytes.  Equality, hash and repr are those of a frozen
+    dataclass whose one field is `bits`.
     """
 
-    bits: bytes
-
-    def __post_init__(self):
-        bits = tuple(self.bits)
+    def __init__(self, bits):
+        bits = tuple(bits)
         try:
             # check before int(), which would also take 0.5, "1" and 1.9
             ok = {0, 1}.issuperset(bits)
@@ -131,17 +135,49 @@ class OccupancyTrace:
             ok = False
         if not ok:
             raise DomainError("trace elements must be 0 or 1")
-        object.__setattr__(self, "bits", bytes(map(int, bits)))
+        self.__dict__["bits"] = bytes(map(int, bits))
 
     @classmethod
-    def _trusted(cls, bits: bytes) -> "OccupancyTrace":
-        """A trace over bytes the caller built from 0x00/0x01 only; skips the check."""
+    def _from_runs(cls, values: np.ndarray, lengths: np.ndarray) -> "OccupancyTrace":
+        """A trace over runs the caller built: alternating 0/1 uint8 values and
+        int64 lengths >= 1.  Skips the check; the trace takes both arrays."""
         trace = object.__new__(cls)
-        object.__setattr__(trace, "bits", bits)
+        values.flags.writeable = lengths.flags.writeable = False
+        trace.__dict__["runs"] = (values, lengths)
         return trace
 
+    @cached_property
+    def bits(self) -> bytes:
+        return np.repeat(*self.runs).tobytes()
+
+    @cached_property
+    def runs(self) -> tuple[np.ndarray, np.ndarray]:
+        values, lengths = _runs(np.frombuffer(self.bits, dtype=np.uint8))
+        values.flags.writeable = lengths.flags.writeable = False
+        return values, lengths
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.bits == other.bits
+
+    def __hash__(self) -> int:
+        return hash((self.bits,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(bits={self.bits!r})"
+
     def __len__(self) -> int:
-        return len(self.bits)
+        bits = self.__dict__.get("bits")
+        return len(bits) if bits is not None else int(self.runs[1].sum())
+
+
+def _runs(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Maximal runs of a 1-d uint8 0/1 array in order: each run's value and length."""
+    if not b.size:
+        return np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.int64)
+    bounds = np.concatenate(([0], np.flatnonzero(b[1:] != b[:-1]) + 1, [b.size]))
+    return b[bounds[:-1]], np.diff(bounds)
 
 
 @dataclass(frozen=True)
@@ -191,7 +227,12 @@ class DistributionSpec:
     p: Fraction | None = None
     a: int | None = None
     b: int | None = None
-    _FIELDS = {"geom": {"p": Fraction}, "uniform": {"a": int, "b": int}}  # not a dataclass field
+    # each kind's fields: the form a value must take, in ASCII digits, and its
+    # converter (not a dataclass field)
+    _FIELDS = {
+        "geom": {"p": ("[0-9]+(/[0-9]+)?", Fraction)},
+        "uniform": {"a": ("[0-9]+", int), "b": ("[0-9]+", int)},
+    }
 
     def __post_init__(self):
         if self.kind == "geom":
@@ -223,15 +264,20 @@ class DistributionSpec:
             if kind not in cls._FIELDS:
                 raise ValueError(f"unknown kind {kind!r}")
             fields = {}
-            for name, eq, value in (part.partition("=") for part in rest.split(",") if part):
+            for pos, part in enumerate(rest.split(",") if rest else [], start=1):
+                name, eq, value = part.partition("=")
+                if not part:
+                    raise ValueError(f"empty field at position {pos}")
                 if not eq or name in fields or name not in cls._FIELDS[kind]:
                     why = "no '=' after" if not eq else "repeated" if name in fields else "unknown"
                     raise ValueError(f"{why} field {name!r}")
                 fields[name] = value
             values = {}
-            for name, convert in cls._FIELDS[kind].items():
+            for name, (form, convert) in cls._FIELDS[kind].items():
                 if name not in fields:
                     raise ValueError(f"missing field {name!r}")
+                if not re.fullmatch(form, fields[name]):
+                    raise ValueError(f"bad value {fields[name]!r} for field {name!r}")
                 values[name] = convert(fields[name])
             return cls(kind, **values)
         except (ValueError, ZeroDivisionError) as exc:

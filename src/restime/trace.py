@@ -9,12 +9,13 @@ from typing import Iterable, Iterator, TextIO
 import numpy as np
 
 from .core import DomainError, OccupancyTrace, ParseError, ResidenceSample
-from .core import _is_positive_int, _step_array
+from .core import _is_positive_int, _runs, _step_array
 
-_DIGIT_TO_BIT = bytes.maketrans(b"01", b"\x00\x01")
 # the ASCII characters that str.split() separates tokens on
 _SEPARATORS = b" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
-_TOKEN_BYTES = b"01" + _SEPARATORS
+# the digits 0 and 1 become the bytes 0x00 and 0x01; a raw 0x00 or 0x01 becomes
+# 0xFF, so that every byte of a translated line above 0x01 marks a bad token
+_TO_BITS = bytes.maketrans(b"01\x00\x01", b"\x00\x01\xff\xff")
 
 
 @dataclass(frozen=True)
@@ -56,13 +57,13 @@ def parse_traces(source: Iterable[str]) -> list[OccupancyTrace]:
     for lineno, line in enumerate(source, start=1):
         if line.isascii():
             raw = line.encode("ascii")
-            if _is_bit_line(raw):
-                # two passes: one translate that also deletes shrinks its result in
-                # place, and the heap holes left after each kept trace cost about 0.6 MB
-                # of peak RSS on a cold 40-trace, 2M-bit extract
-                bits = raw.translate(None, _SEPARATORS).translate(_DIGIT_TO_BIT)
-                if bits:
-                    traces.append(OccupancyTrace._trusted(bits))
+            b = np.frombuffer(raw.translate(_TO_BITS, _SEPARATORS), dtype=np.uint8)
+            if not b.size:
+                continue
+            # the digits are the only bytes above b" "; two side by side make a longer token
+            digit = np.frombuffer(raw, dtype=np.uint8) > ord(" ")
+            if b.max() <= 1 and not (digit[1:] & digit[:-1]).any():
+                traces.append(OccupancyTrace._from_runs(*_runs(b)))
                 continue
         # a bad token or a non-ASCII separator: walk the tokens, naming the first bad one
         tokens = line.split()
@@ -70,40 +71,30 @@ def parse_traces(source: Iterable[str]) -> list[OccupancyTrace]:
             if tok not in ("0", "1"):
                 raise ParseError(f"line {lineno}, column {col}: expected 0 or 1, got {tok!r}")
         if tokens:
-            traces.append(OccupancyTrace._trusted(bytes(map(int, tokens))))
+            b = np.frombuffer(bytes(map(int, tokens)), dtype=np.uint8)
+            traces.append(OccupancyTrace._from_runs(*_runs(b)))
     return traces
-
-
-def _is_bit_line(raw: bytes) -> bool:
-    """True if the ASCII line holds only 0/1 tokens and str.split()'s separators."""
-    if raw.translate(None, _TOKEN_BYTES):
-        return False
-    # the digits are the only bytes above b" "; two side by side make a longer token
-    digit = np.frombuffer(raw, dtype=np.uint8) > ord(" ")
-    return not (digit[1:] & digit[:-1]).any()
-
-
-def _runs(bits: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """Maximal runs of the (nonempty) bits in order: each run's value, 0 or 1, and length."""
-    b = np.frombuffer(bits, dtype=np.uint8)
-    bounds = np.concatenate(([0], np.flatnonzero(b[1:] != b[:-1]) + 1, [len(b)]))
-    return b[bounds[:-1]], np.diff(bounds)
 
 
 def filter_transient_escapes(x: OccupancyTrace, cfg: FilterConfig) -> OccupancyTrace:
     """Bridge interior 0-runs strictly shorter than k that are bounded by 1s.
 
-    Boundary 0-runs are never filled and k=1 is the identity.  The result
-    treats a brief continuous absence as part of the surrounding stay.
+    Boundary 0-runs are never filled, and a trace with nothing to bridge
+    (always so at k=1) is returned as it is.  The result treats a brief
+    continuous absence as part of the surrounding stay.
     """
-    if cfg.k == 1 or not x.bits:
+    if cfg.k == 1:
         return x
-    values, lengths = _runs(x.bits)
+    values, lengths = x.runs
     # runs alternate, so a 0-run other than the first and last lies between 1s
     gap = (values == 0) & (lengths < cfg.k)
-    gap[0] = gap[-1] = False
-    values[gap] = 1
-    return OccupancyTrace._trusted(np.repeat(values, lengths).tobytes())
+    gap[:1] = gap[-1:] = False
+    if not gap.any():
+        return x
+    # a bridged gap becomes a 1, and a run starts wherever the value changes
+    filled = values | gap
+    starts = np.flatnonzero(np.concatenate(([True], filled[1:] != filled[:-1])))
+    return OccupancyTrace._from_runs(filled[starts], np.add.reduceat(lengths, starts))
 
 
 def extract_residences(x: OccupancyTrace, policy: ExtractionPolicy) -> np.ndarray:
@@ -112,12 +103,11 @@ def extract_residences(x: OccupancyTrace, policy: ExtractionPolicy) -> np.ndarra
     Under the 'drop' policy, runs touching either end of the trace are
     censored (their true duration is unknown) and omitted.
     """
-    if not x.bits:
-        return np.empty(0, dtype=np.int64)
-    values, lengths = _runs(x.bits)
+    values, lengths = x.runs
+    keep = values == 1
     if policy.boundary == "drop":
-        values[0] = values[-1] = 0
-    return lengths[values == 1]
+        keep[:1] = keep[-1:] = False
+    return lengths[keep]
 
 
 def per_trace_residences(

@@ -222,6 +222,21 @@ class TestExact:
     def test_bad_dist(self, capsys):
         assert main(["exact", "--dist", "beta:a=1,b=2", "--n", "5"]) == 2
 
+    @pytest.mark.parametrize(
+        "spec, why",
+        [
+            ("uniform:a=1,b=1_000", "bad value '1_000' for field 'b'"),
+            ("uniform:a=+1,b= 3", "bad value '+1' for field 'a'"),
+            ("uniform:a=1,b=\u0663", "bad value '\u0663' for field 'b'"),
+            ("geom:,p=1/2,", "empty field at position 1"),
+        ],
+    )
+    def test_spec_that_int_or_fraction_would_take_is_refused(self, spec, why, capsys):
+        assert main(["exact", "--dist", spec, "--n", "2", "--orders", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [f"error: bad distribution spec {spec!r}: {why}"]
+
     def test_bad_orders(self, capsys):
         assert main(["exact", "--dist", "geom:p=1/2", "--n", "5", "--orders", "0..9"]) == 2
         assert main(["exact", "--dist", "geom:p=1/2", "--n", "5", "--orders", "x"]) == 2

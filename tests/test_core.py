@@ -306,6 +306,19 @@ class TestDistributionSpec:
             ("geom:p", "no '=' after field 'p'"),
             ("uniform:a=1", "missing field 'b'"),
             ("geom:", "missing field 'p'"),
+            # a value takes ASCII digits only: no '_', sign, space or other digits
+            ("uniform:a=1,b=1_000", "bad value '1_000' for field 'b'"),
+            ("uniform:a=+1,b= 3", "bad value '+1' for field 'a'"),
+            ("uniform:a=1,b=\u0663", "bad value '\u0663' for field 'b'"),
+            ("uniform:a=-1,b=3", "bad value '-1' for field 'a'"),
+            ("geom:p=0.5", "bad value '0.5' for field 'p'"),
+            ("geom:p=1/2/3", "bad value '1/2/3' for field 'p'"),
+            ("geom:p=1/\u0663", "bad value '1/\u0663' for field 'p'"),
+            ("geom:p= 1/2", "bad value ' 1/2' for field 'p'"),
+            ("geom:p=", "bad value '' for field 'p'"),
+            ("geom:,p=1/2,", "empty field at position 1"),
+            ("uniform:a=1,,b=3", "empty field at position 2"),
+            ("geom:p=1/2,", "empty field at position 2"),
         ],
     )
     def test_parse_names_the_bad_field(self, bad, message):

@@ -84,18 +84,33 @@ def test_exact_table_prints_the_exact_subcommand_column():
     assert [label for label, _ in table] == ["ratio"] + [f"taylor{m}" for m in range(1, 9)] + ["exact"]
 
 
-def test_bench_snapshot_refuses_a_bytecode_cache(tmp_path):
-    # a copy of the script in a tree with no perfbench: any run it started would fail otherwise
-    (tmp_path / "scripts").mkdir()
-    (tmp_path / "scripts" / "bench_snapshot.py").write_bytes((SCRIPTS / "bench_snapshot.py").read_bytes())
-    cache = tmp_path / "src" / "restime" / "__pycache__"
-    cache.mkdir(parents=True)
-    done = subprocess.run(
-        [sys.executable, str(tmp_path / "scripts" / "bench_snapshot.py"), "7"],
+def _snapshot_in(tree: Path) -> subprocess.CompletedProcess:
+    """Run a copy of bench_snapshot.py for BENCH_7.json in a tree with no
+    perfbench, so that any run it started would fail."""
+    (tree / "scripts").mkdir()
+    (tree / "scripts" / "bench_snapshot.py").write_bytes((SCRIPTS / "bench_snapshot.py").read_bytes())
+    (tree / "src" / "restime").mkdir(parents=True, exist_ok=True)
+    return subprocess.run(
+        [sys.executable, str(tree / "scripts" / "bench_snapshot.py"), "7"],
         capture_output=True, text=True, timeout=60,
     )
+
+
+def test_bench_snapshot_refuses_a_bytecode_cache(tmp_path):
+    cache = tmp_path / "src" / "restime" / "__pycache__"
+    cache.mkdir(parents=True)
+    done = _snapshot_in(tmp_path)
     assert done.returncode == 1
     assert done.stderr.splitlines() == [
         f"error: {cache.resolve()} exists; snapshot a checkout without bytecode caches"
     ]
     assert done.stdout == "" and not (tmp_path / "BENCH_7.json").exists()
+
+
+def test_bench_snapshot_refuses_to_overwrite_a_snapshot(tmp_path):
+    old = tmp_path / "BENCH_7.json"
+    old.write_text("{}\n")
+    done = _snapshot_in(tmp_path)
+    assert done.returncode == 1
+    assert done.stderr.splitlines() == [f"error: {old.resolve()} exists; pick an unused snapshot index"]
+    assert done.stdout == "" and old.read_text() == "{}\n"

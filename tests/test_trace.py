@@ -49,6 +49,12 @@ class TestParse:
         with pytest.raises(ParseError, match="line 3"):
             parse_traces(io.StringIO("1\n0\n1 x"))
 
+    @pytest.mark.parametrize("byte", ["\x00", "\x01", "\x02", "\x7f"])
+    def test_raw_control_byte_is_named(self, byte):
+        # a raw 0x00 or 0x01 byte must not pass for a translated digit, nor any other byte
+        with pytest.raises(ParseError, match=re.escape(f"line 1, column 2: expected 0 or 1, got {byte!r}")):
+            parse_traces([f"0 {byte} 1"])
+
     @pytest.mark.parametrize("token", ["\uff11", "\u0663", "\ud800", "0\u0301"])
     def test_non_ascii_token_is_named(self, token):
         with pytest.raises(ParseError, match=re.escape(f"line 1, column 2: expected 0 or 1, got {token!r}")):
@@ -95,14 +101,14 @@ def test_parse_matches_token_walk(lines):
 
 
 def test_producers_skip_the_bit_check(monkeypatch):
-    """parse_traces and filter_transient_escapes build bytes known to be 0/1,
+    """parse_traces and filter_transient_escapes build runs known to be 0/1,
     so neither runs the public constructor's check; that check still rejects."""
 
-    def refuse(self):
+    def refuse(self, *args, **kwargs):
         raise AssertionError("checked constructor called")
 
     with monkeypatch.context() as mp:
-        mp.setattr(OccupancyTrace, "__post_init__", refuse)
+        mp.setattr(OccupancyTrace, "__init__", refuse)
         traces = parse_traces(["1 0 0 1 0 1\n", "1\xa00 1\n"])
         filtered = [filter_transient_escapes(t, FilterConfig(k=3)) for t in traces]
     assert [t.bits for t in traces] == [b"\x01\x00\x00\x01\x00\x01", b"\x01\x00\x01"]
@@ -255,6 +261,49 @@ def test_filter_idempotent_and_monotone(bits, k):
     once = filter_transient_escapes(OccupancyTrace(bits=bits), cfg)
     assert filter_transient_escapes(once, cfg).bits == once.bits
     assert all(a <= b for a, b in zip(bits, once.bits))
+
+
+@given(
+    bits=st.lists(st.integers(min_value=0, max_value=1), max_size=200).map(tuple),
+    k=st.integers(min_value=1, max_value=6),
+)
+@example(bits=(), k=2)
+@example(bits=(1, 0, 1), k=2)
+@example(bits=(0, 1, 0, 0, 1, 0, 1, 1, 0), k=3)
+@settings(max_examples=200)
+def test_run_form_matches_the_bit_references(bits, k):
+    """Traces built from bits and parsed from text, filtered and extracted on
+    their runs, agree with the plain scans over the bits."""
+    parsed = parse_traces([" ".join(map(str, bits)) + "\n"])
+    assert len(parsed) == (1 if bits else 0)
+    cfg = FilterConfig(k=k)
+    want_bits = gap_fill_reference(bits, k)
+    want = OccupancyTrace(bits=want_bits)
+    for t in (OccupancyTrace(bits=bits), *parsed):
+        out = filter_transient_escapes(t, cfg)
+        for policy in (DROP, INCLUDE):
+            assert extract_residences(out, policy).tolist() == runs_reference(want_bits, policy.boundary)
+        # len first, so that a trace built from runs answers it from them
+        assert len(out) == len(want) == len(bits)
+        assert out.bits == want.bits and out == want and hash(out) == hash(want)
+        assert repr(out) == repr(want)
+        assert filter_transient_escapes(out, cfg) == out
+        assert not any(a.flags.writeable for a in (*t.runs, *out.runs))
+
+
+def test_run_built_traces_compare_by_their_bits():
+    a, b = parse_traces(["1 0\n", "0 1\n"])
+    assert a != b and a == OccupancyTrace(bits=(1, 0)) and b == OccupancyTrace(bits=(0, 1))
+    assert len({a, b, OccupancyTrace(bits=(1, 0))}) == 2
+
+
+def test_parse_filter_extract_never_build_bits():
+    traces = parse_traces(["0 1 0 0 1 1 0 1 0\n", "1\xa00 1 1\n"])
+    filtered = [filter_transient_escapes(t, FilterConfig(k=3)) for t in traces]
+    per_trace = [extract_residences(t, DROP).tolist() for t in filtered]
+    assert [len(t) for t in traces + filtered] == [9, 4, 9, 4]
+    assert not any("bits" in vars(t) for t in traces + filtered)
+    assert per_trace == [[7], []]
 
 
 @given(bits=bit_traces)
