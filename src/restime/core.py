@@ -227,11 +227,11 @@ class DistributionSpec:
     p: Fraction | None = None
     a: int | None = None
     b: int | None = None
-    # each kind's fields: the form a value must take, in ASCII digits, and its
-    # converter (not a dataclass field)
+    # each kind's fields: the form a value must take, in ASCII digits without
+    # leading zeros, and its converter (not a dataclass field)
     _FIELDS = {
-        "geom": {"p": ("[0-9]+(/[0-9]+)?", Fraction)},
-        "uniform": {"a": ("[0-9]+", int), "b": ("[0-9]+", int)},
+        "geom": {"p": ("(0|[1-9][0-9]*)(/[1-9][0-9]*)?", Fraction)},
+        "uniform": {"a": ("0|[1-9][0-9]*", int), "b": ("0|[1-9][0-9]*", int)},
     }
 
     def __post_init__(self):
@@ -280,7 +280,7 @@ class DistributionSpec:
                     raise ValueError(f"bad value {fields[name]!r} for field {name!r}")
                 values[name] = convert(fields[name])
             return cls(kind, **values)
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             # bad parameter values are usage errors at this boundary too
             raise ParseError(f"bad distribution spec {text!r}: {exc}") from exc
 

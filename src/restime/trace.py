@@ -83,8 +83,6 @@ def filter_transient_escapes(x: OccupancyTrace, cfg: FilterConfig) -> OccupancyT
     (always so at k=1) is returned as it is.  The result treats a brief
     continuous absence as part of the surrounding stay.
     """
-    if cfg.k == 1:
-        return x
     values, lengths = x.runs
     # runs alternate, so a 0-run other than the first and last lies between 1s
     gap = (values == 0) & (lengths < cfg.k)

@@ -229,6 +229,7 @@ class TestExact:
             ("uniform:a=+1,b= 3", "bad value '+1' for field 'a'"),
             ("uniform:a=1,b=\u0663", "bad value '\u0663' for field 'b'"),
             ("geom:,p=1/2,", "empty field at position 1"),
+            ("uniform:a=01,b=3", "bad value '01' for field 'a'"),
         ],
     )
     def test_spec_that_int_or_fraction_would_take_is_refused(self, spec, why, capsys):

@@ -315,6 +315,12 @@ class TestDistributionSpec:
             ("geom:p=1/2/3", "bad value '1/2/3' for field 'p'"),
             ("geom:p=1/\u0663", "bad value '1/\u0663' for field 'p'"),
             ("geom:p= 1/2", "bad value ' 1/2' for field 'p'"),
+            # and no leading zero, which str() would not print back
+            ("uniform:a=01,b=3", "bad value '01' for field 'a'"),
+            ("geom:p=01/020", "bad value '01/020' for field 'p'"),
+            ("geom:p=01/20", "bad value '01/20' for field 'p'"),
+            ("geom:p=1/020", "bad value '1/020' for field 'p'"),
+            ("geom:p=1/0", "bad value '1/0' for field 'p'"),
             ("geom:p=", "bad value '' for field 'p'"),
             ("geom:,p=1/2,", "empty field at position 1"),
             ("uniform:a=1,,b=3", "empty field at position 2"),
