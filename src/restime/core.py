@@ -117,13 +117,12 @@ def _positive_ints(steps) -> tuple[int, ...]:
 class OccupancyTrace:
     """Binary presence sequence in temporal order, 1 = inside the region.
 
-    Two forms of the same trace: `bits`, bytes with one per step (0x01
-    inside, 0x00 outside), and `runs`, its maximal runs in order as a pair
-    of read-only arrays (uint8 values, int64 lengths).  A trace holds the
-    form it was built from and builds the other the first time it is read.
-    Any iterable whose elements equal 0 or 1 is accepted as bits and
-    normalised to bytes.  Equality, hash and repr are those of a frozen
-    dataclass whose one field is `bits`.
+    A trace holds only `runs`, its maximal runs in order as a pair of
+    read-only arrays (uint8 values, int64 lengths).  `bits`, bytes with one
+    per step (0x01 inside, 0x00 outside), is built from the runs on first
+    read.  Any iterable whose elements equal 0 or 1 is accepted as bits.
+    Equality, hash and repr are those of a frozen dataclass whose one field
+    is `bits`.
     """
 
     def __init__(self, bits):
@@ -135,41 +134,37 @@ class OccupancyTrace:
             ok = False
         if not ok:
             raise DomainError("trace elements must be 0 or 1")
-        self.__dict__["bits"] = bytes(map(int, bits))
+        self._hold(*_runs(np.frombuffer(bytes(map(int, bits)), dtype=np.uint8)))
 
     @classmethod
     def _from_runs(cls, values: np.ndarray, lengths: np.ndarray) -> "OccupancyTrace":
         """A trace over runs the caller built: alternating 0/1 uint8 values and
         int64 lengths >= 1.  Skips the check; the trace takes both arrays."""
         trace = object.__new__(cls)
-        values.flags.writeable = lengths.flags.writeable = False
-        trace.__dict__["runs"] = (values, lengths)
+        trace._hold(values, lengths)
         return trace
+
+    def _hold(self, values: np.ndarray, lengths: np.ndarray) -> None:
+        values.flags.writeable = lengths.flags.writeable = False
+        self.__dict__["runs"] = (values, lengths)
 
     @cached_property
     def bits(self) -> bytes:
         return np.repeat(*self.runs).tobytes()
 
-    @cached_property
-    def runs(self) -> tuple[np.ndarray, np.ndarray]:
-        values, lengths = _runs(np.frombuffer(self.bits, dtype=np.uint8))
-        values.flags.writeable = lengths.flags.writeable = False
-        return values, lengths
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.bits == other.bits
+        return all(map(np.array_equal, self.runs, other.runs))
 
     def __hash__(self) -> int:
-        return hash((self.bits,))
+        return hash(tuple(a.tobytes() for a in self.runs))
 
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}(bits={self.bits!r})"
 
     def __len__(self) -> int:
-        bits = self.__dict__.get("bits")
-        return len(bits) if bits is not None else int(self.runs[1].sum())
+        return int(self.runs[1].sum())
 
 
 def _runs(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

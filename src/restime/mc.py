@@ -68,10 +68,18 @@ def _finish_rows(dist: DistributionSpec, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _check_drawable(dist: DistributionSpec) -> None:
+    """Refuse a uniform support past 2**53: its draws are held in float64
+    rows, which hold every integer only up to 2**53."""
+    if dist.kind == "uniform" and dist.b > 2**53:
+        raise DomainError(f"uniform draws are held as float64, exact only up to 2**53, got b={dist.b}")
+
+
 def sample(dist: DistributionSpec, n: int, rng: np.random.Generator) -> ResidenceSample:
     """Draw one sample of size n from a reference distribution."""
     if n < 1:
         raise DomainError("sample size must be >= 1")
+    _check_drawable(dist)
     x = np.empty(n)
     _fill_row(dist, x, rng)
     return ResidenceSample(steps=tuple(map(int, _finish_rows(dist, x))))
@@ -88,6 +96,7 @@ class ExperimentConfig:
     estimators: tuple[str, ...] = ("ratio", "taylor8")
 
     def __post_init__(self):
+        _check_drawable(self.dist)
         for n in self.sizes:
             if not _is_integer(n):
                 raise DomainError(f"sample size must be an integer, got {n!r}")

@@ -64,23 +64,30 @@ def _eulerian_rows(nmax: int) -> list[list[int]]:
 def exact_moments(d: DistributionSpec, max_central_order: int = 4) -> MomentVector:
     """Exact rational moments of a reference distribution.
 
-    Geometric raw moments come from the Eulerian-polynomial identity
-    E[X^n] = A_n(1-p)/p^n; uniform ones from direct summation over the
-    support.  Central moments follow by binomial transform.
+    Both read the Eulerian numbers A(n, j).  Geometric raw moments come from
+    the Eulerian-polynomial identity E[X^n] = A_n(1-p)/p^n.  Uniform ones
+    come from Worpitzky's identity x^n = sum_j A(n, j) C(x+j, n), whose sum
+    over a..b telescopes to sum_j A(n, j) (C(b+j+1, n+1) - C(a+j, n+1)), so
+    their cost does not grow with b - a.  Central moments follow by
+    binomial transform.
     """
     if not 2 <= max_central_order <= 2 * MAX_ORDER:
         raise DomainError(f"central order must lie in 2..{2 * MAX_ORDER}")
     top = max_central_order
+    rows = _eulerian_rows(top)
     if d.kind == "geom":
-        q, rows = 1 - d.p, _eulerian_rows(top)
+        q = 1 - d.p
         raw = {n: sum(c * q**j for j, c in enumerate(rows[n])) / d.p**n for n in range(1, top + 1)}
     else:
-        raw = _power_means(range(d.a, d.b + 1), top)
+        a, b = d.a, d.b
+        sums = {n: sum(c * (comb(b + j + 1, n + 1) - comb(a + j, n + 1)) for j, c in enumerate(rows[n]))
+                for n in range(1, top + 1)}
+        raw = {n: Fraction(s, b - a + 1) for n, s in sums.items()}
     return _exact_vector(raw)
 
 
 def _power_means(xs, top: int) -> dict:
-    """Exact raw moments of orders 1..top of the values xs, each weighted equally."""
+    """Exact raw moments of orders 1..top of the sample values xs, each weighted equally."""
     return {j: Fraction(sum(x**j for x in xs), len(xs)) for j in range(1, top + 1)}
 
 

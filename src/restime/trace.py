@@ -55,24 +55,19 @@ def parse_traces(source: Iterable[str]) -> list[OccupancyTrace]:
     """Read one trace per nonempty line of whitespace-separated 0/1 tokens."""
     traces = []
     for lineno, line in enumerate(source, start=1):
-        if line.isascii():
-            raw = line.encode("ascii")
-            b = np.frombuffer(raw.translate(_TO_BITS, _SEPARATORS), dtype=np.uint8)
-            if not b.size:
-                continue
-            # the digits are the only bytes above b" "; two side by side make a longer token
-            digit = np.frombuffer(raw, dtype=np.uint8) > ord(" ")
-            if b.max() <= 1 and not (digit[1:] & digit[:-1]).any():
-                traces.append(OccupancyTrace._from_runs(*_runs(b)))
-                continue
-        # a bad token or a non-ASCII separator: walk the tokens, naming the first bad one
-        tokens = line.split()
-        for col, tok in enumerate(tokens, start=1):
-            if tok not in ("0", "1"):
-                raise ParseError(f"line {lineno}, column {col}: expected 0 or 1, got {tok!r}")
-        if tokens:
-            b = np.frombuffer(bytes(map(int, tokens)), dtype=np.uint8)
-            traces.append(OccupancyTrace._from_runs(*_runs(b)))
+        # a non-ASCII line is rejoined with single spaces, and a non-ASCII
+        # character left in a token becomes b"?", a bad byte
+        raw = (line if line.isascii() else " ".join(line.split())).encode("ascii", "replace")
+        b = np.frombuffer(raw.translate(_TO_BITS, _SEPARATORS), dtype=np.uint8)
+        if not b.size:
+            continue
+        # the digits are the only bytes above b" "; two side by side make a longer token
+        digit = np.frombuffer(raw, dtype=np.uint8) > ord(" ")
+        if b.max() > 1 or (digit[1:] & digit[:-1]).any():
+            # some token is bad: walk the tokens to name the first one
+            col, tok = next((c, t) for c, t in enumerate(line.split(), start=1) if t not in ("0", "1"))
+            raise ParseError(f"line {lineno}, column {col}: expected 0 or 1, got {tok!r}")
+        traces.append(OccupancyTrace._from_runs(*_runs(b)))
     return traces
 
 

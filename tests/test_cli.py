@@ -448,6 +448,15 @@ class TestMc:
     def test_bad_sizes(self, capsys):
         assert main(["mc", "--dist", "geom:p=1/2", "--n", "ten"]) == 2
 
+    @pytest.mark.parametrize("b", [2**53 + 1, 2**60 - 1, 2**63, 2**64])
+    def test_uniform_past_2_53_is_refused(self, capsys, b):
+        assert main(["mc", "--dist", f"uniform:a={b - 2},b={b}", "--n", "3", "--reps", "4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: uniform draws are held as float64, exact only up to 2**53, got b={b}"
+        ]
+
     @pytest.mark.parametrize("n, reps, gib", [
         ("5", "10000000000000", "372,529.0"),
         ("1000000000000", "10", "223,517.4"),

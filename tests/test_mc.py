@@ -59,6 +59,21 @@ class TestSampling:
         with pytest.raises(DomainError):
             sample(GEOM_HALF, 0, replicate_stream(0, 0))
 
+    def test_uniform_up_to_2_53_is_drawn_exactly(self):
+        s = sample(DistributionSpec.uniform(2**53 - 2, 2**53), 200, replicate_stream(0, 0))
+        assert set(s.steps) == {2**53 - 2, 2**53 - 1, 2**53}
+
+    @pytest.mark.parametrize(
+        "a, b", [(2**53 - 1, 2**53 + 1), (2**60 - 3, 2**60 - 1), (1, 2**63), (2**64, 2**70)]
+    )
+    def test_uniform_past_2_53_is_refused(self, a, b):
+        # float64 rows would round the draws, and numpy refuses b >= 2**63
+        dist = DistributionSpec.uniform(a, b)
+        with pytest.raises(DomainError, match=rf"exact only up to 2\*\*53, got b={b}$"):
+            sample(dist, 5, replicate_stream(0, 0))
+        with pytest.raises(DomainError, match=r"2\*\*53"):
+            ExperimentConfig(dist=dist, sizes=(3,), replicates=4, seed=0)
+
     @pytest.mark.parametrize("dist", [GEOM_HALF, DistributionSpec.uniform(3, 6)])
     def test_sample_holds_the_raw_draws(self, dist):
         x = per_row_draws(dist, 1000, replicate_stream(7, 2))

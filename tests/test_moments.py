@@ -1,14 +1,21 @@
 import math
+import time
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from restime import mc
 from restime.core import DistributionSpec, DomainError, ResidenceSample
-from restime.moments import central_from_raw, exact_moments, sample_moments
+from restime.moments import (
+    _exact_vector,
+    _power_means,
+    central_from_raw,
+    exact_moments,
+    sample_moments,
+)
 
 from .oracles import central_moments_direct, geometric_raw_interval, raw_from_central
 
@@ -124,6 +131,24 @@ class TestExactMoments:
         m = exact_moments(DistributionSpec.uniform(7, 7), max_central_order=6)
         assert m.mean == 7
         assert all(v == 0 for v in m.central.values())
+
+    @given(st.integers(min_value=1, max_value=500), st.integers(min_value=0, max_value=300))
+    @example(1, 0)
+    @example(1, 1)
+    @settings(max_examples=60)
+    def test_uniform_closed_form_matches_summation(self, a, width):
+        # the telescoped power sums give the direct sums over the support
+        b = a + width
+        want = _exact_vector(_power_means(range(a, b + 1), 16))
+        assert exact_moments(DistributionSpec.uniform(a, b), max_central_order=16) == want
+
+    def test_wide_uniform_costs_no_time_per_support_point(self):
+        # summing over the 10**12 support points would take hours
+        start = time.perf_counter()
+        m = exact_moments(DistributionSpec.uniform(1, 10**12), max_central_order=16)
+        assert time.perf_counter() - start < 0.25
+        assert m.mean == Fraction(10**12 + 1, 2)
+        assert m.central[2] == Fraction(10**24 - 1, 12)
 
 
 class TestTransforms:

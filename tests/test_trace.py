@@ -283,7 +283,6 @@ def test_run_form_matches_the_bit_references(bits, k):
         out = filter_transient_escapes(t, cfg)
         for policy in (DROP, INCLUDE):
             assert extract_residences(out, policy).tolist() == runs_reference(want_bits, policy.boundary)
-        # len first, so that a trace built from runs answers it from them
         assert len(out) == len(want) == len(bits)
         assert out.bits == want.bits and out == want and hash(out) == hash(want)
         assert repr(out) == repr(want)
@@ -298,12 +297,19 @@ def test_run_built_traces_compare_by_their_bits():
 
 
 def test_parse_filter_extract_never_build_bits():
+    """Every trace holds only its runs, however it was built, and ==, hash
+    and len answer from them; bits are built only when read."""
     traces = parse_traces(["0 1 0 0 1 1 0 1 0\n", "1\xa00 1 1\n"])
     filtered = [filter_transient_escapes(t, FilterConfig(k=3)) for t in traces]
     per_trace = [extract_residences(t, DROP).tolist() for t in filtered]
-    assert [len(t) for t in traces + filtered] == [9, 4, 9, 4]
-    assert not any("bits" in vars(t) for t in traces + filtered)
+    built = OccupancyTrace(bits=(0, 1, 1, 1, 1, 1, 1, 1, 0))
+    everything = [*traces, *filtered, built]
+    assert [len(t) for t in everything] == [9, 4, 9, 4, 9]
+    assert [t == built for t in everything] == [False, False, True, False, True]
+    assert len({hash(t) for t in everything}) == 4 and hash(filtered[0]) == hash(built)
+    assert all(set(vars(t)) == {"runs"} for t in everything)
     assert per_trace == [[7], []]
+    assert built.bits == b"\x00" + b"\x01" * 7 + b"\x00" and set(vars(built)) == {"runs", "bits"}
 
 
 @given(bits=bit_traces)
