@@ -10,16 +10,13 @@ rational references are available for small finite-support cases.
 from .core import (
     DistributionSpec,
     DomainError,
-    EstimateReport,
     MomentVector,
-    OccupancyTrace,
     ParseError,
     ResidenceSample,
-    Term,
-    VarianceExpression,
     format_rational,
 )
 from .estimators import (
+    EstimateReport,
     build_report,
     mean_residence_steps,
     mean_residual_steps,
@@ -31,10 +28,11 @@ from .estimators import (
 )
 from .mc import ExperimentConfig, ExperimentRow, exact_variance_small, run_experiment, sample
 from .moments import central_from_raw, exact_moments, sample_moments
-from .taylor import evaluate_expression, generate_expression
+from .taylor import Term, VarianceExpression, evaluate_expression, generate_expression
 from .trace import (
     ExtractionPolicy,
     FilterConfig,
+    OccupancyTrace,
     collect_sample,
     extract_residences,
     filter_transient_escapes,

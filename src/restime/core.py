@@ -1,4 +1,4 @@
-"""Shared domain types for residence-time estimation.
+"""Domain types and helpers that several modules of the package share.
 
 Two scalar regimes coexist throughout the package: exact rationals
 (fractions.Fraction) for reference computations, plain 64-bit floats
@@ -7,9 +7,8 @@ everywhere else.  All types here are immutable values.
 
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from functools import cached_property
@@ -54,12 +53,11 @@ class ResidenceSample:
     """
 
     def __init__(self, steps):
-        is_int64 = isinstance(steps, np.ndarray) and steps.dtype == np.int64 and steps.ndim == 1
-        if is_int64 and steps.size and steps.min() >= 1:
-            # one min checks every step, and the copy makes the array the sample's own
+        array = _checked_array(steps)
+        if not array.size:
+            raise DomainError("sample must contain at least one residence")
+        if array is steps:  # the copy makes the array the sample's own
             array = steps.copy()
-        else:  # an int64 array's Python ints, so an error names x as a tuple would
-            array = _step_array(_positive_ints(steps.tolist() if is_int64 else steps))
         array.flags.writeable = False
         self.__dict__["array"] = array
 
@@ -99,80 +97,30 @@ def _step_array(ints) -> np.ndarray:
         return np.array(ints, dtype=object)
 
 
+def _checked_array(steps) -> np.ndarray:
+    """Steps, each an integer >= 1, as one 1-d array that may be empty.
+
+    A 1-d int64 array whose min is >= 1 is returned as it is; anything else
+    becomes a new _step_array.  DomainError names the first bad step.  The
+    one check of a step, shared by ResidenceSample and write_steps_csv.
+    """
+    is_int64 = isinstance(steps, np.ndarray) and steps.dtype == np.int64 and steps.ndim == 1
+    if is_int64 and steps.size and steps.min() >= 1:
+        return steps
+    # an int64 array's Python ints, so an error names x as a tuple would
+    return _step_array(_positive_ints(steps.tolist() if is_int64 else steps))
+
+
 def _positive_ints(steps) -> tuple[int, ...]:
     """The steps as a tuple of Python ints; DomainError names the first bad one."""
     steps = tuple(steps)
-    if not steps:
-        raise DomainError("sample must contain at least one residence")
-    if set(map(type, steps)) != {int} or min(steps) < 1:
+    if steps and (set(map(type, steps)) != {int} or min(steps) < 1):
         # bools, numpy ints and integral floats are converted; the first bad value is named
         for x in steps:
             if not _is_positive_int(x):
                 raise DomainError(f"residence durations must be integers >= 1, got {x!r}")
         steps = tuple(map(int, steps))
     return steps
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class OccupancyTrace:
-    """Binary presence sequence in temporal order, 1 = inside the region.
-
-    A trace holds only `runs`, its maximal runs in order as a pair of
-    read-only arrays (uint8 values, int64 lengths).  `bits`, bytes with one
-    per step (0x01 inside, 0x00 outside), is built from the runs on first
-    read.  Any iterable whose elements equal 0 or 1 is accepted as bits.
-    Equality, hash and repr are those of a frozen dataclass whose one field
-    is `bits`.
-    """
-
-    def __init__(self, bits):
-        bits = tuple(bits)
-        try:
-            # check before int(), which would also take 0.5, "1" and 1.9
-            ok = {0, 1}.issuperset(bits)
-        except TypeError:  # an unhashable element
-            ok = False
-        if not ok:
-            raise DomainError("trace elements must be 0 or 1")
-        self._hold(*_runs(np.frombuffer(bytes(map(int, bits)), dtype=np.uint8)))
-
-    @classmethod
-    def _from_runs(cls, values: np.ndarray, lengths: np.ndarray) -> "OccupancyTrace":
-        """A trace over runs the caller built: alternating 0/1 uint8 values and
-        int64 lengths >= 1.  Skips the check; the trace takes both arrays."""
-        trace = object.__new__(cls)
-        trace._hold(values, lengths)
-        return trace
-
-    def _hold(self, values: np.ndarray, lengths: np.ndarray) -> None:
-        values.flags.writeable = lengths.flags.writeable = False
-        self.__dict__["runs"] = (values, lengths)
-
-    @cached_property
-    def bits(self) -> bytes:
-        return np.repeat(*self.runs).tobytes()
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(map(np.array_equal, self.runs, other.runs))
-
-    def __hash__(self) -> int:
-        return hash(tuple(a.tobytes() for a in self.runs))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(bits={self.bits!r})"
-
-    def __len__(self) -> int:
-        return int(self.runs[1].sum())
-
-
-def _runs(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Maximal runs of a 1-d uint8 0/1 array in order: each run's value and length."""
-    if not b.size:
-        return np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.int64)
-    bounds = np.concatenate(([0], np.flatnonzero(b[1:] != b[:-1]) + 1, [b.size]))
-    return b[bounds[:-1]], np.diff(bounds)
 
 
 @dataclass(frozen=True)
@@ -281,90 +229,6 @@ class DistributionSpec:
 
     def __str__(self) -> str:
         return f"{self.kind}:" + ",".join(f"{f}={getattr(self, f)}" for f in self._FIELDS[self.kind])
-
-
-@dataclass(frozen=True)
-class Term:
-    """One monomial q * N^-e * mu^g * prod(mu_m^c_m)."""
-
-    coef: Fraction
-    n_exponent: int
-    mu_exponent: int
-    moment_powers: tuple[tuple[int, int], ...]
-
-    def text(self) -> str:
-        parts = [str(self.coef), f"N^-{self.n_exponent}"]
-        if self.mu_exponent:
-            parts.append(f"mu^{self.mu_exponent}")
-        for m, c in self.moment_powers:
-            parts.append(f"mu{m}" + (f"^{c}" if c > 1 else ""))
-        return " * ".join(parts)
-
-    def to_dict(self) -> dict:
-        return {
-            "coef": str(self.coef),
-            "n_exponent": self.n_exponent,
-            "mu_exponent": self.mu_exponent,
-            "moment_powers": {str(m): c for m, c in self.moment_powers},
-        }
-
-
-@dataclass(frozen=True)
-class VarianceExpression:
-    """Sum of Term monomials approximating the variance of the residual-time statistic."""
-
-    order: int
-    terms: tuple[Term, ...]
-
-    def text(self) -> str:
-        return "\n".join(t.text() for t in self.terms)
-
-    @cached_property
-    def central_orders(self) -> tuple[int, ...]:
-        """The central-moment orders some term uses, ascending."""
-        return tuple(sorted({m for t in self.terms for m, _ in t.moment_powers}))
-
-    @cached_property
-    def _prepared_forms(self) -> dict:
-        """The evaluator's prepared forms of this expression, keyed by (N, exact);
-        taylor._prepared fills it."""
-        return {}
-
-    def to_dict(self) -> dict:
-        return {"order": self.order, "terms": [t.to_dict() for t in self.terms]}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-
-@dataclass(frozen=True)
-class EstimateReport:
-    """Point estimates and uncertainties in steps and, when dt is given, time units.
-
-    Lowercase mrt fields describe the mean residual time (expected wait to
-    stay completion); capitalized mRT fields describe the mean residence
-    time.  Per-method dicts are keyed by estimator label, e.g. "ratio" or
-    "taylor8".
-    """
-
-    n: int
-    dt: float | None
-    methods: tuple[str, ...]
-    mrt_steps: float
-    mrt_var_steps: dict[str, float]
-    mrt_sd_steps: dict[str, float]
-    mRT_steps: float
-    mRT_var_steps: float
-    mRT_sd_steps: float
-    mrt_time: float | None = None
-    mrt_var_time: dict[str, float] | None = None
-    mrt_sd_time: dict[str, float] | None = None
-    mRT_time: float | None = None
-    mRT_var_time: float | None = None
-    mRT_sd_time: float | None = None
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
 
 
 def format_rational(value: Fraction | float, digits: int = 16) -> str:

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import json
 import math
 import warnings
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .core import DomainError, EstimateReport, MomentVector, ResidenceSample
+from .core import DomainError, MomentVector, ResidenceSample
 from .moments import sample_moments
 from .taylor import MAX_ORDER, _needed_central, evaluate_expression, generate_expression
 
@@ -157,6 +159,36 @@ def rt_autocorrelation(per_trace_rts, max_lag: int) -> list[tuple[int, float, fl
         sd = float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
         out.append((h, float(arr.mean()), sd))
     return out
+
+
+@dataclass(frozen=True)
+class EstimateReport:
+    """Point estimates and uncertainties in steps and, when dt is given, time units.
+
+    Lowercase mrt fields describe the mean residual time (expected wait to
+    stay completion); capitalized mRT fields describe the mean residence
+    time.  Per-method dicts are keyed by estimator label, e.g. "ratio" or
+    "taylor8".
+    """
+
+    n: int
+    dt: float | None
+    methods: tuple[str, ...]
+    mrt_steps: float
+    mrt_var_steps: dict[str, float]
+    mrt_sd_steps: dict[str, float]
+    mRT_steps: float
+    mRT_var_steps: float
+    mRT_sd_steps: float
+    mrt_time: float | None = None
+    mrt_var_time: dict[str, float] | None = None
+    mrt_sd_time: dict[str, float] | None = None
+    mRT_time: float | None = None
+    mRT_var_time: float | None = None
+    mRT_sd_time: float | None = None
+
+    def to_json(self) -> str:
+        return json.dumps(asdict(self), indent=2)
 
 
 def build_report(

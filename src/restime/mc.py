@@ -156,6 +156,9 @@ def _layout(n: int, r: int, labels: int, top: int) -> tuple[int, int, int]:
     return chunk, block, 8 * (kept + max(2 * chunk * n, (3 * top + 2) * rows))
 
 
+# numpy's overflow and invalid-value warnings are off: an overflow is named per
+# sample size by one DomainError instead
+@np.errstate(all="ignore")
 def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
     """Reference variance of the point statistic versus estimator means.
 
@@ -169,7 +172,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
     and the block; the results are not: f_vals and one array per estimator
     label are (reps,) float64, 8 bytes per replicate each (24 with the
     CLI's two labels).  A sample size whose predicted peak (_layout)
-    exceeds _MEMORY_LIMIT, 2 GiB, raises DomainError before any work.
+    exceeds _MEMORY_LIMIT, 2 GiB, raises DomainError before any work.  A
+    statistic, estimate or summary that is not finite at some size (draws
+    near float64's range overflow) raises DomainError naming that size.
     """
     orders = [_series_order(lbl) for lbl in cfg.estimators]
     top = 2 * max(orders, default=0)
@@ -222,11 +227,17 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
                     expr, mean_buf[:k], block_central, n
                 )
 
+        for what, values in (("the residual-time statistic", f_vals),
+                             *((f"estimator {lbl}", v) for lbl, v in est_vals.items())):
+            if not np.isfinite(values).all():
+                raise DomainError(f"N={n}: {what} overflows float64")
         ref = float(np.var(f_vals, ddof=1))
         m4f = float(np.mean((f_vals - f_vals.mean()) ** 4))
         ref_se = math.sqrt(max(0.0, m4f - ref * ref * (r - 3) / (r - 1)) / r)
         means = {lbl: float(v.mean()) for lbl, v in est_vals.items()}
         ses = {lbl: float(v.std(ddof=1) / math.sqrt(r)) for lbl, v in est_vals.items()}
+        if not np.isfinite([ref, ref_se, *means.values(), *ses.values()]).all():
+            raise DomainError(f"N={n}: the replicate summary overflows float64")
         rows.append(
             ExperimentRow(
                 n=n, reference_var=ref, reference_var_se=ref_se, means=means, ses=ses

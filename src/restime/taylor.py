@@ -20,16 +20,71 @@ covariance term, as weights on the four parts of the coefficient product.
 from __future__ import annotations
 
 import itertools
+import json
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial, lcm
 
 import numpy as np
 
-from .core import DomainError, MomentVector, Term, VarianceExpression, _integer_scale
+from .core import DomainError, MomentVector, _integer_scale
 
 # the highest series order that the CLI, the estimator labels and exact_moments accept
 MAX_ORDER = 8
+
+
+@dataclass(frozen=True)
+class Term:
+    """One monomial q * N^-e * mu^g * prod(mu_m^c_m)."""
+
+    coef: Fraction
+    n_exponent: int
+    mu_exponent: int
+    moment_powers: tuple[tuple[int, int], ...]
+
+    def text(self) -> str:
+        parts = [str(self.coef), f"N^-{self.n_exponent}"]
+        if self.mu_exponent:
+            parts.append(f"mu^{self.mu_exponent}")
+        for m, c in self.moment_powers:
+            parts.append(f"mu{m}" + (f"^{c}" if c > 1 else ""))
+        return " * ".join(parts)
+
+    def to_dict(self) -> dict:
+        return {
+            "coef": str(self.coef),
+            "n_exponent": self.n_exponent,
+            "mu_exponent": self.mu_exponent,
+            "moment_powers": {str(m): c for m, c in self.moment_powers},
+        }
+
+
+@dataclass(frozen=True)
+class VarianceExpression:
+    """Sum of Term monomials approximating the variance of the residual-time statistic."""
+
+    order: int
+    terms: tuple[Term, ...]
+
+    def text(self) -> str:
+        return "\n".join(t.text() for t in self.terms)
+
+    @cached_property
+    def central_orders(self) -> tuple[int, ...]:
+        """The central-moment orders some term uses, ascending."""
+        return tuple(sorted({m for t in self.terms for m, _ in t.moment_powers}))
+
+    @cached_property
+    def _prepared_forms(self) -> dict:
+        """Prepared forms of this expression, keyed by (N, exact); _prepared fills it."""
+        return {}
+
+    def to_dict(self) -> dict:
+        return {"order": self.order, "terms": [t.to_dict() for t in self.terms]}
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
 
 
 @lru_cache(maxsize=None)

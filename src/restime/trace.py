@@ -1,21 +1,81 @@
-"""Occupancy-trace ingestion, transient-escape filtering, residence extraction."""
+"""Occupancy traces: ingestion, transient-escape filtering, residence extraction."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
-from .core import DomainError, OccupancyTrace, ParseError, ResidenceSample
-from .core import _is_positive_int, _runs, _step_array
+from .core import DomainError, ParseError, ResidenceSample
+from .core import _checked_array, _is_positive_int, _step_array
 
 # the ASCII characters that str.split() separates tokens on
 _SEPARATORS = b" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
 # the digits 0 and 1 become the bytes 0x00 and 0x01; a raw 0x00 or 0x01 becomes
 # 0xFF, so that every byte of a translated line above 0x01 marks a bad token
 _TO_BITS = bytes.maketrans(b"01\x00\x01", b"\x00\x01\xff\xff")
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class OccupancyTrace:
+    """Binary presence sequence in temporal order, 1 = inside the region.
+
+    A trace holds only `runs`, its maximal runs in order as a pair of
+    read-only arrays (uint8 values, int64 lengths).  `bits`, bytes with one
+    per step (0x01 inside, 0x00 outside), is built from the runs on first
+    read.  Any iterable whose elements equal 0 or 1 is accepted as bits.
+    Equality, hash and repr are those of a frozen dataclass whose one field
+    is `bits`.
+    """
+
+    def __init__(self, bits):
+        bits = tuple(bits)
+        try:
+            # check before int(), which would also take 0.5, "1" and 1.9
+            ok = {0, 1}.issuperset(bits)
+        except TypeError:  # an unhashable element
+            ok = False
+        if not ok:
+            raise DomainError("trace elements must be 0 or 1")
+        _held(*_runs(np.frombuffer(bytes(map(int, bits)), dtype=np.uint8)), self)
+
+    @cached_property
+    def bits(self) -> bytes:
+        return np.repeat(*self.runs).tobytes()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(map(np.array_equal, self.runs, other.runs))
+
+    def __hash__(self) -> int:
+        return hash(tuple(a.tobytes() for a in self.runs))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(bits={self.bits!r})"
+
+    def __len__(self) -> int:
+        return int(self.runs[1].sum())
+
+
+def _held(values: np.ndarray, lengths: np.ndarray, trace=None) -> OccupancyTrace:
+    """A trace holding runs the caller built (alternating 0/1 uint8 values, int64
+    lengths >= 1), held uncopied and read-only.  Unchecked; a given trace is filled."""
+    trace = object.__new__(OccupancyTrace) if trace is None else trace
+    values.flags.writeable = lengths.flags.writeable = False
+    trace.__dict__["runs"] = (values, lengths)
+    return trace
+
+
+def _runs(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Maximal runs of a 1-d uint8 0/1 array in order: each run's value and length."""
+    if not b.size:
+        return np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.int64)
+    bounds = np.concatenate(([0], np.flatnonzero(b[1:] != b[:-1]) + 1, [b.size]))
+    return b[bounds[:-1]], np.diff(bounds)
 
 
 @dataclass(frozen=True)
@@ -67,7 +127,7 @@ def parse_traces(source: Iterable[str]) -> list[OccupancyTrace]:
             # some token is bad: walk the tokens to name the first one
             col, tok = next((c, t) for c, t in enumerate(line.split(), start=1) if t not in ("0", "1"))
             raise ParseError(f"line {lineno}, column {col}: expected 0 or 1, got {tok!r}")
-        traces.append(OccupancyTrace._from_runs(*_runs(b)))
+        traces.append(_held(*_runs(b)))
     return traces
 
 
@@ -87,7 +147,7 @@ def filter_transient_escapes(x: OccupancyTrace, cfg: FilterConfig) -> OccupancyT
     # a bridged gap becomes a 1, and a run starts wherever the value changes
     filled = values | gap
     starts = np.flatnonzero(np.concatenate(([True], filled[1:] != filled[:-1])))
-    return OccupancyTrace._from_runs(filled[starts], np.add.reduceat(lengths, starts))
+    return _held(filled[starts], np.add.reduceat(lengths, starts))
 
 
 def extract_residences(x: OccupancyTrace, policy: ExtractionPolicy) -> np.ndarray:
@@ -125,14 +185,16 @@ def collect_sample(
 def write_steps_csv(steps: Iterable[int], fh: TextIO) -> None:
     """Write residence step counts one per line under a 'steps' header.
 
-    A 1-d int64 array of steps >= 1 is formatted in one vectorised pass; any
-    other iterable is joined from str(int(x)).  The bytes are the same.
+    A step that ResidenceSample refuses is refused with the same DomainError,
+    before anything is written; no steps at all write the bare header.  An
+    int64 array is formatted in one vectorised pass, and steps past int64 are
+    joined from str(x).
     """
-    is_int64 = isinstance(steps, np.ndarray) and steps.dtype == np.int64 and steps.ndim == 1
-    if is_int64 and steps.size and steps.min() >= 1:
+    steps = _checked_array(steps)
+    if steps.dtype == np.int64 and steps.size:
         fh.write("steps\n" + _int64_lines(steps))
     else:
-        fh.write("\n".join(["steps", *map(str, map(int, steps)), ""]))
+        fh.write("\n".join(["steps", *map(str, steps), ""]))
 
 
 def _int64_lines(steps: np.ndarray) -> str:

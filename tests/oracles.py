@@ -32,8 +32,8 @@ from math import comb, factorial
 
 import numpy as np
 
-from restime.core import DomainError, Term, VarianceExpression
-from restime.taylor import _coefficient_parts
+from restime.core import DomainError
+from restime.taylor import Term, VarianceExpression, _coefficient_parts
 
 
 def statistic(xs):

@@ -18,7 +18,6 @@ import pytest
 from restime.core import (
     DistributionSpec,
     MomentVector,
-    OccupancyTrace,
     format_rational,
 )
 from restime.estimators import (
@@ -36,7 +35,7 @@ from restime.mc import (
 )
 from restime.moments import exact_moments
 from restime.taylor import evaluate_expression, generate_expression
-from restime.trace import FilterConfig, filter_transient_escapes
+from restime.trace import FilterConfig, OccupancyTrace, filter_transient_escapes
 
 from .oracles import (
     brute_force_truncated_variance,

@@ -19,3 +19,26 @@ PUBLIC = {
 def test_public_names():
     assert set(restime.__all__) == PUBLIC
     assert all(hasattr(restime, name) for name in PUBLIC)
+
+# each record type lives in the one module that builds it; the shared ones in core
+HOMES = {
+    "OccupancyTrace": "restime.trace",
+    "Term": "restime.taylor",
+    "VarianceExpression": "restime.taylor",
+    "EstimateReport": "restime.estimators",
+    "DistributionSpec": "restime.core",
+    "DomainError": "restime.core",
+    "MomentVector": "restime.core",
+    "ParseError": "restime.core",
+    "ResidenceSample": "restime.core",
+    "ExperimentConfig": "restime.mc",
+    "ExperimentRow": "restime.mc",
+    "ExtractionPolicy": "restime.trace",
+    "FilterConfig": "restime.trace",
+}
+
+
+def test_each_public_class_has_its_home():
+    classes = {name for name in PUBLIC if isinstance(getattr(restime, name), type)}
+    assert classes == set(HOMES)
+    assert {name: getattr(restime, name).__module__ for name in classes} == HOMES

@@ -457,6 +457,16 @@ class TestMc:
             f"error: uniform draws are held as float64, exact only up to 2**53, got b={b}"
         ]
 
+    @pytest.mark.parametrize("p, what", [
+        ("1/1" + "0" * 20, "estimator taylor8"),
+        ("1/1" + "0" * 300, "the residual-time statistic"),
+    ], ids=["p=1e-20", "p=1e-300"])
+    def test_overflowing_draws_are_one_error_line(self, capsys, p, what):
+        assert main(["mc", "--dist", f"geom:p={p}", "--n", "3", "--reps", "4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: N=3: {what} overflows float64"]
+
     @pytest.mark.parametrize("n, reps, gib", [
         ("5", "10000000000000", "372,529.0"),
         ("1000000000000", "10", "223,517.4"),

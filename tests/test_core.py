@@ -13,17 +13,15 @@ from hypothesis import given, settings, strategies as st
 from restime.core import (
     DistributionSpec,
     DomainError,
-    EstimateReport,
     MomentVector,
-    OccupancyTrace,
     ParseError,
     ResidenceSample,
-    Term,
-    VarianceExpression,
     format_rational,
 )
+from restime.estimators import EstimateReport
 from restime.mc import ExperimentConfig
-from restime.trace import FilterConfig
+from restime.taylor import Term, VarianceExpression
+from restime.trace import FilterConfig, OccupancyTrace
 
 from .oracles import format_fixed, normalize_expression
 

@@ -237,6 +237,18 @@ class TestRunExperiment:
         with pytest.raises(DomainError, match="^N=40 with 50 replicates needs about"):
             run_experiment(cfg)
 
+    @pytest.mark.parametrize("e, labels, what", [
+        (20, ("ratio", "taylor8"), "estimator taylor8"),
+        (300, ("ratio", "taylor8"), "the residual-time statistic"),
+        (80, ("taylor1",), "the replicate summary"),
+    ], ids=["estimate", "statistic", "summary"])
+    def test_overflow_is_one_domain_error(self, e, labels, what):
+        # a numpy RuntimeWarning fails any test here, so this also checks that none is raised
+        cfg = ExperimentConfig(dist=DistributionSpec.geometric(Fraction(1, 10**e)), sizes=(3,),
+                               replicates=4, seed=0, estimators=labels)
+        with pytest.raises(DomainError, match=f"^N=3: {what} overflows float64$"):
+            run_experiment(cfg)
+
 
 ENGINE_DISTS = [
     DistributionSpec.geometric(Fraction(1, 20)),

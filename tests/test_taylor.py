@@ -18,12 +18,12 @@ from restime.core import (
     DistributionSpec,
     DomainError,
     MomentVector,
-    Term,
-    VarianceExpression,
 )
 from restime.moments import exact_moments, sample_moments
 from restime.taylor import (
     _PREPARED_BOUND,
+    Term,
+    VarianceExpression,
     _falling_factorial,
     _pattern_slots,
     _prepared,

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from restime import trace
-from restime.core import DomainError, OccupancyTrace, ParseError
+from restime.core import DomainError, ParseError, ResidenceSample
 from restime.trace import (
     ExtractionPolicy,
     FilterConfig,
+    OccupancyTrace,
     _checked_steps,
     collect_sample,
     extract_residences,
@@ -451,17 +452,31 @@ _STEP_INPUTS = {
     "bool": lambda: [True, 2],
     "4301-digit": lambda: [5, 10**4300],
     "int64-nonpositive": lambda: np.array([3, 0, -12], dtype=np.int64),
+    "fraction": lambda: [1.5, 2],
+    "zero": lambda: [0],
 }
+# steps that ResidenceSample refuses, so that a file the reader would refuse is never written
+_REFUSED_STEPS = {"int64-nonpositive", "fraction", "zero"}
 
 
 @pytest.mark.parametrize("name", _STEP_INPUTS)
 @pytest.mark.parametrize("max_digits", [None, 0])
 def test_write_matches_per_line_writes(name, max_digits):
-    """One write gives the bytes of per-line writes, or the same error past int's digit limit."""
+    """One write gives the bytes of per-line writes, or the same error past int's
+    digit limit; a step that ResidenceSample refuses gets its DomainError, and
+    nothing is written."""
     old_limit = sys.get_int_max_str_digits()
     if max_digits is not None:
         sys.set_int_max_str_digits(max_digits)
     try:
+        if name in _REFUSED_STEPS:
+            with pytest.raises(DomainError) as refused:
+                ResidenceSample(_STEP_INPUTS[name]())
+            buf = io.StringIO()
+            with pytest.raises(DomainError, match=f"^{re.escape(str(refused.value))}$"):
+                write_steps_csv(_STEP_INPUTS[name](), buf)
+            assert buf.getvalue() == ""
+            return
         try:
             want = _per_line_csv(_STEP_INPUTS[name]())
         except ValueError as exc:
