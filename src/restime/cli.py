@@ -22,12 +22,16 @@ from .core import (
     ParseError,
     ResidenceSample,
     format_rational,
+    np,
 )
 
 
 # an output-size bound on exact --digits, kept for compatibility: format_rational
 # itself prints any count, and 4300 was CPython's int-to-string limit
 _MAX_DIGITS = 4300
+# the commands that work on arrays; numpy finishes loading before they read
+# their input, since a load after estimate's 1.2 MB read raised its peak RSS
+_ARRAY_COMMANDS = frozenset({"extract", "estimate", "mc", "autocorr"})
 
 
 def _write_output(args: argparse.Namespace, text: str) -> None:
@@ -311,6 +315,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    if args.command in _ARRAY_COMMANDS:
+        np.ndarray  # the first attribute read loads the lazy numpy
     try:
         args.func(args)
     except (ParseError, OSError, UnicodeDecodeError) as exc:

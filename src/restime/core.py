@@ -7,7 +7,9 @@ everywhere else.  All types here are immutable values.
 
 from __future__ import annotations
 
+import importlib.util
 import re
+import sys
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
@@ -15,7 +17,38 @@ from functools import cached_property
 from math import gcd
 from typing import Mapping
 
-import numpy as np
+
+def _lazy_numpy():
+    """numpy, as a module that finishes loading on its first attribute read.
+
+    `import restime` then loads no numpy, and the pure-Python paths
+    (`exact`, `gen-expr`) never do.  Every module of the package takes `np`
+    from here.  A numpy already in sys.modules is returned as it is; one
+    that cannot be found is imported plainly, so the error is the
+    ModuleNotFoundError an eager import raises.  Once the lazy module is in
+    sys.modules, a plain `import numpy` anywhere loads it at once, since the
+    import system reads its __spec__.
+
+    The first load under importlib.util.LazyLoader is not thread-safe on
+    Python 3.10 and 3.11: a thread that reads an attribute while another
+    is loading can see a half-built module.  The package starts no threads.
+    """
+    module = sys.modules.get("numpy")
+    if module is not None:
+        return module
+    spec = importlib.util.find_spec("numpy")
+    if spec is None:
+        import numpy  # raises ModuleNotFoundError, as an eager import would
+
+        return numpy
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["numpy"] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy_numpy()
 
 Scalar = Fraction | float
 

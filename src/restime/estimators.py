@@ -8,9 +8,7 @@ import warnings
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .core import DomainError, MomentVector, ResidenceSample
+from .core import DomainError, MomentVector, ResidenceSample, np
 from .moments import sample_moments
 from .taylor import MAX_ORDER, _needed_central, evaluate_expression, generate_expression
 
@@ -200,7 +198,8 @@ def build_report(
 
     Residual- and residence-time values scale by dt, their variances by
     dt squared.  A negative variance from any estimator is a defect and is
-    rejected rather than propagated into a square root.
+    rejected rather than propagated into a square root; a dt-scaled value
+    that overflows float64 raises DomainError naming it.
     """
     if dt is not None and not dt > 0:
         raise DomainError("dt must be positive")
@@ -215,6 +214,22 @@ def build_report(
     mrt_sd = {k: math.sqrt(v) for k, v in mrt_var.items()}
     residence = mean_residence_steps(s)
     residence_var = float(var_mean_residence(s))
+    scaled = {}
+    if dt is not None:
+        scaled = dict(
+            mrt_time=float(mrt) * dt,
+            mrt_var_time={k: v * dt * dt for k, v in mrt_var.items()},
+            mrt_sd_time={k: v * dt for k, v in mrt_sd.items()},
+            mRT_time=float(residence) * dt,
+            mRT_var_time=residence_var * dt * dt,
+            mRT_sd_time=math.sqrt(residence_var) * dt,
+        )
+        # json.dumps would print an overflow as Infinity, which is not JSON
+        for name, value in scaled.items():
+            for key, x in value.items() if isinstance(value, dict) else [(None, value)]:
+                if not math.isfinite(x):
+                    where = name if key is None else f"{name}[{key!r}]"
+                    raise DomainError(f"{where} = {x!r} is not finite at dt={dt!r}")
     return EstimateReport(
         n=s.n,
         dt=dt,
@@ -225,10 +240,5 @@ def build_report(
         mRT_steps=float(residence),
         mRT_var_steps=residence_var,
         mRT_sd_steps=math.sqrt(residence_var),
-        mrt_time=None if dt is None else float(mrt) * dt,
-        mrt_var_time=None if dt is None else {k: v * dt * dt for k, v in mrt_var.items()},
-        mrt_sd_time=None if dt is None else {k: v * dt for k, v in mrt_sd.items()},
-        mRT_time=None if dt is None else float(residence) * dt,
-        mRT_var_time=None if dt is None else residence_var * dt * dt,
-        mRT_sd_time=None if dt is None else math.sqrt(residence_var) * dt,
+        **scaled,
     )

@@ -6,10 +6,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import taylor
-from .core import DistributionSpec, DomainError, ResidenceSample, _is_integer
+from .core import DistributionSpec, DomainError, ResidenceSample, _is_integer, np
 from .estimators import _series_order, ratio_variance_rows
 from .moments import row_moments
 
@@ -82,7 +80,11 @@ def sample(dist: DistributionSpec, n: int, rng: np.random.Generator) -> Residenc
     _check_drawable(dist)
     x = np.empty(n)
     _fill_row(dist, x, rng)
-    return ResidenceSample(steps=tuple(map(int, _finish_rows(dist, x))))
+    with np.errstate(all="ignore"):  # an overflow is named below instead
+        _finish_rows(dist, x)
+    if not np.isfinite(x).all():
+        raise DomainError(f"a draw from {dist} overflows float64")
+    return ResidenceSample(steps=tuple(map(int, x)))
 
 
 @dataclass(frozen=True)
@@ -156,9 +158,6 @@ def _layout(n: int, r: int, labels: int, top: int) -> tuple[int, int, int]:
     return chunk, block, 8 * (kept + max(2 * chunk * n, (3 * top + 2) * rows))
 
 
-# numpy's overflow and invalid-value warnings are off: an overflow is named per
-# sample size by one DomainError instead
-@np.errstate(all="ignore")
 def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
     """Reference variance of the point statistic versus estimator means.
 
@@ -189,60 +188,63 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
               for lbl, order in zip(cfg.estimators, orders) if order]
     rows = []
     rng = None
-    for n in cfg.sizes:
-        f_vals = np.empty(r)
-        est_vals = {lbl: np.empty(r) for lbl in cfg.estimators}
-        chunk, block, _ = layouts[n]
-        x_buf = np.empty((chunk, n))
-        mean_buf = np.empty(min(block, r))
-        central_buf = {m: np.empty_like(mean_buf) for m in range(2, top + 1)}
-        for blo in range(0, r, block):
-            bhi = min(blo + block, r)
-            for lo in range(blo, bhi, chunk):
-                hi = min(lo + chunk, bhi)
-                x = x_buf[: hi - lo]
-                for i, row in enumerate(x, lo):
-                    rng = replicate_stream(cfg.seed, i, rng)
-                    _fill_row(cfg.dist, row, rng)
-                _finish_rows(cfg.dist, x)
-                s1 = x.sum(axis=1)
-                m1, central = row_moments(x, s1, top)
-                mean_buf[lo - blo : hi - blo] = m1
-                for m, v in central.items():
-                    central_buf[m][lo - blo : hi - blo] = v
-                x2 = x * x
-                s2 = x2.sum(axis=1)
-                f_vals[lo:hi] = 0.5 + s2 / (2.0 * s1)
-                if ratio:
-                    est = ratio_variance_rows(x, x2, m1, s2 / n)
-                    for lbl in ratio:
-                        est_vals[lbl][lo:hi] = est
-                # freed before the next chunk's row_moments, which holds two
-                # (chunk, n) temporaries beside x
-                del x2
-            k = bhi - blo
-            block_central = {m: v[:k] for m, v in central_buf.items()}
-            for lbl, expr in series:
-                est_vals[lbl][blo:bhi] = taylor.evaluate_expression_batch(
-                    expr, mean_buf[:k], block_central, n
-                )
+    # numpy's overflow and invalid-value warnings are off: an overflow is named per
+    # sample size by one DomainError instead
+    with np.errstate(all="ignore"):
+        for n in cfg.sizes:
+            f_vals = np.empty(r)
+            est_vals = {lbl: np.empty(r) for lbl in cfg.estimators}
+            chunk, block, _ = layouts[n]
+            x_buf = np.empty((chunk, n))
+            mean_buf = np.empty(min(block, r))
+            central_buf = {m: np.empty_like(mean_buf) for m in range(2, top + 1)}
+            for blo in range(0, r, block):
+                bhi = min(blo + block, r)
+                for lo in range(blo, bhi, chunk):
+                    hi = min(lo + chunk, bhi)
+                    x = x_buf[: hi - lo]
+                    for i, row in enumerate(x, lo):
+                        rng = replicate_stream(cfg.seed, i, rng)
+                        _fill_row(cfg.dist, row, rng)
+                    _finish_rows(cfg.dist, x)
+                    s1 = x.sum(axis=1)
+                    m1, central = row_moments(x, s1, top)
+                    mean_buf[lo - blo : hi - blo] = m1
+                    for m, v in central.items():
+                        central_buf[m][lo - blo : hi - blo] = v
+                    x2 = x * x
+                    s2 = x2.sum(axis=1)
+                    f_vals[lo:hi] = 0.5 + s2 / (2.0 * s1)
+                    if ratio:
+                        est = ratio_variance_rows(x, x2, m1, s2 / n)
+                        for lbl in ratio:
+                            est_vals[lbl][lo:hi] = est
+                    # freed before the next chunk's row_moments, which holds two
+                    # (chunk, n) temporaries beside x
+                    del x2
+                k = bhi - blo
+                block_central = {m: v[:k] for m, v in central_buf.items()}
+                for lbl, expr in series:
+                    est_vals[lbl][blo:bhi] = taylor.evaluate_expression_batch(
+                        expr, mean_buf[:k], block_central, n
+                    )
 
-        for what, values in (("the residual-time statistic", f_vals),
-                             *((f"estimator {lbl}", v) for lbl, v in est_vals.items())):
-            if not np.isfinite(values).all():
-                raise DomainError(f"N={n}: {what} overflows float64")
-        ref = float(np.var(f_vals, ddof=1))
-        m4f = float(np.mean((f_vals - f_vals.mean()) ** 4))
-        ref_se = math.sqrt(max(0.0, m4f - ref * ref * (r - 3) / (r - 1)) / r)
-        means = {lbl: float(v.mean()) for lbl, v in est_vals.items()}
-        ses = {lbl: float(v.std(ddof=1) / math.sqrt(r)) for lbl, v in est_vals.items()}
-        if not np.isfinite([ref, ref_se, *means.values(), *ses.values()]).all():
-            raise DomainError(f"N={n}: the replicate summary overflows float64")
-        rows.append(
-            ExperimentRow(
-                n=n, reference_var=ref, reference_var_se=ref_se, means=means, ses=ses
+            for what, values in (("the residual-time statistic", f_vals),
+                                 *((f"estimator {lbl}", v) for lbl, v in est_vals.items())):
+                if not np.isfinite(values).all():
+                    raise DomainError(f"N={n}: {what} overflows float64")
+            ref = float(np.var(f_vals, ddof=1))
+            m4f = float(np.mean((f_vals - f_vals.mean()) ** 4))
+            ref_se = math.sqrt(max(0.0, m4f - ref * ref * (r - 3) / (r - 1)) / r)
+            means = {lbl: float(v.mean()) for lbl, v in est_vals.items()}
+            ses = {lbl: float(v.std(ddof=1) / math.sqrt(r)) for lbl, v in est_vals.items()}
+            if not np.isfinite([ref, ref_se, *means.values(), *ses.values()]).all():
+                raise DomainError(f"N={n}: the replicate summary overflows float64")
+            rows.append(
+                ExperimentRow(
+                    n=n, reference_var=ref, reference_var_se=ref_se, means=means, ses=ses
+                )
             )
-        )
     return rows
 
 

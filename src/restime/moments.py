@@ -5,9 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, isfinite
 
-import numpy as np
-
-from .core import DistributionSpec, DomainError, MomentVector, ResidenceSample, _integer_scale
+from .core import DistributionSpec, DomainError, MomentVector, ResidenceSample, _integer_scale, np
 from .taylor import MAX_ORDER
 
 

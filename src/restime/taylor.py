@@ -26,9 +26,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, lcm
 
-import numpy as np
-
-from .core import DomainError, MomentVector, _integer_scale
+from .core import DomainError, MomentVector, _integer_scale, np
 
 # the highest series order that the CLI, the estimator labels and exact_moments accept
 MAX_ORDER = 8

@@ -7,9 +7,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, TextIO
 
-import numpy as np
-
-from .core import DomainError, ParseError, ResidenceSample
+from .core import DomainError, ParseError, ResidenceSample, np
 from .core import _checked_array, _is_positive_int, _step_array
 
 # the ASCII characters that str.split() separates tokens on

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -121,6 +122,20 @@ class TestEstimate:
             assert got.out == capsys.readouterr().out
         else:
             assert code == 2 and got.out == "" and got.err.splitlines() == [message]
+
+    def test_dt_overflow_is_one_domain_error(self, tmp_path, capsys):
+        # json.dumps would print the overflowed variance as Infinity, which is not JSON
+        path = tmp_path / "s.csv"
+        path.write_text("steps\n3\n5\n9\n")
+        assert main(["estimate", "--rts", str(path), "--dt", "1e200"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: mrt_var_time['ratio'] = inf is not finite at dt=1e+200"
+        ]
+        assert main(["estimate", "--rts", str(path), "--dt", "1e100", "--method", "taylor"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert all(math.isfinite(v) for v in rep["mrt_var_time"].values())
 
     @pytest.mark.parametrize("step", ["0", "-3"])
     def test_nonpositive_step_is_parse_error(self, tmp_path, capsys, step):

@@ -82,6 +82,14 @@ class TestSampling:
         assert all(type(v) is int for v in s.steps)
         assert s.floats.tobytes() == x.tobytes()
 
+    @pytest.mark.parametrize("e", [310, 400])
+    def test_draws_past_float64_are_one_domain_error(self, e):
+        # p = 10**-400 is 0.0 as a float, p = 10**-310 is subnormal; a numpy
+        # RuntimeWarning fails any test here, so this also checks that none is raised
+        dist = DistributionSpec.geometric(Fraction(1, 10**e))
+        with pytest.raises(DomainError, match=rf"^a draw from geom:p=1/1(0{{{e}}}) overflows float64$"):
+            sample(dist, 3, replicate_stream(0, 0))
+
     def test_draws_past_int64_stay_exact(self):
         p = Fraction(1, 10**20)
         x = per_row_draws(DistributionSpec.geometric(p), 50, replicate_stream(1, 0))
