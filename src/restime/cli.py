@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Subcommands: extract, estimate, gen-expr, exact, mc, autocorr.  Data goes to
-stdout (or --out); diagnostics go to stderr.  Exit codes: 2 for usage errors
-(unknown flags, out-of-range flag values, unreadable or malformed inputs), 1
-for domain errors (e.g. empty sample, a step beyond float range).
+Subcommands: extract, estimate, gen-expr, exact, mc, autocorr.  Each cmd_*
+returns its data; main writes it to stdout (or --out), each UserWarning as a
+`note:` line and an error as one `error:` line to stderr.  Exit codes: 2 for
+usage errors (unknown flags, out-of-range flag values, unreadable or malformed
+inputs), 1 for domain errors (e.g. empty sample, a step beyond float range).
 """
 
 from __future__ import annotations
@@ -35,13 +36,20 @@ _ARRAY_COMMANDS = frozenset({"extract", "estimate", "mc", "autocorr"})
 
 
 def _write_output(args: argparse.Namespace, text: str) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
-    if getattr(args, "out", None):
+    text = text if text.endswith("\n") else text + "\n"
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _note(show, message, category, *rest) -> None:
+    """Print a UserWarning as one `note:` line; hand any other warning to show."""
+    if issubclass(category, UserWarning):
+        print(f"note: {message}", file=sys.stderr)
+    else:
+        show(message, category, *rest)
 
 
 def _add_filter_flags(sub: argparse.ArgumentParser) -> None:
@@ -57,6 +65,8 @@ def _add_filter_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _filter_config(args: argparse.Namespace) -> trace.FilterConfig:
+    if args.k is not None and args.tstar is not None:
+        raise ParseError("--k and --tstar both set the absence tolerance; give one of them")
     _check_positive("--tstar", args.tstar)
     _check_positive("--dt", args.dt)
     if args.k is not None:
@@ -108,18 +118,21 @@ def _check_positive(flag: str, value: float | None) -> None:
         raise ParseError(f"{flag} must be finite and > 0, got {value}")
 
 
-def cmd_extract(args: argparse.Namespace) -> None:
+def _read_traces(args: argparse.Namespace) -> tuple:
+    """The --input traces, with the FilterConfig and ExtractionPolicy of the filter flags."""
     cfg = _filter_config(args)
-    policy = trace.ExtractionPolicy(boundary=args.boundary)
     with open(args.input, "r", encoding="utf-8") as fh:
         traces = trace.parse_traces(fh)
-    sample = trace.collect_sample(traces, cfg, policy)
+    return traces, cfg, trace.ExtractionPolicy(boundary=args.boundary)
+
+
+def cmd_extract(args: argparse.Namespace) -> str:
     buf = io.StringIO()
-    trace.write_steps_csv(sample.array, buf)
-    _write_output(args, buf.getvalue())
+    trace.write_steps_csv(trace.collect_sample(*_read_traces(args)).array, buf)
+    return buf.getvalue()
 
 
-def cmd_estimate(args: argparse.Namespace) -> None:
+def cmd_estimate(args: argparse.Namespace) -> str:
     _check_positive("--dt", args.dt)
     if args.method != "ratio":
         _check_range("--order", args.order, 1, taylor.MAX_ORDER)
@@ -127,20 +140,16 @@ def cmd_estimate(args: argparse.Namespace) -> None:
         sample = ResidenceSample(steps=trace.read_steps_csv(fh))
     series = f"taylor{args.order}"
     methods = {"ratio": ("ratio",), "taylor": (series,), "both": ("ratio", series)}[args.method]
-    report = estimators.build_report(sample, dt=args.dt, methods=methods)
-    _write_output(args, report.to_json())
+    return estimators.build_report(sample, dt=args.dt, methods=methods).to_json()
 
 
-def cmd_gen_expr(args: argparse.Namespace) -> None:
+def cmd_gen_expr(args: argparse.Namespace) -> str:
     _check_range("--order", args.order, 1, taylor.MAX_ORDER)
     expr = taylor.generate_expression(args.order)
-    if args.format == "json":
-        _write_output(args, expr.to_json())
-    else:
-        _write_output(args, expr.text())
+    return expr.to_json() if args.format == "json" else expr.text()
 
 
-def cmd_exact(args: argparse.Namespace) -> None:
+def cmd_exact(args: argparse.Namespace) -> str:
     dist = DistributionSpec.parse(args.dist)
     orders = _parse_orders(args.orders)
     _check_range("--n", args.n, 1)
@@ -149,9 +158,9 @@ def cmd_exact(args: argparse.Namespace) -> None:
         raise ParseError(f"--digits must be <= {_MAX_DIGITS}, got {args.digits}")
     rows, omitted = _exact_column(dist, args.n, orders)
     if omitted:
-        print(f"note: exact row omitted: {omitted}", file=sys.stderr)
+        warnings.warn(f"exact row omitted: {omitted}")
     lines = ["estimator,value"] + [f"{lbl},{format_rational(v, args.digits)}" for lbl, v in rows]
-    _write_output(args, "\n".join(lines))
+    return "\n".join(lines)
 
 
 def _exact_column(dist: DistributionSpec, n: int, orders) -> tuple[list, str | None]:
@@ -170,7 +179,7 @@ def _exact_column(dist: DistributionSpec, n: int, orders) -> tuple[list, str | N
     return rows, None
 
 
-def cmd_mc(args: argparse.Namespace) -> None:
+def cmd_mc(args: argparse.Namespace) -> str:
     _check_range("--threads", args.threads, 1)
     dist = DistributionSpec.parse(args.dist)
     sizes = _parse_sizes(args.n)
@@ -178,13 +187,8 @@ def cmd_mc(args: argparse.Namespace) -> None:
     _check_range("--order", args.order, 1, taylor.MAX_ORDER)
     _check_range("--seed", args.seed, 0, 2**128 - 1)
     labels = ("ratio", f"taylor{args.order}")
-    cfg = mc.ExperimentConfig(
-        dist=dist,
-        sizes=sizes,
-        replicates=args.reps,
-        seed=args.seed,
-        estimators=labels,
-    )
+    cfg = mc.ExperimentConfig(dist=dist, sizes=sizes, replicates=args.reps, seed=args.seed,
+                              estimators=labels)
     rows = mc.run_experiment(cfg)
     header = ["N", "reference_var", "reference_var_se"]
     for lbl in labels:
@@ -195,24 +199,15 @@ def cmd_mc(args: argparse.Namespace) -> None:
         for lbl in labels:
             cells += [repr(row.means[lbl]), repr(row.ses[lbl])]
         lines.append(",".join(cells))
-    _write_output(args, "\n".join(lines))
+    return "\n".join(lines)
 
 
-def cmd_autocorr(args: argparse.Namespace) -> None:
-    cfg = _filter_config(args)
+def cmd_autocorr(args: argparse.Namespace) -> str:
+    traces, cfg, policy = _read_traces(args)
     _check_range("--max-lag", args.max_lag, 0)
-    policy = trace.ExtractionPolicy(boundary=args.boundary)
-    with open(args.input, "r", encoding="utf-8") as fh:
-        traces = trace.parse_traces(fh)
     per_trace = trace.per_trace_residences(traces, cfg, policy)
-    with warnings.catch_warnings():
-        warnings.simplefilter("always")
-        warnings.showwarning = lambda msg, *_: print(f"note: {msg}", file=sys.stderr)
-        rows = estimators.rt_autocorrelation(per_trace, args.max_lag)
-    lines = ["lag,mean_r,sd_r"]
-    for lag, mean_r, sd_r in rows:
-        lines.append(f"{lag},{mean_r!r},{sd_r!r}")
-    _write_output(args, "\n".join(lines))
+    rows = estimators.rt_autocorrelation(per_trace, args.max_lag)
+    return "\n".join(["lag,mean_r,sd_r"] + [f"{lag},{m!r},{sd!r}" for lag, m, sd in rows])
 
 
 class _Parser(argparse.ArgumentParser):
@@ -318,7 +313,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.command in _ARRAY_COMMANDS:
         np.ndarray  # the first attribute read loads the lazy numpy
     try:
-        args.func(args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("always", UserWarning)
+            warnings.showwarning = functools.partial(_note, warnings.showwarning)
+            text = args.func(args)
+        _write_output(args, text)
     except (ParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,7 +19,7 @@ def mean_residual_steps(s: ResidenceSample, exact: bool = False):
     Equals 1/2 + sum(x^2)/(2*sum(x)).  Integer accumulation keeps the ratio
     exact until the final division, whatever the magnitudes.
     """
-    total, squares = _step_sums(s, exact)
+    total, squares = _step_sums(s)
     if exact:
         return Fraction(1, 2) + Fraction(squares, 2 * total)
     return 0.5 + squares / (2.0 * total)
@@ -27,23 +27,24 @@ def mean_residual_steps(s: ResidenceSample, exact: bool = False):
 
 def mean_residence_steps(s: ResidenceSample, exact: bool = False):
     """Average residence duration in steps."""
-    total, _ = _step_sums(s, exact)
+    total, _ = _step_sums(s)
     if exact:
         return Fraction(total, s.n)
     return total / s.n
 
 
-def _step_sums(s: ResidenceSample, exact: bool) -> tuple[int, int]:
+def _step_sums(s: ResidenceSample) -> tuple[int, int]:
     """sum(x) and sum(x^2) as Python ints.
 
-    Below n*max(x)^2 < 2^53 every partial sum of the float array is an
-    integer that float64 holds exactly, so its sums are the integer sums.
-    Exact mode never converts to float.
+    For an int64 sample below n*max(x)^2 < 2^53 every partial sum of the
+    float array is an integer that float64 holds exactly, so its sums are the
+    integer sums.  Any other sample is summed in Python ints, so no step past
+    float64's range is ever converted.
     """
-    if not exact:
-        a = s.floats
-        if s.n * int(a.max()) ** 2 < 2**53:
-            return int(a.sum()), int(a @ a)
+    a = s.array
+    if a.dtype == np.int64 and s.n * int(a.max()) ** 2 < 2**53:
+        f = s.floats
+        return int(f.sum()), int(f @ f)
     return sum(s.steps), sum(x * x for x in s.steps)
 
 
@@ -53,10 +54,11 @@ def var_mean_residence(s: ResidenceSample, exact: bool = False):
     if n < 2:
         raise DomainError("variance of the mean needs at least two residences")
     if exact:
-        total = sum(s.steps)
-        num = sum((n * x - total) ** 2 for x in s.steps)
-        return Fraction(num, n**3 * (n - 1))
-    return float(s.floats.var(ddof=1) / n)
+        # with S = sum(x) and R = sum(x^2), sum((n*x - S)^2) is n^2 R - n S^2
+        total, squares = _step_sums(s)
+        return Fraction(n * squares - total * total, n * n * (n - 1))
+    with np.errstate(over="ignore", invalid="ignore"):  # build_report names an overflow
+        return float(s.floats.var(ddof=1) / n)
 
 
 def var_mrt_ratio(s: ResidenceSample, exact: bool = False):
@@ -68,8 +70,9 @@ def var_mrt_ratio(s: ResidenceSample, exact: bool = False):
     if exact:
         return ratio_variance_from_moments(sample_moments(s, 4, exact=True), s.n)
     x = s.floats[None, :]
-    x2 = x * x
-    return float(ratio_variance_rows(x, x2, x.mean(axis=1), x2.mean(axis=1))[0])
+    with np.errstate(over="ignore", invalid="ignore"):  # build_report names an overflow
+        x2 = x * x
+        return float(ratio_variance_rows(x, x2, x.mean(axis=1), x2.mean(axis=1))[0])
 
 
 def ratio_variance_rows(x: np.ndarray, x2: np.ndarray, m1: np.ndarray, m2: np.ndarray):
@@ -198,8 +201,8 @@ def build_report(
 
     Residual- and residence-time values scale by dt, their variances by
     dt squared.  A negative variance from any estimator is a defect and is
-    rejected rather than propagated into a square root; a dt-scaled value
-    that overflows float64 raises DomainError naming it.
+    rejected rather than propagated into a square root; a reported value
+    that is not finite (an overflow of float64) raises DomainError naming it.
     """
     if dt is not None and not dt > 0:
         raise DomainError("dt must be positive")
@@ -214,9 +217,16 @@ def build_report(
     mrt_sd = {k: math.sqrt(v) for k, v in mrt_var.items()}
     residence = mean_residence_steps(s)
     residence_var = float(var_mean_residence(s))
-    scaled = {}
+    fields = dict(
+        mrt_steps=float(mrt),
+        mrt_var_steps=mrt_var,
+        mrt_sd_steps=mrt_sd,
+        mRT_steps=float(residence),
+        mRT_var_steps=residence_var,
+        mRT_sd_steps=math.sqrt(residence_var),
+    )
     if dt is not None:
-        scaled = dict(
+        fields.update(
             mrt_time=float(mrt) * dt,
             mrt_var_time={k: v * dt * dt for k, v in mrt_var.items()},
             mrt_sd_time={k: v * dt for k, v in mrt_sd.items()},
@@ -224,21 +234,11 @@ def build_report(
             mRT_var_time=residence_var * dt * dt,
             mRT_sd_time=math.sqrt(residence_var) * dt,
         )
-        # json.dumps would print an overflow as Infinity, which is not JSON
-        for name, value in scaled.items():
-            for key, x in value.items() if isinstance(value, dict) else [(None, value)]:
-                if not math.isfinite(x):
-                    where = name if key is None else f"{name}[{key!r}]"
-                    raise DomainError(f"{where} = {x!r} is not finite at dt={dt!r}")
-    return EstimateReport(
-        n=s.n,
-        dt=dt,
-        methods=tuple(methods),
-        mrt_steps=float(mrt),
-        mrt_var_steps=mrt_var,
-        mrt_sd_steps=mrt_sd,
-        mRT_steps=float(residence),
-        mRT_var_steps=residence_var,
-        mRT_sd_steps=math.sqrt(residence_var),
-        **scaled,
-    )
+    # json.dumps would print an overflow as Infinity, which is not JSON
+    for name, value in fields.items():
+        for key, x in value.items() if isinstance(value, dict) else [(None, value)]:
+            if not math.isfinite(x):
+                where = name if key is None else f"{name}[{key!r}]"
+                at = f" at dt={dt!r}" if name.endswith("_time") else ""
+                raise DomainError(f"{where} = {x!r} is not finite{at}")
+    return EstimateReport(n=s.n, dt=dt, methods=tuple(methods), **fields)

@@ -60,10 +60,20 @@ def _finish_rows(dist: DistributionSpec, x: np.ndarray) -> np.ndarray:
         # u in (0, 1] keeps the log finite; x = 1 + floor(log u / log(1-p))
         np.subtract(1.0, x, out=x)
         np.log(x, out=x)
-        np.divide(x, math.log1p(-float(dist.p)), out=x)
+        np.divide(x, _log_q(dist.p), out=x)
         np.floor(x, out=x)
         np.add(x, 1.0, out=x)
     return x
+
+
+def _log_q(p: Fraction) -> float:
+    """log(1 - p); a p within 2**-54 of 1 rounds to 1.0 as a float, so its
+    log is taken from the exact 1 - p."""
+    f = float(p)
+    if f != 1:
+        return math.log1p(-f)
+    q = 1 - p
+    return math.log(q.numerator) - math.log(q.denominator)
 
 
 def _check_drawable(dist: DistributionSpec) -> None:

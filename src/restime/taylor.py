@@ -352,7 +352,7 @@ def _collapsed(expr: VarianceExpression, n) -> tuple:
     ratios = [Fraction(t.coef).as_integer_ratio() for t in expr.terms]
     den = lcm(*(q for _, q in ratios))
     top = max((t.n_exponent for t in expr.terms), default=0)
-    shift = max(0, *(-t.mu_exponent for t in expr.terms))
+    shift = max([0, *(-t.mu_exponent for t in expr.terms)])
     # N = p/r, so N^-e = r^e * p^(top - e) / p^top
     p, r = Fraction(n).as_integer_ratio()
     scale = {e: p ** (top - e) * r**e for e in {t.n_exponent for t in expr.terms}}

@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from restime import trace
+from restime import taylor, trace
 from restime.cli import build_parser, main
+from restime.taylor import generate_expression
 
 TRACES = "0 1 1 0 1 1 1 0 0 1 1 0\n0 1 0 1 1 1 1 0\n"
 
@@ -136,6 +137,23 @@ class TestEstimate:
         assert main(["estimate", "--rts", str(path), "--dt", "1e100", "--method", "taylor"]) == 0
         rep = json.loads(capsys.readouterr().out)
         assert all(math.isfinite(v) for v in rep["mrt_var_time"].values())
+
+    @pytest.mark.parametrize("method, message", [
+        ("ratio", "mrt_var_steps['ratio'] = inf is not finite"),
+        ("both", "central moment of order 3 overflows float64"),
+    ])
+    def test_overflow_near_float_edge_is_one_domain_error(self, tmp_path, capsys, method, message):
+        # the steps fit float64 but the ratio's squared residuals do not
+        path = tmp_path / "edge.csv"
+        path.write_text(f"steps\n3\n5\n{10**154}\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["estimate", "--rts", str(path), "--method", method])
+        assert code == 1
+        assert caught == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
 
     @pytest.mark.parametrize("step", ["0", "-3"])
     def test_nonpositive_step_is_parse_error(self, tmp_path, capsys, step):
@@ -482,6 +500,14 @@ class TestMc:
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: N=3: {what} overflows float64"]
 
+    def test_p_rounding_to_one_draws_ones(self, capsys):
+        # float(p) is 1.0 here, and log1p(-1.0) has no value
+        p = "9999999999999999999999/10000000000000000000000"
+        assert main(["mc", "--dist", f"geom:p={p}", "--n", "3", "--reps", "4"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1] == "3,0.0,0.0,0.0,0.0,0.0,0.0"
+        assert captured.err == ""
+
     @pytest.mark.parametrize("n, reps, gib", [
         ("5", "10000000000000", "372,529.0"),
         ("1000000000000", "10", "223,517.4"),
@@ -549,6 +575,7 @@ MC = ["mc", "--dist", "geom:p=1/2", "--n", "12", "--reps", "50"]
 EXACT = ["exact", "--dist", "geom:p=1/2", "--n", "3", "--orders", "1"]
 NO_WINDOW = "--tstar and --dt: tstar shorter than half a time step leaves no window"
 RATIO_OVERFLOW = "--tstar and --dt: tstar and dt must be positive and tstar/dt finite"
+K_WITH_TSTAR = "--k and --tstar both set the absence tolerance; give one of them"
 
 
 class TestOutOfRangeFlags:
@@ -584,6 +611,8 @@ class TestOutOfRangeFlags:
             (["autocorr", "--max-lag", "-1"], "--max-lag must be >= 0, got -1"),
             (MC + ["--seed", "-1"], f"--seed must be within 0..{2**128 - 1}, got -1"),
             (MC + ["--seed", str(2**128)], f"--seed must be within 0..{2**128 - 1}, got {2**128}"),
+            (["extract", "--k", "1", "--tstar", "5", "--dt", "1"], K_WITH_TSTAR),
+            (["autocorr", "--k", "2", "--tstar", "0.3", "--dt", "0.1"], K_WITH_TSTAR),
         ],
     )
     def test_usage_error(self, rts_file, trace_file, capsys, argv, message):
@@ -639,6 +668,53 @@ class TestInputFailures:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: central moment of order {bad} overflows float64"]
+
+
+class TestOutput:
+    @pytest.mark.parametrize("argv", [
+        ["extract", "--input", "{traces}", "--k", "1"],
+        ["estimate", "--rts", "{steps}", "--order", "2"],
+        ["gen-expr", "--order", "2"],
+        ["exact", "--dist", "uniform:a=1,b=4", "--n", "3", "--orders", "1..2"],
+        ["mc", "--dist", "geom:p=1/2", "--n", "4", "--reps", "20"],
+        ["autocorr", "--input", "{traces}", "--max-lag", "0"],
+    ], ids=lambda argv: argv[0])
+    def test_command_returns_what_main_writes(self, trace_file, rts_file, capsys, argv):
+        argv = [a.format(traces=trace_file, steps=rts_file) for a in argv]
+        args = build_parser().parse_args(argv)
+        text = args.func(args)
+        assert capsys.readouterr() == ("", "")
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (text if text.endswith("\n") else text + "\n")
+
+    def test_unwritable_out_is_one_usage_error(self, tmp_path, capsys):
+        assert main(["gen-expr", "--order", "1", "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: [Errno 21] Is a directory")
+
+    def test_notes_repeat_and_leave_warnings_as_they_were(self, capsys):
+        argv = ["exact", "--dist", "geom:p=1/2", "--n", "3", "--orders", "1"]
+        filters, show = list(warnings.filters), warnings.showwarning
+        for _ in range(2):
+            assert main(argv) == 0
+            assert capsys.readouterr().err == (
+                "note: exact row omitted: exact enumeration needs a finite support (uniform only)\n"
+            )
+        assert (warnings.filters, warnings.showwarning) == (filters, show)
+
+    def test_other_warnings_are_not_notes(self, capsys, monkeypatch):
+        def warn(order):
+            warnings.warn("not a note", RuntimeWarning)
+            return generate_expression(order)
+
+        monkeypatch.setattr(taylor, "generate_expression", warn)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["gen-expr", "--order", "1"]) == 0
+        assert [(w.category, str(w.message)) for w in caught] == [(RuntimeWarning, "not a note")]
+        assert capsys.readouterr().err == ""
 
 
 class TestUsage:

@@ -59,6 +59,12 @@ class TestSampling:
         with pytest.raises(DomainError):
             sample(GEOM_HALF, 0, replicate_stream(0, 0))
 
+    def test_p_rounding_to_one_draws_ones(self):
+        # float(p) is 1.0, so log(1 - p) comes from the exact 1 - p = 10**-40
+        p = Fraction(10**40 - 1, 10**40)
+        assert math.isclose(mc._log_q(p), -40 * math.log(10))
+        assert sample(DistributionSpec.geometric(p), 5, replicate_stream(0, 0)).steps == (1,) * 5
+
     def test_uniform_up_to_2_53_is_drawn_exactly(self):
         s = sample(DistributionSpec.uniform(2**53 - 2, 2**53), 200, replicate_stream(0, 0))
         assert set(s.steps) == {2**53 - 2, 2**53 - 1, 2**53}

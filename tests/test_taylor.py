@@ -275,6 +275,12 @@ class TestEvaluate:
                                                         4: Fraction(1)})
         assert isinstance(evaluate_expression(expr, exact, 10), Fraction)
 
+    def test_expression_without_terms_is_zero(self):
+        expr = VarianceExpression(order=1, terms=())
+        exact = MomentVector(mean=Fraction(3), central={2: Fraction(1)})
+        assert evaluate_expression(expr, exact, 5) == 0
+        assert evaluate_expression(expr, MomentVector(mean=3.0, central={2: 1.0}), 5) == 0
+
     def test_rejects_bad_n(self):
         expr = generate_expression(1)
         mom = MomentVector(mean=2.0, central={2: 1.0})
