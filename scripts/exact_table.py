@@ -1,7 +1,9 @@
 """Rebuild the exact-moment variance table for the two reference
 distributions.  Rational arithmetic end to end; only the final
-rendering rounds."""
+rendering rounds.  A cell without an exact row gives the reason as one
+`note:` line on stderr, as `restime exact` does."""
 
+import sys
 from fractions import Fraction
 
 from restime.cli import _MAX_DIGITS, _Parser, _exact_column
@@ -22,7 +24,9 @@ def main():
     for dist, sizes in grid:
         for n in sizes:
             print(f"\n{dist}  N={n}")
-            rows, _ = _exact_column(dist, n, range(1, 9))
+            rows, omitted = _exact_column(dist, n, range(1, 9))
+            if omitted:
+                print(f"note: exact row omitted: {omitted}", file=sys.stderr)
             for label, value in rows:
                 print(f"  {label:<8}{format_rational(value, args.digits)}")
 

@@ -24,7 +24,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import factorial, lcm
+from math import factorial, isfinite, lcm
 
 from .core import DomainError, MomentVector, _integer_scale, np
 
@@ -422,7 +422,8 @@ def evaluate_expression(expr: VarianceExpression, mom: MomentVector, n: int):
 
     The exact value is integer work on _collapsed's form and on the moments
     written over one integer d (core._integer_scale), then one Fraction.
-    A float power that overflows raises DomainError.
+    The float value is a Python float; a float power that overflows, or a
+    sum that is not finite, raises DomainError.
     """
     if n < 1:
         raise DomainError("N must be >= 1")
@@ -433,9 +434,12 @@ def evaluate_expression(expr: VarianceExpression, mom: MomentVector, n: int):
         return Fraction(_evaluate(entries, mean, central), den * d * d * mean**shift)
     mean, central = float(mom.mean), _needed_central(expr.central_orders, mom.central, float)
     try:
-        return _evaluate(_prepared(expr, n, False), mean, central)
+        value = float(_evaluate(_prepared(expr, n, False), mean, central))
     except OverflowError:
-        raise DomainError(f"order-{expr.order} series overflows float64") from None
+        value = float("inf")
+    if not isfinite(value):
+        raise DomainError(f"order-{expr.order} series overflows float64")
+    return value
 
 
 def evaluate_expression_batch(

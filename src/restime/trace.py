@@ -25,8 +25,9 @@ class OccupancyTrace:
     read-only arrays (uint8 values, int64 lengths).  `bits`, bytes with one
     per step (0x01 inside, 0x00 outside), is built from the runs on first
     read.  Any iterable whose elements equal 0 or 1 is accepted as bits.
-    Equality, hash and repr are those of a frozen dataclass whose one field
-    is `bits`.
+    Equality and repr are those of a frozen dataclass whose one field is
+    `bits`.  The hash reads the runs, so it differs from that dataclass's
+    `hash((bits,))`; equal traces still hash equal.
     """
 
     def __init__(self, bits):

@@ -1,4 +1,11 @@
+import re
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
 import restime
+from restime.taylor import expression_blocks
 
 # the public surface; growing or shrinking it should be a visible decision
 PUBLIC = {
@@ -42,3 +49,23 @@ def test_each_public_class_has_its_home():
     classes = {name for name in PUBLIC if isinstance(getattr(restime, name), type)}
     assert classes == set(HOMES)
     assert {name: getattr(restime, name).__module__ for name in classes} == HOMES
+
+
+# refusals of public calls that no other test reaches: (call, its DomainError message)
+REFUSALS = {
+    "unknown-kind": (lambda: restime.DistributionSpec(kind="beta"),
+                     "unknown distribution kind 'beta'"),
+    "zero-digits": (lambda: restime.format_rational(Fraction(1, 3), 0), "digits must be >= 1"),
+    "ratio-n-zero": (lambda: restime.ratio_variance_from_moments(
+        restime.MomentVector(mean=2.0, central={2: 1.0, 3: 0.0, 4: 3.0}), 0), "N must be >= 1"),
+    "negative-lag": (lambda: restime.rt_autocorrelation([np.array([1, 2, 3])], -1),
+                     "max_lag must be >= 0"),
+    "order-zero-blocks": (lambda: expression_blocks(0), "order must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refusal_message(case):
+    call, message = REFUSALS[case]
+    with pytest.raises(restime.DomainError, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,9 +1,12 @@
-"""The study scripts print their description and refuse bad flag values cleanly.
+"""The study scripts print their description, refuse bad flag values cleanly,
+and mc_grid.py prints the replicate study's table.
 
-No test starts a real run: mc_grid.py defaults to 100k replicates, and
-bench_snapshot.py is only run where it must refuse before any perfbench run.
+The one real run is mc_grid.py at 50 replicates of one cell (its default is
+100k replicates), and bench_snapshot.py is only run where it must refuse
+before any perfbench run.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -12,26 +15,24 @@ from pathlib import Path
 import pytest
 
 import restime
+from restime import DistributionSpec, ExperimentConfig, run_experiment
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 SRC = str(Path(restime.__file__).resolve().parent.parent)
 
-# script -> (first words of its docstring, one bad flag value, its error line)
+# script -> (first words of its docstring, [(one bad flag value, its error line), ...])
 CASES = {
     "exact_table.py": (
         "Rebuild the exact-moment variance table",
-        ["--digits", "0"],
-        "error: --digits must be within 1..4300, got 0",
+        [(["--digits", "0"], "error: --digits must be within 1..4300, got 0")],
     ),
     "mc_grid.py": (
         "Monte Carlo cross-check of the variance estimators",
-        ["--sizes", "0"],
-        "error: sizes must be a nonempty list of positive integers",
-    ),
-    "small_sample_bias.py": (
-        "How fast does the plug-in bias",
-        ["--dist", "geom:p=2"],
-        "error: bad distribution spec 'geom:p=2': geometric parameter p must satisfy 0 < p < 1",
+        [
+            (["--sizes", "0"], "error: sizes must be a nonempty list of positive integers"),
+            (["--dist", "geom:p=2"],
+             "error: bad distribution spec 'geom:p=2': geometric parameter p must satisfy 0 < p < 1"),
+        ],
     ),
 }
 
@@ -52,14 +53,14 @@ def test_help_prints_the_description(script):
 
 @pytest.mark.parametrize("script", sorted(CASES))
 def test_bad_value_is_one_error_line(script):
-    _, argv, line = CASES[script]
-    done = _run(script, *argv)
-    assert done.returncode == 2
-    assert done.stderr.splitlines() == [line]
-    assert done.stdout == ""
+    for argv, line in CASES[script][1]:
+        done = _run(script, *argv)
+        assert done.returncode == 2
+        assert done.stderr.splitlines() == [line]
+        assert done.stdout == ""
 
 
-@pytest.mark.parametrize("script", ["mc_grid.py", "small_sample_bias.py"])
+@pytest.mark.parametrize("script", ["mc_grid.py"])
 def test_seed_out_of_range_is_one_error_line(script):
     # ExperimentConfig's own check, before any replicate is drawn
     done = _run(script, "--seed=-1")
@@ -68,9 +69,30 @@ def test_seed_out_of_range_is_one_error_line(script):
     assert done.stdout == ""
 
 
+def test_mc_grid_prints_one_row_per_cell():
+    done = _run("mc_grid.py", "--dist", "uniform:a=2,b=9", "--sizes", "5", "--replicates", "50")
+    assert done.returncode == 0 and done.stderr == ""
+    header, row = done.stdout.splitlines()
+    assert header.split() == ["dist", "N", "reference", "ratio", "dev", "taylor1", "dev",
+                              "taylor3", "dev", "taylor8", "dev", "S8(exact)", "z"]
+    dist, n, ref, ratio, taylor1, taylor3, taylor8, z = row.split()
+    # fewer labels draw the same replicates, so the reference and these columns hold
+    cfg = ExperimentConfig(dist=DistributionSpec.uniform(2, 9), sizes=(5,), replicates=50, seed=0,
+                           estimators=("ratio", "taylor8"))
+    (want,) = run_experiment(cfg)
+    assert (dist, n, ref) == ("uniform:a=2,b=9", "5", f"{want.reference_var:.6g}")
+    devs = [f"{(want.means[k] - want.reference_var) / want.reference_var:+.2%}"
+            for k in ("ratio", "taylor8")]
+    assert [ratio, taylor8] == devs
+    assert taylor1.endswith("%") and taylor3.endswith("%") and math.isfinite(float(z))
+
+
 def test_exact_table_prints_the_exact_subcommand_column():
     done = _run("exact_table.py", "--digits", "6")
     assert done.returncode == 0
+    assert done.stderr.splitlines() == [
+        "note: exact row omitted: exact enumeration needs a finite support (uniform only)"
+    ] * 2 + ["note: exact row omitted: enumeration work exceeded the tractability guard"]
     blocks = done.stdout.split("\n\n")
     block = next(b for b in blocks if b.startswith("uniform:a=93,b=100  N=10\n"))
     table = [line.split() for line in block.splitlines()[1:]]

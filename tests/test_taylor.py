@@ -271,6 +271,10 @@ class TestEvaluate:
         huge = MomentVector(mean=2.0, central={2: 1e200, 3: 1.0, 4: 1.0})
         with pytest.raises(DomainError, match="order-2 series overflows float64"):
             evaluate_expression(expr, huge, 10)
+        # no float power overflows here, yet the sum comes out nan
+        tiny_mean = MomentVector(mean=1e-150, central={2: 1.0, 3: 1.0, 4: 1e10})
+        with pytest.raises(DomainError, match="order-2 series overflows float64"):
+            evaluate_expression(expr, tiny_mean, 5)
         exact = MomentVector(mean=Fraction(2), central={2: Fraction(10**200), 3: Fraction(1),
                                                         4: Fraction(1)})
         assert isinstance(evaluate_expression(expr, exact, 10), Fraction)
@@ -279,7 +283,8 @@ class TestEvaluate:
         expr = VarianceExpression(order=1, terms=())
         exact = MomentVector(mean=Fraction(3), central={2: Fraction(1)})
         assert evaluate_expression(expr, exact, 5) == 0
-        assert evaluate_expression(expr, MomentVector(mean=3.0, central={2: 1.0}), 5) == 0
+        value = evaluate_expression(expr, MomentVector(mean=3.0, central={2: 1.0}), 5)
+        assert value == 0 and type(value) is float
 
     def test_rejects_bad_n(self):
         expr = generate_expression(1)

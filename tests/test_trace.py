@@ -294,6 +294,7 @@ def test_run_form_matches_the_bit_references(bits, k):
 def test_run_built_traces_compare_by_their_bits():
     a, b = parse_traces(["1 0\n", "0 1\n"])
     assert a != b and a == OccupancyTrace(bits=(1, 0)) and b == OccupancyTrace(bits=(0, 1))
+    assert b != (0, 1)  # a non-trace is never equal
     assert len({a, b, OccupancyTrace(bits=(1, 0))}) == 2
 
 
