@@ -1,8 +1,9 @@
 """Domain types and helpers that several modules of the package share.
 
 Two scalar regimes coexist throughout the package: exact rationals
-(fractions.Fraction) for reference computations, plain 64-bit floats
-everywhere else.  All types here are immutable values.
+(fractions.Fraction) for the reference computations and for every number a
+sample's estimators report, each rounded to a float once; plain 64-bit
+floats in the replicate kernels.  All types here are immutable values.
 """
 
 from __future__ import annotations
@@ -79,10 +80,9 @@ class ResidenceSample:
 
     The checked steps are kept in `array`, one read-only 1-d array that the
     sample owns: int64, or object dtype holding exact Python ints when some
-    step does not fit in int64.  `n` and `floats` read it.  `steps`, the same
-    values as a tuple of Python ints, is built on first use; only the exact
-    paths read it.  Equality, hash and repr are those of a frozen dataclass
-    whose one field is `steps`.
+    step does not fit in int64.  `n` and `histogram` read it.  `steps`, the
+    same values as a tuple of Python ints, is built on first use.  Equality,
+    hash and repr are those of a frozen dataclass whose one field is `steps`.
     """
 
     def __init__(self, steps):
@@ -115,11 +115,21 @@ class ResidenceSample:
         return tuple(self.array.tolist())
 
     @cached_property
-    def floats(self) -> np.ndarray:
-        """The steps as one read-only float64 array, built on first use."""
-        a = self.array.astype(np.float64)
-        a.flags.writeable = False
-        return a
+    def histogram(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct steps, ascending, and their counts, built on first use: read-only
+        object arrays of Python ints, so that every estimator's sums over them are exact."""
+        values, counts = (a.astype(object) for a in np.unique(self.array, return_counts=True))
+        values.flags.writeable = counts.flags.writeable = False
+        return values, counts
+
+
+def _round_once(value: Fraction, what: str) -> float:
+    """float(value), the one rounding of an exact result; DomainError names
+    what overflows float64."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError(f"{what} overflows float64") from None
 
 
 def _step_array(ints) -> np.ndarray:

@@ -8,44 +8,27 @@ import warnings
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from .core import DomainError, MomentVector, ResidenceSample, np
-from .moments import sample_moments
+from .core import DomainError, MomentVector, ResidenceSample, _round_once, np
+from .moments import _power_sums, sample_moments
 from .taylor import MAX_ORDER, _needed_central, evaluate_expression, generate_expression
 
 
 def mean_residual_steps(s: ResidenceSample, exact: bool = False):
     """Expected remaining steps of the stay in progress at a random instant.
 
-    Equals 1/2 + sum(x^2)/(2*sum(x)).  Integer accumulation keeps the ratio
-    exact until the final division, whatever the magnitudes.
+    Equals 1/2 + sum(x^2)/(2*sum(x)), exact from the integer sums; float
+    mode rounds it once.
     """
-    total, squares = _step_sums(s)
-    if exact:
-        return Fraction(1, 2) + Fraction(squares, 2 * total)
-    return 0.5 + squares / (2.0 * total)
+    _, total, squares = _power_sums(s, 2)
+    value = Fraction(1, 2) + Fraction(squares, 2 * total)
+    return value if exact else _round_once(value, "mean residual time")
 
 
 def mean_residence_steps(s: ResidenceSample, exact: bool = False):
     """Average residence duration in steps."""
-    total, _ = _step_sums(s)
-    if exact:
-        return Fraction(total, s.n)
-    return total / s.n
-
-
-def _step_sums(s: ResidenceSample) -> tuple[int, int]:
-    """sum(x) and sum(x^2) as Python ints.
-
-    For an int64 sample below n*max(x)^2 < 2^53 every partial sum of the
-    float array is an integer that float64 holds exactly, so its sums are the
-    integer sums.  Any other sample is summed in Python ints, so no step past
-    float64's range is ever converted.
-    """
-    a = s.array
-    if a.dtype == np.int64 and s.n * int(a.max()) ** 2 < 2**53:
-        f = s.floats
-        return int(f.sum()), int(f @ f)
-    return sum(s.steps), sum(x * x for x in s.steps)
+    n, total = _power_sums(s, 1)
+    value = Fraction(total, n)
+    return value if exact else _round_once(value, "mean residence time")
 
 
 def var_mean_residence(s: ResidenceSample, exact: bool = False):
@@ -53,26 +36,20 @@ def var_mean_residence(s: ResidenceSample, exact: bool = False):
     n = s.n
     if n < 2:
         raise DomainError("variance of the mean needs at least two residences")
-    if exact:
-        # with S = sum(x) and R = sum(x^2), sum((n*x - S)^2) is n^2 R - n S^2
-        total, squares = _step_sums(s)
-        return Fraction(n * squares - total * total, n * n * (n - 1))
-    with np.errstate(over="ignore", invalid="ignore"):  # build_report names an overflow
-        return float(s.floats.var(ddof=1) / n)
+    _, total, squares = _power_sums(s, 2)
+    # with S = sum(x) and R = sum(x^2), sum((n*x - S)^2) is n^2 R - n S^2
+    value = Fraction(n * squares - total * total, n * n * (n - 1))
+    return value if exact else _round_once(value, "variance of the mean residence time")
 
 
 def var_mrt_ratio(s: ResidenceSample, exact: bool = False):
     """Delta-method variance of the residual-time statistic.
 
-    Exact mode evaluates ratio_variance_from_moments on the rational plug-in
-    moments; float mode is ratio_variance_rows on a single row.
+    ratio_variance_from_moments on the exact plug-in moments; float mode
+    rounds it once.
     """
-    if exact:
-        return ratio_variance_from_moments(sample_moments(s, 4, exact=True), s.n)
-    x = s.floats[None, :]
-    with np.errstate(over="ignore", invalid="ignore"):  # build_report names an overflow
-        x2 = x * x
-        return float(ratio_variance_rows(x, x2, x.mean(axis=1), x2.mean(axis=1))[0])
+    value = ratio_variance_from_moments(sample_moments(s, 4, exact=True), s.n)
+    return value if exact else _round_once(value, "ratio estimator")
 
 
 def ratio_variance_rows(x: np.ndarray, x2: np.ndarray, m1: np.ndarray, m2: np.ndarray):
@@ -118,12 +95,14 @@ def _series_order(label: str) -> int:
 
 
 def var_mrt_taylor(s: ResidenceSample, order: int = 8, exact: bool = False):
-    """Series variance estimator of the given order on plug-in sample moments."""
+    """Series variance estimator of the given order on the exact plug-in
+    sample moments; float mode rounds it once."""
     if not 1 <= order <= MAX_ORDER:
         raise DomainError(f"series order must lie in 1..{MAX_ORDER}")
     expr = generate_expression(order)
-    mom = sample_moments(s, max_central_order=2 * order, exact=exact)
-    return evaluate_expression(expr, mom, s.n)
+    mom = sample_moments(s, max_central_order=2 * order, exact=True)
+    value = evaluate_expression(expr, mom, s.n)
+    return value if exact else _round_once(value, f"order-{order} series")
 
 
 def rt_autocorrelation(per_trace_rts, max_lag: int) -> list[tuple[int, float, float]]:
@@ -143,11 +122,12 @@ def rt_autocorrelation(per_trace_rts, max_lag: int) -> list[tuple[int, float, fl
             continue
         x = np.asarray(rts, dtype=np.float64)
         d = x - x.mean()
-        denom = float(np.dot(d, d))
-        if denom == 0.0:
+        # numpy's own sums, not BLAS dot products, whose last bits follow the thread count
+        lags = [float(np.add.reduce(d[: len(d) - h] * d[h:])) for h in range(max_lag + 1)]
+        if lags[0] == 0.0:
             warnings.warn(f"trace {idx} is constant, excluded from autocorrelation")
             continue
-        rows.append([float(np.dot(d[: len(d) - h], d[h:]) / denom) for h in range(max_lag + 1)])
+        rows.append([v / lags[0] for v in lags])
     if short:
         warnings.warn(
             f"{short} trace(s) with fewer than max_lag+2 residences excluded from autocorrelation"
@@ -199,46 +179,52 @@ def build_report(
 ) -> EstimateReport:
     """Assemble point estimates and per-method uncertainties, with unit conversion.
 
-    Residual- and residence-time values scale by dt, their variances by
-    dt squared.  A negative variance from any estimator is a defect and is
-    rejected rather than propagated into a square root; a reported value
-    that is not finite (an overflow of float64) raises DomainError naming it.
+    Every number is computed exactly and rounded to a float once: residual-
+    and residence-time values scale by dt, their variances by dt squared,
+    and each sd is the correctly rounded square root of its exact variance.
+    A negative variance from any estimator is a defect and is rejected; a
+    value past float64's range raises DomainError naming it.
     """
     if dt is not None and not dt > 0:
         raise DomainError("dt must be positive")
-    mrt = mean_residual_steps(s)
-    mrt_var: dict[str, float] = {}
+    mrt_var: dict[str, Fraction] = {}
     for label in methods:
         order = _series_order(label)
-        value = float(var_mrt_taylor(s, order) if order else var_mrt_ratio(s))
+        value = var_mrt_taylor(s, order, exact=True) if order else var_mrt_ratio(s, exact=True)
         if value < 0:
             raise DomainError(f"estimator {label} produced a negative variance")
         mrt_var[label] = value
-    mrt_sd = {k: math.sqrt(v) for k, v in mrt_var.items()}
-    residence = mean_residence_steps(s)
-    residence_var = float(var_mean_residence(s))
-    fields = dict(
-        mrt_steps=float(mrt),
-        mrt_var_steps=mrt_var,
-        mrt_sd_steps=mrt_sd,
-        mRT_steps=float(residence),
-        mRT_var_steps=residence_var,
-        mRT_sd_steps=math.sqrt(residence_var),
-    )
-    if dt is not None:
-        fields.update(
-            mrt_time=float(mrt) * dt,
-            mrt_var_time={k: v * dt * dt for k, v in mrt_var.items()},
-            mrt_sd_time={k: v * dt for k, v in mrt_sd.items()},
-            mRT_time=float(residence) * dt,
-            mRT_var_time=residence_var * dt * dt,
-            mRT_sd_time=math.sqrt(residence_var) * dt,
-        )
-    # json.dumps would print an overflow as Infinity, which is not JSON
-    for name, value in fields.items():
+    mrt, residence = mean_residual_steps(s, exact=True), mean_residence_steps(s, exact=True)
+    residence_var = var_mean_residence(s, exact=True)
+    units = {"steps": 1} if dt is None else {"steps": 1, "time": Fraction(dt)}
+    exact = {}  # each field's exact value; an sd field holds the variance it roots
+    for unit, c in units.items():
+        var, rvar = {k: v * c * c for k, v in mrt_var.items()}, residence_var * c * c
+        exact.update({f"mrt_{unit}": mrt * c, f"mrt_var_{unit}": var, f"mrt_sd_{unit}": var,
+                      f"mRT_{unit}": residence * c, f"mRT_var_{unit}": rvar, f"mRT_sd_{unit}": rvar})
+    fields = {}
+    for name, value in exact.items():
+        rounded = {}
         for key, x in value.items() if isinstance(value, dict) else [(None, value)]:
-            if not math.isfinite(x):
+            try:
+                rounded[key] = _rounded_sqrt(x) if "_sd_" in name else float(x)
+            except OverflowError:  # JSON has no infinity
                 where = name if key is None else f"{name}[{key!r}]"
                 at = f" at dt={dt!r}" if name.endswith("_time") else ""
-                raise DomainError(f"{where} = {x!r} is not finite{at}")
+                raise DomainError(f"{where} = inf is not finite{at}") from None
+        fields[name] = rounded if isinstance(value, dict) else rounded[None]
     return EstimateReport(n=s.n, dt=dt, methods=tuple(methods), **fields)
+
+
+def _rounded_sqrt(x: Fraction) -> float:
+    """The float nearest sqrt(x) for an exact x >= 0, rounded once.
+
+    r = floor(sqrt(x) * 2^k) has at least 56 bits, so every rounding
+    boundary of a float lies on an integer in units of 2^-k.  sqrt(x) * 2^k
+    is then r itself or lies strictly between r and r + 1, where r + 1/2
+    rounds the same way.
+    """
+    p, q = x.as_integer_ratio()
+    k = max(0, (112 - p.bit_length() + q.bit_length()) // 2 + 1)
+    r = math.isqrt(p * 4**k // q)
+    return float(Fraction(2 * r + (r * r * q != p * 4**k), 2 ** (k + 1)))

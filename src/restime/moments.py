@@ -3,32 +3,43 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, isfinite
+from math import comb
 
-from .core import DistributionSpec, DomainError, MomentVector, ResidenceSample, _integer_scale, np
+from .core import DistributionSpec, DomainError, MomentVector, ResidenceSample, np
+from .core import _integer_scale, _round_once
 from .taylor import MAX_ORDER
 
 
 def sample_moments(s: ResidenceSample, max_central_order: int = 4, exact: bool = False) -> MomentVector:
     """Plug-in mean and central moments of orders 2..max of a sample.
 
-    Central moments use the biased 1/N form throughout.  Exact mode puts the
-    raw power means through central_from_raw, as exact_moments does; float
-    mode is row_moments on a single row, and raises DomainError when a
-    central moment overflows float64.
+    Central moments use the biased 1/N form throughout.  The raw power means
+    of the sample's histogram go through central_from_raw, as exact_moments'
+    do; float mode rounds each exact value once, and raises DomainError when
+    a central moment overflows float64.
     """
     if max_central_order < 2:
         raise DomainError("need central moments at least to order 2")
+    n, *sums = _power_sums(s, max_central_order)
+    mom = _exact_vector({j: Fraction(v, n) for j, v in enumerate(sums, start=1)})
     if exact:
-        return _exact_vector(_power_means(s.steps, max_central_order))
-    rows = s.floats[None, :]
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean, central = row_moments(rows, rows.sum(axis=1), max_central_order)
-    central = {m: float(v[0]) for m, v in central.items()}
-    bad = [m for m, v in central.items() if not isfinite(v)]
-    if bad:
-        raise DomainError(f"central moment of order {bad[0]} overflows float64")
-    return MomentVector(mean=float(mean[0]), central=central)
+        return mom
+    central = {m: _round_once(v, f"central moment of order {m}") for m, v in mom.central.items()}
+    return MomentVector(mean=_round_once(mom.mean, "mean"), central=central)
+
+
+def _power_sums(s: ResidenceSample, top: int) -> list[int]:
+    """[n, sum(x), sum(x^2), ..., sum(x^top)] of a sample, as Python ints.
+
+    Each sum runs over the distinct values of the histogram, sum(c * v^j), so
+    its cost grows with the number of distinct values, not with n.
+    """
+    values, counts = s.histogram
+    sums, weighted = [s.n], counts
+    for _ in range(top):
+        weighted = weighted * values
+        sums.append(int(weighted.sum()))
+    return sums
 
 
 def row_moments(x: np.ndarray, sums: np.ndarray, max_order: int):
@@ -82,11 +93,6 @@ def exact_moments(d: DistributionSpec, max_central_order: int = 4) -> MomentVect
                 for n in range(1, top + 1)}
         raw = {n: Fraction(s, b - a + 1) for n, s in sums.items()}
     return _exact_vector(raw)
-
-
-def _power_means(xs, top: int) -> dict:
-    """Exact raw moments of orders 1..top of the sample values xs, each weighted equally."""
-    return {j: Fraction(sum(x**j for x in xs), len(xs)) for j in range(1, top + 1)}
 
 
 def _exact_vector(raw: dict) -> MomentVector:

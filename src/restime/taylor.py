@@ -24,9 +24,9 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import factorial, isfinite, lcm
+from math import factorial, lcm
 
-from .core import DomainError, MomentVector, _integer_scale, np
+from .core import DomainError, MomentVector, _integer_scale, _round_once, np
 
 # the highest series order that the CLI, the estimator labels and exact_moments accept
 MAX_ORDER = 8
@@ -371,7 +371,7 @@ def _prepared(expr: VarianceExpression, n, exact: bool) -> tuple:
     float form is a tuple of one (coefficient at N, mu_exponent,
     moment_powers) entry per term, the coefficient being
     float(coef) * float(N) ** -n_exponent, the product a per-term float sum
-    starts each term with, so float results keep every byte.  Kept on the
+    starts each term with, so batch results keep every byte.  Kept on the
     expression, at most _PREPARED_BOUND forms, oldest dropped first.
     """
     cache = expr._prepared_forms
@@ -397,10 +397,10 @@ def _evaluate(entries: tuple, mean, central: dict):
     entries are (coefficient, mu_exponent, moment_powers) triples with N
     already in the coefficients: the float form of _prepared, or the
     integer entries of the exact one.  mean and central hold Python ints
-    (the exact form's A and B_m), Python floats or float64 arrays, and **
-    acts on them as given, so every regime keeps its own pow; the sum
-    starts from 0, which adds nothing in any of them.  Each distinct power
-    is computed once; the operations run in one fixed order, entry by entry.
+    (the exact form's A and B_m) or float64 arrays, and ** acts on them as
+    given, so each regime keeps its own pow; the sum starts from 0, which
+    adds nothing in either.  Each distinct power is computed once; the
+    operations run in one fixed order, entry by entry.
     """
     total = 0
     mu_pows, powers = {}, {}
@@ -418,28 +418,21 @@ def _evaluate(entries: tuple, mean, central: dict):
 
 
 def evaluate_expression(expr: VarianceExpression, mom: MomentVector, n: int):
-    """Substitute moments and N into an expression; exact when mom is exact.
+    """Substitute moments and N into an expression, exactly.
 
-    The exact value is integer work on _collapsed's form and on the moments
+    The value is integer work on _collapsed's form and on the moments
     written over one integer d (core._integer_scale), then one Fraction.
-    The float value is a Python float; a float power that overflows, or a
-    sum that is not finite, raises DomainError.
+    Float moments are taken at their exact values, and the result is
+    rounded once to a Python float; one past float64's range raises
+    DomainError.
     """
     if n < 1:
         raise DomainError("N must be >= 1")
-    if mom.exact:
-        central = _needed_central(expr.central_orders, mom.central, Fraction)
-        d, mean, central = _integer_scale(Fraction(mom.mean), central)
-        entries, den, shift = _prepared(expr, n, True)
-        return Fraction(_evaluate(entries, mean, central), den * d * d * mean**shift)
-    mean, central = float(mom.mean), _needed_central(expr.central_orders, mom.central, float)
-    try:
-        value = float(_evaluate(_prepared(expr, n, False), mean, central))
-    except OverflowError:
-        value = float("inf")
-    if not isfinite(value):
-        raise DomainError(f"order-{expr.order} series overflows float64")
-    return value
+    central = _needed_central(expr.central_orders, mom.central, Fraction)
+    d, mean, central = _integer_scale(Fraction(mom.mean), central)
+    entries, den, shift = _prepared(expr, n, True)
+    value = Fraction(_evaluate(entries, mean, central), den * d * d * mean**shift)
+    return value if mom.exact else _round_once(value, f"order-{expr.order} series")
 
 
 def evaluate_expression_batch(

@@ -9,9 +9,11 @@ construction for the gap filter, a plain scan for run extraction, a token
 walk for trace parsing, partial sums with rigorous tail bounds for
 geometric moments, a binomial transform from central to raw moments, the
 delta-method ratio estimator from integer step sums, a per-term Fraction
-sum for the series value, a per-row inverse-CDF for replicate draws, a
-merge of like terms into canonical order (`normalize_expression`) and
-fixed-decimal rendering (`format_fixed`).
+sum for the series value, every number of an estimate report from plain
+sums over its steps (`report_reference`) with a midpoint test for a
+rounded square root, a per-row inverse-CDF for replicate draws, a merge of
+like terms into canonical order (`normalize_expression`) and fixed-decimal
+rendering (`format_fixed`).
 
 What is imported from the package is its error type, the value types
 `Term` and `VarianceExpression` (which `normalize_expression` takes and
@@ -396,6 +398,84 @@ def per_term_series(expr, mom, n) -> Fraction:
             val *= Fraction(mom.central[m]) ** c
         total += val
     return total
+
+
+def report_reference(steps, series: dict, dt=None) -> dict:
+    """Every number of an estimate report as an exact rational, from plain
+    sums over the steps, in the report's field order.
+
+    series maps each method label to its VarianceExpression, or to None for
+    the delta-method 'ratio', and the series is summed per term on
+    central_moments_direct.  An sd field holds the variance whose square
+    root it reports; dt is taken at its exact value.
+    """
+    xs = [int(x) for x in steps]
+    n = len(xs)
+    mean = Fraction(sum(xs), n)
+    mrt_var = {}
+    for label, expr in series.items():
+        if expr is None:
+            mrt_var[label] = ratio_from_sums(xs)
+        else:
+            mom = _Moments(mean, central_moments_direct(xs, 2 * expr.order))
+            mrt_var[label] = per_term_series(expr, mom, n)
+    residence_var = sum((x - mean) ** 2 for x in xs) / (n - 1) / n
+    out = {}
+    for unit, scale in [("steps", Fraction(1))] + ([] if dt is None else [("time", Fraction(dt))]):
+        out[f"mrt_{unit}"] = statistic(xs) * scale
+        out[f"mrt_var_{unit}"] = {k: v * scale**2 for k, v in mrt_var.items()}
+        out[f"mrt_sd_{unit}"] = {k: v * scale**2 for k, v in mrt_var.items()}
+        out[f"mRT_{unit}"] = mean * scale
+        out[f"mRT_var_{unit}"] = residence_var * scale**2
+        out[f"mRT_sd_{unit}"] = residence_var * scale**2
+    return out
+
+
+@dataclass(frozen=True)
+class _Moments:
+    mean: Fraction
+    central: dict
+
+
+def is_rounded_sqrt(f: float, v: Fraction) -> bool:
+    """True when f is the float nearest sqrt(v): v lies between the squares of
+    the midpoints from f to its two neighbours."""
+    lo = (Fraction(f) + Fraction(math.nextafter(f, 0.0))) / 2
+    hi = (Fraction(f) + Fraction(math.nextafter(f, math.inf))) / 2
+    return lo * lo <= v <= hi * hi
+
+
+def _leaves(want: dict):
+    """(field, where, exact value) for each number, where naming a dict entry by its key."""
+    for name, value in want.items():
+        for key, v in value.items() if isinstance(value, dict) else [(None, value)]:
+            yield name, name if key is None else f"{name}[{key!r}]", key, v
+
+
+def first_overflow(want: dict) -> str | None:
+    """The first number of report_reference's want that float64 cannot hold.
+
+    An sd field is skipped: its variance, one field earlier, overflows first.
+    """
+    for name, where, _, v in _leaves(want):
+        if "_sd_" not in name:
+            try:
+                float(v)
+            except OverflowError:
+                return where
+    return None
+
+
+def report_mismatches(fields: dict, want: dict) -> list[str]:
+    """The numbers of a report's fields that are not want's exact values rounded
+    once to a float (an sd field: the rounded square root of its variance)."""
+    bad = []
+    for name, where, key, v in _leaves(want):
+        got = fields[name] if key is None else fields[name][key]
+        ok = type(got) is float and (is_rounded_sqrt(got, v) if "_sd_" in name else got == float(v))
+        if not ok:
+            bad.append(where)
+    return bad
 
 
 def normalize_expression(expr: VarianceExpression) -> VarianceExpression:

@@ -3,6 +3,7 @@ import json
 import math
 import re
 import sys
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 
@@ -83,14 +84,27 @@ class TestResidenceSample:
         assert s.steps == want
         assert all(type(x) is int for x in s.steps)
 
-    def test_floats_is_one_read_only_array(self):
+    def test_array_is_one_read_only_array(self):
         s = ResidenceSample(steps=[3, 1, 2**60 + 1])
-        a = s.floats
-        assert a is s.floats
-        assert a.dtype == np.float64
-        assert a.tolist() == [3.0, 1.0, float(2**60 + 1)]
+        a = s.array
+        assert a is s.array
+        assert a.dtype == np.int64
+        assert a.tolist() == [3, 1, 2**60 + 1]
         assert not a.flags.writeable
         assert s == ResidenceSample(steps=(3, 1, 2**60 + 1))
+
+    @pytest.mark.parametrize("steps", [(3, 1, 2**60 + 1, 3, 3), (5, 10**30, 5, 2)],
+                             ids=["int64", "past-int64"])
+    def test_histogram_counts_each_distinct_step_once(self, steps):
+        s = ResidenceSample(steps=steps)
+        assert "histogram" not in vars(s)
+        values, counts = s.histogram
+        assert s.histogram is s.histogram
+        assert dict(zip(values.tolist(), counts.tolist())) == Counter(steps)
+        assert values.tolist() == sorted(set(steps))
+        for a in (values, counts):
+            assert a.dtype == object and not a.flags.writeable
+            assert all(type(v) is int for v in a)
 
 
 class TestResidenceSampleFromInt64:
@@ -103,16 +117,16 @@ class TestResidenceSampleFromInt64:
         assert s.steps == self.STEPS
         assert all(type(x) is int for x in s.steps)
 
-    def test_floats_are_the_tuple_floats_and_owned(self):
+    def test_array_is_the_tuple_steps_and_owned(self):
         arr = np.array(self.STEPS, dtype=np.int64)
         s = ResidenceSample(steps=arr)
-        a = s.floats
-        assert a.dtype == np.float64
-        assert a.tobytes() == np.asarray(self.STEPS, dtype=np.float64).tobytes()
+        a = s.array
+        assert a.dtype == np.int64
+        assert a.tolist() == list(self.STEPS)
         assert not a.flags.writeable
         assert not np.shares_memory(a, arr)
         arr[0] = 99
-        assert s.floats[0] == 3.0 and s.steps[0] == 3
+        assert s.array[0] == 3 and s.steps[0] == 3
 
     @pytest.mark.parametrize(
         "steps, message",
@@ -135,7 +149,7 @@ class TestResidenceSampleFromInt64:
         ids=["2-d", "int32", "float", "object", "bool"],
     )
     def test_other_arrays_take_the_general_path(self, arr):
-        # as a tuple of the same elements: same steps or same error, floats on first use
+        # as a tuple of the same elements: same steps or same error, histogram on first use
         try:
             want = ResidenceSample(steps=tuple(arr))
         except DomainError as exc:
@@ -145,7 +159,7 @@ class TestResidenceSampleFromInt64:
             return
         s = ResidenceSample(steps=arr)
         assert s == want
-        assert "floats" not in vars(s)
+        assert "histogram" not in vars(s)
 
     @pytest.mark.parametrize("steps", [(3, 1, 4), (7,), (1, 2**63 - 1), (2, 2**63, 10**30)],
                              ids=["small", "one", "int64-max", "past-int64"])
@@ -176,8 +190,8 @@ class TestResidenceSampleFromInt64:
     def test_sample_is_frozen(self):
         s = ResidenceSample(steps=(1, 2))
         # cached entries exist, so deleting them must still fail
-        assert s.steps == (1, 2) and len(s.floats) == 2
-        for name in ("array", "steps", "floats", "n", "other"):
+        assert s.steps == (1, 2) and len(s.histogram[0]) == 2
+        for name in ("array", "steps", "histogram", "n", "other"):
             with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot assign to field {name!r}$"):
                 setattr(s, name, (3,))
             with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot delete field {name!r}$"):

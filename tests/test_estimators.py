@@ -1,11 +1,14 @@
 import json
 import math
+import re
+import time
 import tracemalloc
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from restime import mc
 from restime.core import DistributionSpec, DomainError, ResidenceSample
@@ -20,13 +23,17 @@ from restime.estimators import (
     var_mrt_taylor,
 )
 from restime.moments import exact_moments, sample_moments
+from restime.taylor import generate_expression
 
 from .oracles import (
     autocorr_direct,
+    first_overflow,
     format_fixed,
     inspection_identity_rhs,
     ratio_from_sums,
     raw_from_central,
+    report_mismatches,
+    report_reference,
     statistic,
 )
 
@@ -311,3 +318,38 @@ class TestReport:
         payload = json.loads(rep.to_json())
         assert payload["n"] == 3
         assert set(payload["mrt_var_steps"]) == {"ratio", "taylor8"}
+
+    @given(
+        st.lists(st.one_of(st.integers(min_value=1, max_value=60),
+                           st.integers(min_value=1, max_value=10**160)), min_size=2, max_size=8),
+        st.lists(st.sampled_from(["ratio", *(f"taylor{m}" for m in range(1, 9))]),
+                 min_size=1, max_size=2, unique=True),
+        st.one_of(st.none(), st.floats(min_value=1e-300, max_value=1e300)),
+    )
+    @example([3, 5, 10**20], ["ratio", "taylor8"], None)
+    @example([3, 5, 10**154], ["ratio", "taylor8"], 0.1)
+    @example([3, 5, 9], ["ratio"], 1e200)
+    @example([1, 1, 57718], ["ratio", "taylor8"], None)
+    @settings(max_examples=40, deadline=None)
+    def test_every_number_is_its_exact_value_rounded_once(self, steps, methods, dt):
+        # the oracle sums over the steps themselves, not over the histogram
+        series = {m: None if m == "ratio" else generate_expression(int(m[6:])) for m in methods}
+        want = report_reference(steps, series, dt)
+        overflow = first_overflow(want)
+        if overflow is not None:
+            with pytest.raises(DomainError, match=f"^{re.escape(overflow)} = inf is not finite"):
+                build_report(ResidenceSample(steps=steps), dt=dt, methods=tuple(methods))
+            return
+        rep = build_report(ResidenceSample(steps=steps), dt=dt, methods=tuple(methods))
+        assert report_mismatches(asdict(rep), want) == []
+
+    def test_wide_support_takes_a_bounded_time(self):
+        # the exact sums grow with the distinct values: about 181k of them in
+        # 200k steps took 0.3 s on a 2-core machine; the bound leaves room for a loaded one
+        steps = np.random.default_rng(0).integers(1, 10**6 + 1, size=200_000)
+        generate_expression(8)
+        s = ResidenceSample(steps=steps)
+        start = time.perf_counter()
+        build_report(s, dt=0.1, methods=("ratio", "taylor8"))
+        assert time.perf_counter() - start < 10.0
+        assert len(s.histogram[0]) > 180_000

@@ -42,17 +42,17 @@ class TestSampling:
 
     def test_geometric_mean_matches(self):
         p = Fraction(3, 10)
-        x = sample(DistributionSpec.geometric(p), 1_000_000, replicate_stream(5, 0)).floats
+        x = sample(DistributionSpec.geometric(p), 1_000_000, replicate_stream(5, 0)).array
         se = math.sqrt(float((1 - p) / p**2) / 1_000_000)
         assert abs(x.mean() - float(1 / p)) <= 5 * se
 
     def test_geometric_support_starts_at_one(self):
-        x = sample(DistributionSpec.geometric(Fraction(9, 10)), 10_000, replicate_stream(2, 0)).floats
+        x = sample(DistributionSpec.geometric(Fraction(9, 10)), 10_000, replicate_stream(2, 0)).array
         assert x.min() >= 1.0
         assert x == pytest.approx(np.round(x))
 
     def test_uniform_hits_both_ends(self):
-        x = sample(DistributionSpec.uniform(3, 6), 5_000, replicate_stream(2, 1)).floats
+        x = sample(DistributionSpec.uniform(3, 6), 5_000, replicate_stream(2, 1)).array
         assert set(np.unique(x)) == {3.0, 4.0, 5.0, 6.0}
 
     def test_rejects_empty(self):
@@ -86,7 +86,7 @@ class TestSampling:
         s = sample(dist, 1000, replicate_stream(7, 2))
         assert s.steps == tuple(int(v) for v in x)
         assert all(type(v) is int for v in s.steps)
-        assert s.floats.tobytes() == x.tobytes()
+        assert s.array.astype(np.float64).tobytes() == x.tobytes()
 
     @pytest.mark.parametrize("e", [310, 400])
     def test_draws_past_float64_are_one_domain_error(self, e):

@@ -4,8 +4,9 @@ perfbench/spans.py is loaded by path, as the benchmark loads it, and its
 Tracer is installed over the package.  A small extract and an order-2
 gen-expr then run through cli.main, and each counter that the benchmark
 reads is checked against a value computed here with the plain scans of
-tests/oracles.py.  A move or rename in the package that breaks a traced
-path fails here rather than in a benchmark run.
+tests/oracles.py; an order-2 estimate must record the spans and the term
+count that the benchmark's estimate job reads.  A move or rename in the
+package that breaks a traced path fails here rather than in a benchmark run.
 """
 
 import importlib.util
@@ -87,3 +88,22 @@ def test_tracer_resolves_counts_and_restores(tmp_path, capsys):
     # perfbench/child.py counts raw terms through this call
     blocks = taylor.expression_blocks(2)
     assert set(blocks) == {(1, 1), (1, 2), (2, 1), (2, 2)} and all(blocks.values())
+
+
+def test_traced_estimate_records_its_layers_and_term_count(tmp_path, capsys):
+    source = tmp_path / "steps.csv"
+    source.write_text("steps\n3\n1\n4\n1\n5\n9\n2\n6\n")
+    tracer = _load_spans().Tracer()
+    tracer.install()
+    try:
+        cli = sys.modules["restime.cli"]
+        argv = ["estimate", "--rts", str(source), "--method", "both", "--order", "2", "--dt", "0.1"]
+        assert cli.main(argv) == 0
+        assert set(json.loads(capsys.readouterr().out)["mrt_var_steps"]) == {"ratio", "taylor2"}
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["taylor.terms"] == len(taylor.generate_expression(2).terms)
+    recorded = {span[0] for span in tracer.spans}
+    assert {"estimators.build_report", "estimators.var_mrt_taylor", "estimators.var_mrt_ratio",
+            "estimators.var_mean_residence", "moments.sample_moments",
+            "taylor.generate_expression", "taylor.evaluate_expression"} <= recorded

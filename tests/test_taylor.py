@@ -332,20 +332,25 @@ class TestEvaluate:
     def test_coefficients_and_orders_are_converted_once(self):
         expr = generate_expression(8)
         assert expr.central_orders == tuple(range(2, 17))
+        mean, central = np.array([2.0]), {m: np.array([1.0]) for m in range(2, 17)}
         mom = MomentVector(mean=2.0, central={m: 1.0 for m in range(2, 17)})
         calls = []
         real = Fraction.__float__
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(Fraction, "__float__", lambda q: calls.append(q) or real(q))
-            # a float evaluation at a new N builds its form, one conversion per term
+            # a batch evaluation at a new N builds its float form, one conversion per term
             n = 977
             assert (n, False) not in expr._prepared_forms
-            first = evaluate_expression(expr, mom, n)
+            first = evaluate_expression_batch(expr, mean, central, n)
             assert calls == [t.coef for t in expr.terms]
             # a second evaluation at that N reads the stored form and converts nothing
             calls.clear()
-            assert evaluate_expression(expr, mom, n) == first
+            assert evaluate_expression_batch(expr, mean, central, n) == first
             assert calls == []
+            # a scalar evaluation of float moments is exact, rounded once at the end
+            value = evaluate_expression(expr, mom, n)
+            assert len(calls) == 1 and value == real(calls[0])
+            assert (n, True) in expr._prepared_forms
 
     def test_exact_keeps_a_float_coefficient_exact(self):
         expr = VarianceExpression(order=1, terms=(Term(coef=0.1, n_exponent=1, mu_exponent=0,
