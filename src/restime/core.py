@@ -192,10 +192,11 @@ class MomentVector:
 def _integer_scale(mean, values: Mapping[int, Scalar]) -> tuple[int, int, dict[int, int]]:
     """Integers (d, M, {m: B_m}) with mean = M/d and values[m] = B_m/d^m.
 
-    mean and the values are exact (Fraction or int).  d starts as mean's
-    denominator and, order by order, takes on the part of values[m]'s
-    denominator that d^m does not yet divide.  Any such d gives the same
-    exact results; this greedy one stays near the moments' own scale.
+    mean and the values are Fractions, ints or finite floats, each taken at
+    its exact value.  d starts as mean's denominator and, order by order,
+    takes on the part of values[m]'s denominator that d^m does not yet
+    divide.  Any such d gives the same exact results; this greedy one stays
+    near the moments' own scale.
     """
     top, bottom = mean.as_integer_ratio()
     ratios = {m: v.as_integer_ratio() for m, v in sorted(values.items())}

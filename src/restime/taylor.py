@@ -24,7 +24,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import factorial, lcm
+from math import factorial, isfinite, lcm
 
 from .core import DomainError, MomentVector, _integer_scale, _round_once, np
 
@@ -423,13 +423,15 @@ def evaluate_expression(expr: VarianceExpression, mom: MomentVector, n: int):
     The value is integer work on _collapsed's form and on the moments
     written over one integer d (core._integer_scale), then one Fraction.
     Float moments are taken at their exact values, and the result is
-    rounded once to a Python float; one past float64's range raises
-    DomainError.
+    rounded once to a Python float; one past float64's range, or a moment
+    that is not finite, raises DomainError.
     """
     if n < 1:
         raise DomainError("N must be >= 1")
-    central = _needed_central(expr.central_orders, mom.central, Fraction)
-    d, mean, central = _integer_scale(Fraction(mom.mean), central)
+    central = _needed_central(expr.central_orders, mom.central, lambda v: v)
+    if not mom.exact and not all(map(isfinite, (mom.mean, *central.values()))):
+        raise DomainError(f"order-{expr.order} series overflows float64")
+    d, mean, central = _integer_scale(mom.mean, central)
     entries, den, shift = _prepared(expr, n, True)
     value = Fraction(_evaluate(entries, mean, central), den * d * d * mean**shift)
     return value if mom.exact else _round_once(value, f"order-{expr.order} series")

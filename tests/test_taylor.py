@@ -275,6 +275,9 @@ class TestEvaluate:
         tiny_mean = MomentVector(mean=1e-150, central={2: 1.0, 3: 1.0, 4: 1e10})
         with pytest.raises(DomainError, match="order-2 series overflows float64"):
             evaluate_expression(expr, tiny_mean, 5)
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(DomainError, match="order-2 series overflows float64"):
+                evaluate_expression(expr, MomentVector(mean=2.0, central={2: 1.0, 3: bad, 4: 1.0}), 10)
         exact = MomentVector(mean=Fraction(2), central={2: Fraction(10**200), 3: Fraction(1),
                                                         4: Fraction(1)})
         assert isinstance(evaluate_expression(expr, exact, 10), Fraction)
