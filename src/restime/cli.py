@@ -92,7 +92,9 @@ def _parse_orders(text: str) -> list[int]:
             orders = [int(tok) for tok in text.split(",")]
     except ValueError as exc:
         raise ParseError(f"bad orders {text!r}: use forms like 1..8 or 1,3,8") from exc
-    if not orders or any(m < 1 or m > taylor.MAX_ORDER for m in orders):
+    if not orders:
+        raise ParseError(f"orders range {text!r} is empty")
+    if any(m < 1 or m > taylor.MAX_ORDER for m in orders):
         raise ParseError(f"orders must lie within 1..{taylor.MAX_ORDER}")
     return orders
 

@@ -1,9 +1,9 @@
 """Domain types and helpers that several modules of the package share.
 
-Two scalar regimes coexist throughout the package: exact rationals
-(fractions.Fraction) for the reference computations and for every number a
-sample's estimators report, each rounded to a float once; plain 64-bit
-floats in the replicate kernels.  All types here are immutable values.
+Every moment and every estimate of a sample or of a reference distribution
+is an exact rational (fractions.Fraction); a reported number is rounded to
+a float once, in build_report.  Only the replicate kernels of mc work in
+64-bit floats.  All types here are immutable values.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
+from numbers import Rational
 from typing import Mapping
 
 
@@ -50,8 +51,6 @@ def _lazy_numpy():
 
 
 np = _lazy_numpy()
-
-Scalar = Fraction | float
 
 
 class DomainError(ValueError):
@@ -123,15 +122,6 @@ class ResidenceSample:
         return values, counts
 
 
-def _round_once(value: Fraction, what: str) -> float:
-    """float(value), the one rounding of an exact result; DomainError names
-    what overflows float64."""
-    try:
-        return float(value)
-    except OverflowError:
-        raise DomainError(f"{what} overflows float64") from None
-
-
 def _step_array(ints) -> np.ndarray:
     """Python ints as one 1-d array: int64, or object dtype when some value does not fit."""
     try:
@@ -168,35 +158,51 @@ def _positive_ints(steps) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class MomentVector:
-    """Mean plus central moments of orders >= 2, all Fractions or all floats.
+    """Mean plus central moments of orders >= 2, all Fractions.
 
-    The order-1 central moment is identically zero and not stored.  Every
-    estimator reads only these: the series and the delta-method ratio alike.
+    Each value given as an int, a Fraction or a finite float is stored as a
+    Fraction of its exact value; anything else, and a mean <= 0, raises
+    DomainError.  The order-1 central moment is identically zero and not
+    stored.  Every estimator reads only these: the series and the
+    delta-method ratio alike.
     """
 
-    mean: Scalar
-    central: Mapping[int, Scalar]
+    mean: Fraction
+    central: Mapping[int, Fraction]
 
     def __post_init__(self):
         if any(m < 2 for m in self.central):
             raise DomainError("central moment orders start at 2")
-        if 2 in self.central and self.central[2] < 0:
+        mean = _exact_number(self.mean)
+        if mean <= 0:
+            raise DomainError(f"mean must be positive, got {self.mean!r}")
+        central = {m: _exact_number(v) for m, v in self.central.items()}
+        if central.get(2, 0) < 0:
             raise DomainError("second central moment cannot be negative")
-
-    @property
-    def exact(self) -> bool:
-        """True when the mean is a Fraction, so evaluation stays rational."""
-        return isinstance(self.mean, Fraction)
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "central", central)
 
 
-def _integer_scale(mean, values: Mapping[int, Scalar]) -> tuple[int, int, dict[int, int]]:
+def _exact_number(x) -> Fraction:
+    """x as a Fraction of its exact value: x is an int, a Fraction or a finite
+    float; anything else raises DomainError."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, (Rational, float)):
+        try:
+            return Fraction(x)
+        except (ValueError, OverflowError):  # nan or infinite
+            pass
+    raise DomainError(f"moments must be ints, Fractions or finite floats, got {x!r}")
+
+
+def _integer_scale(mean, values: Mapping[int, Fraction]) -> tuple[int, int, dict[int, int]]:
     """Integers (d, M, {m: B_m}) with mean = M/d and values[m] = B_m/d^m.
 
-    mean and the values are Fractions, ints or finite floats, each taken at
-    its exact value.  d starts as mean's denominator and, order by order,
-    takes on the part of values[m]'s denominator that d^m does not yet
-    divide.  Any such d gives the same exact results; this greedy one stays
-    near the moments' own scale.
+    mean and the values are Fractions or ints.  d starts as mean's
+    denominator and, order by order, takes on the part of values[m]'s
+    denominator that d^m does not yet divide.  Any such d gives the same
+    exact results; this greedy one stays near the moments' own scale.
     """
     top, bottom = mean.as_integer_ratio()
     ratios = {m: v.as_integer_ratio() for m, v in sorted(values.items())}

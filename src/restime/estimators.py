@@ -8,48 +8,40 @@ import warnings
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from .core import DomainError, MomentVector, ResidenceSample, _round_once, np
+from .core import DomainError, MomentVector, ResidenceSample, np
 from .moments import _power_sums, sample_moments
 from .taylor import MAX_ORDER, _needed_central, evaluate_expression, generate_expression
 
 
-def mean_residual_steps(s: ResidenceSample, exact: bool = False):
+def mean_residual_steps(s: ResidenceSample) -> Fraction:
     """Expected remaining steps of the stay in progress at a random instant.
 
-    Equals 1/2 + sum(x^2)/(2*sum(x)), exact from the integer sums; float
-    mode rounds it once.
+    Equals 1/2 + sum(x^2)/(2*sum(x)), exact from the integer sums.
     """
     _, total, squares = _power_sums(s, 2)
-    value = Fraction(1, 2) + Fraction(squares, 2 * total)
-    return value if exact else _round_once(value, "mean residual time")
+    return Fraction(1, 2) + Fraction(squares, 2 * total)
 
 
-def mean_residence_steps(s: ResidenceSample, exact: bool = False):
-    """Average residence duration in steps."""
+def mean_residence_steps(s: ResidenceSample) -> Fraction:
+    """Average residence duration in steps, exactly."""
     n, total = _power_sums(s, 1)
-    value = Fraction(total, n)
-    return value if exact else _round_once(value, "mean residence time")
+    return Fraction(total, n)
 
 
-def var_mean_residence(s: ResidenceSample, exact: bool = False):
-    """Variance of the mean residence time: unbiased sample variance over N."""
+def var_mean_residence(s: ResidenceSample) -> Fraction:
+    """Variance of the mean residence time: unbiased sample variance over N, exactly."""
     n = s.n
     if n < 2:
         raise DomainError("variance of the mean needs at least two residences")
     _, total, squares = _power_sums(s, 2)
     # with S = sum(x) and R = sum(x^2), sum((n*x - S)^2) is n^2 R - n S^2
-    value = Fraction(n * squares - total * total, n * n * (n - 1))
-    return value if exact else _round_once(value, "variance of the mean residence time")
+    return Fraction(n * squares - total * total, n * n * (n - 1))
 
 
-def var_mrt_ratio(s: ResidenceSample, exact: bool = False):
-    """Delta-method variance of the residual-time statistic.
-
-    ratio_variance_from_moments on the exact plug-in moments; float mode
-    rounds it once.
-    """
-    value = ratio_variance_from_moments(sample_moments(s, 4, exact=True), s.n)
-    return value if exact else _round_once(value, "ratio estimator")
+def var_mrt_ratio(s: ResidenceSample) -> Fraction:
+    """Delta-method variance of the residual-time statistic:
+    ratio_variance_from_moments on the exact plug-in moments."""
+    return ratio_variance_from_moments(sample_moments(s, 4), s.n)
 
 
 def ratio_variance_rows(x: np.ndarray, x2: np.ndarray, m1: np.ndarray, m2: np.ndarray):
@@ -67,8 +59,8 @@ def ratio_variance_rows(x: np.ndarray, x2: np.ndarray, m1: np.ndarray, m2: np.nd
     return resid.mean(axis=1) / (4.0 * n * m1 * m1)
 
 
-def ratio_variance_from_moments(mom: MomentVector, n: int):
-    """The same delta-method estimator from the mean and central moments 2..4.
+def ratio_variance_from_moments(mom: MomentVector, n: int) -> Fraction:
+    """The same delta-method estimator from the mean and central moments 2..4, exactly.
 
     With d = x - mean and a = mean - mu2/mean, the residual x^2 - (m2/m1)*x
     is d^2 + a*d - mu2, so the mean of its square is
@@ -77,7 +69,7 @@ def ratio_variance_from_moments(mom: MomentVector, n: int):
     if n < 1:
         raise DomainError("N must be >= 1")
     m1 = mom.mean
-    mu2, mu3, mu4 = _needed_central((2, 3, 4), mom.central, lambda v: v).values()
+    mu2, mu3, mu4 = _needed_central((2, 3, 4), mom.central).values()
     a = m1 - mu2 / m1
     bracket = mu4 + 2 * a * mu3 + a * a * mu2 - mu2 * mu2
     return bracket / (4 * n * m1 * m1)
@@ -94,15 +86,13 @@ def _series_order(label: str) -> int:
     return _LABEL_ORDERS[label]
 
 
-def var_mrt_taylor(s: ResidenceSample, order: int = 8, exact: bool = False):
+def var_mrt_taylor(s: ResidenceSample, order: int = 8) -> Fraction:
     """Series variance estimator of the given order on the exact plug-in
-    sample moments; float mode rounds it once."""
+    sample moments."""
     if not 1 <= order <= MAX_ORDER:
         raise DomainError(f"series order must lie in 1..{MAX_ORDER}")
     expr = generate_expression(order)
-    mom = sample_moments(s, max_central_order=2 * order, exact=True)
-    value = evaluate_expression(expr, mom, s.n)
-    return value if exact else _round_once(value, f"order-{order} series")
+    return evaluate_expression(expr, sample_moments(s, max_central_order=2 * order), s.n)
 
 
 def rt_autocorrelation(per_trace_rts, max_lag: int) -> list[tuple[int, float, float]]:
@@ -190,12 +180,12 @@ def build_report(
     mrt_var: dict[str, Fraction] = {}
     for label in methods:
         order = _series_order(label)
-        value = var_mrt_taylor(s, order, exact=True) if order else var_mrt_ratio(s, exact=True)
+        value = var_mrt_taylor(s, order) if order else var_mrt_ratio(s)
         if value < 0:
             raise DomainError(f"estimator {label} produced a negative variance")
         mrt_var[label] = value
-    mrt, residence = mean_residual_steps(s, exact=True), mean_residence_steps(s, exact=True)
-    residence_var = var_mean_residence(s, exact=True)
+    mrt, residence = mean_residual_steps(s), mean_residence_steps(s)
+    residence_var = var_mean_residence(s)
     units = {"steps": 1} if dt is None else {"steps": 1, "time": Fraction(dt)}
     exact = {}  # each field's exact value; an sd field holds the variance it roots
     for unit, c in units.items():

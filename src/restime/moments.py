@@ -5,27 +5,21 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .core import DistributionSpec, DomainError, MomentVector, ResidenceSample, np
-from .core import _integer_scale, _round_once
+from .core import DistributionSpec, DomainError, MomentVector, ResidenceSample, _integer_scale, np
 from .taylor import MAX_ORDER
 
 
-def sample_moments(s: ResidenceSample, max_central_order: int = 4, exact: bool = False) -> MomentVector:
-    """Plug-in mean and central moments of orders 2..max of a sample.
+def sample_moments(s: ResidenceSample, max_central_order: int = 4) -> MomentVector:
+    """Exact plug-in mean and central moments of orders 2..max of a sample.
 
     Central moments use the biased 1/N form throughout.  The raw power means
     of the sample's histogram go through central_from_raw, as exact_moments'
-    do; float mode rounds each exact value once, and raises DomainError when
-    a central moment overflows float64.
+    do.
     """
     if max_central_order < 2:
         raise DomainError("need central moments at least to order 2")
     n, *sums = _power_sums(s, max_central_order)
-    mom = _exact_vector({j: Fraction(v, n) for j, v in enumerate(sums, start=1)})
-    if exact:
-        return mom
-    central = {m: _round_once(v, f"central moment of order {m}") for m, v in mom.central.items()}
-    return MomentVector(mean=_round_once(mom.mean, "mean"), central=central)
+    return _exact_vector({j: Fraction(v, n) for j, v in enumerate(sums, start=1)})
 
 
 def _power_sums(s: ResidenceSample, top: int) -> list[int]:

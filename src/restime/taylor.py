@@ -24,9 +24,9 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import factorial, isfinite, lcm
+from math import factorial, lcm
 
-from .core import DomainError, MomentVector, _integer_scale, _round_once, np
+from .core import DomainError, MomentVector, _integer_scale, np
 
 # the highest series order that the CLI, the estimator labels and exact_moments accept
 MAX_ORDER = 8
@@ -320,12 +320,12 @@ def _generate(order: int) -> VarianceExpression:
 generate_expression.cache_info = _generate.cache_info
 
 
-def _needed_central(orders, central, convert) -> dict:
-    """The central moments of the given orders, each passed through convert once."""
+def _needed_central(orders, central) -> dict:
+    """The central moments of the given orders; DomainError names those missing."""
     missing = [m for m in orders if m not in central]
     if missing:
         raise DomainError(f"central orders {missing} missing")
-    return {m: convert(central[m]) for m in orders}
+    return {m: central[m] for m in orders}
 
 
 # prepared forms kept per expression; a few sizes cover the CLI and an mc grid
@@ -417,24 +417,17 @@ def _evaluate(entries: tuple, mean, central: dict):
     return total
 
 
-def evaluate_expression(expr: VarianceExpression, mom: MomentVector, n: int):
+def evaluate_expression(expr: VarianceExpression, mom: MomentVector, n: int) -> Fraction:
     """Substitute moments and N into an expression, exactly.
 
     The value is integer work on _collapsed's form and on the moments
     written over one integer d (core._integer_scale), then one Fraction.
-    Float moments are taken at their exact values, and the result is
-    rounded once to a Python float; one past float64's range, or a moment
-    that is not finite, raises DomainError.
     """
     if n < 1:
         raise DomainError("N must be >= 1")
-    central = _needed_central(expr.central_orders, mom.central, lambda v: v)
-    if not mom.exact and not all(map(isfinite, (mom.mean, *central.values()))):
-        raise DomainError(f"order-{expr.order} series overflows float64")
-    d, mean, central = _integer_scale(mom.mean, central)
+    d, mean, central = _integer_scale(mom.mean, _needed_central(expr.central_orders, mom.central))
     entries, den, shift = _prepared(expr, n, True)
-    value = Fraction(_evaluate(entries, mean, central), den * d * d * mean**shift)
-    return value if mom.exact else _round_once(value, f"order-{expr.order} series")
+    return Fraction(_evaluate(entries, mean, central), den * d * d * mean**shift)
 
 
 def evaluate_expression_batch(
@@ -446,6 +439,6 @@ def evaluate_expression_batch(
     per input row comes back.
     """
     mean = np.asarray(mean, dtype=np.float64)
-    central = _needed_central(expr.central_orders, central,
-                              lambda v: np.asarray(v, dtype=np.float64))
+    central = {m: np.asarray(v, dtype=np.float64)
+               for m, v in _needed_central(expr.central_orders, central).items()}
     return np.zeros_like(mean) + _evaluate(_prepared(expr, n, False), mean, central)

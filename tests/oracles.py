@@ -328,8 +328,8 @@ def brute_force_truncated_variance(mom, n: int, order: int, coefficient):
     """Direct enumeration of the truncated double sum, with no pattern grouping.
 
     Every ordered pair of index tuples is visited and its covariance is
-    evaluated from the central-moment factorization on the spot.  mom needs
-    mean, central and exact attributes; coefficient(multiplicities) must
+    evaluated from the central-moment factorization on the spot, exactly.
+    mom needs mean and central attributes; coefficient(multiplicities) must
     return an object whose evaluate(n, mean) gives the derivative
     coefficient.  Cost grows as n^(2*order), so inputs are guarded.
     """
@@ -337,9 +337,7 @@ def brute_force_truncated_variance(mom, n: int, order: int, coefficient):
         raise ValueError("brute force is guarded to n <= 6 and order <= 4")
     if n < 1 or order < 1:
         raise ValueError("need n >= 1 and order >= 1")
-    exact = mom.exact
-    zero = Fraction(0) if exact else 0.0
-    one = Fraction(1) if exact else 1.0
+    zero, one = Fraction(0), Fraction(1)
 
     def mu_c(m: int):
         if m == 0:
@@ -371,8 +369,7 @@ def brute_force_truncated_variance(mom, n: int, order: int, coefficient):
     total = zero
     for k in range(1, order + 1):
         for l in range(1, order + 1):
-            denom = Fraction(1, factorial(k) * factorial(l))
-            scale = denom if exact else float(denom)
+            scale = Fraction(1, factorial(k) * factorial(l))
             for i_tuple in itertools.product(labels, repeat=k):
                 ci = coeff_value(i_tuple)
                 cnt_i = Counter(i_tuple)

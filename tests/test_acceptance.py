@@ -242,7 +242,7 @@ def test_criterion_6():
         mrt = mean_residual_steps(s)
         rel = abs(mrt - inspection_identity_rhs(s.steps)) / mrt
         worst = max(worst, rel)
-        if mean_residual_steps(s, exact=True) != inspection_identity_rhs(s.steps, exact=True):
+        if mean_residual_steps(s) != inspection_identity_rhs(s.steps, exact=True):
             exact_ok = False
     ok = worst < 1e-12 and exact_ok
     assert verdict(

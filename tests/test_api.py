@@ -1,3 +1,4 @@
+import inspect
 import re
 from fractions import Fraction
 
@@ -26,6 +27,14 @@ PUBLIC = {
 def test_public_names():
     assert set(restime.__all__) == PUBLIC
     assert all(hasattr(restime, name) for name in PUBLIC)
+
+
+def test_no_public_function_has_an_exact_parameter():
+    # every moment and estimate is exact, so no function offers a float mode
+    functions = [name for name in PUBLIC if inspect.isfunction(getattr(restime, name))]
+    assert "var_mrt_taylor" in functions and "sample_moments" in functions
+    assert [name for name in functions
+            if "exact" in inspect.signature(getattr(restime, name)).parameters] == []
 
 # each record type lives in the one module that builds it; the shared ones in core
 HOMES = {

@@ -283,6 +283,14 @@ class TestExact:
         assert main(["exact", "--dist", "geom:p=1/2", "--n", "5", "--orders", "0..9"]) == 2
         assert main(["exact", "--dist", "geom:p=1/2", "--n", "5", "--orders", "x"]) == 2
 
+    @pytest.mark.parametrize("orders", ["3..1", "8..7", "9..0"])
+    def test_empty_orders_range_is_named(self, orders, capsys):
+        # both ends may lie within 1..8; the range between them is what is empty
+        assert main(["exact", "--dist", "geom:p=1/2", "--n", "5", "--orders", orders]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [f"error: orders range {orders!r} is empty"]
+
 
 # each strategy draws (flag value, whether the value is outside the flag's domain)
 def _flag(good, bad):

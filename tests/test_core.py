@@ -262,11 +262,27 @@ class TestMomentVector:
         with pytest.raises(TypeError):
             MomentVector(mean=Fraction(2), central={}, raw={1: Fraction(2)})
 
-    def test_exact_follows_the_mean(self):
-        assert MomentVector(mean=Fraction(5, 2), central={2: Fraction(1, 4)}).exact
-        assert not MomentVector(mean=2.5, central={2: 0.25}).exact
-        with pytest.raises(AttributeError):
-            MomentVector(mean=2.5, central={}).exact = True
+    def test_values_are_held_as_exact_fractions(self):
+        mom = MomentVector(mean=3, central={2: 0.1, 3: Fraction(1, 3), 4: np.int64(2)})
+        assert mom == MomentVector(mean=Fraction(3), central={2: Fraction(0.1), 3: Fraction(1, 3),
+                                                              4: Fraction(2)})
+        assert all(type(v) is Fraction for v in (mom.mean, *mom.central.values()))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            mom.mean = Fraction(2)
+
+    @pytest.mark.parametrize("mean", [0, -1, Fraction(-1, 2), 0.0, -2.5])
+    def test_rejects_a_mean_that_is_not_positive(self, mean):
+        with pytest.raises(DomainError, match=f"^mean must be positive, got {re.escape(repr(mean))}$"):
+            MomentVector(mean=mean, central={2: 1})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), np.float64("nan"),
+                                     "1/2", "2", None, Decimal("1.5"), 1j, [1]])
+    @pytest.mark.parametrize("where", ["mean", "central"])
+    def test_rejects_a_value_that_is_not_a_finite_number(self, bad, where):
+        mean, central = (bad, {2: 1}) if where == "mean" else (2, {2: 1, 3: bad})
+        message = f"^moments must be ints, Fractions or finite floats, got {re.escape(repr(bad))}$"
+        with pytest.raises(DomainError, match=message):
+            MomentVector(mean=mean, central=central)
 
 
 class TestDistributionSpec:

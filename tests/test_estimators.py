@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from restime import mc
-from restime.core import DistributionSpec, DomainError, ResidenceSample
+from restime.core import DistributionSpec, DomainError, MomentVector, ResidenceSample
 from restime.estimators import (
     build_report,
     mean_residence_steps,
@@ -23,7 +23,7 @@ from restime.estimators import (
     var_mrt_taylor,
 )
 from restime.moments import exact_moments, sample_moments
-from restime.taylor import generate_expression
+from restime.taylor import evaluate_expression, generate_expression
 
 from .oracles import (
     autocorr_direct,
@@ -42,28 +42,28 @@ samples = st.lists(st.integers(min_value=1, max_value=200), min_size=1, max_size
 
 class TestPointEstimates:
     def test_all_ones(self):
-        assert mean_residual_steps(ResidenceSample(steps=(1, 1, 1)), exact=True) == 1
+        assert mean_residual_steps(ResidenceSample(steps=(1, 1, 1))) == 1
 
     @pytest.mark.parametrize("x", [1, 2, 7, 1000])
     def test_single_residence(self, x):
-        got = mean_residual_steps(ResidenceSample(steps=(x,)), exact=True)
+        got = mean_residual_steps(ResidenceSample(steps=(x,)))
         assert got == Fraction(1, 2) + Fraction(x, 2)
 
     def test_small_sample(self):
-        assert mean_residual_steps(ResidenceSample(steps=(1, 2, 3)), exact=True) == Fraction(5, 3)
+        assert mean_residual_steps(ResidenceSample(steps=(1, 2, 3))) == Fraction(5, 3)
 
     def test_residence_mean_and_variance(self):
         s = ResidenceSample(steps=(2, 2, 2))
-        assert mean_residence_steps(s, exact=True) == 2
-        assert var_mean_residence(s, exact=True) == 0
+        assert mean_residence_steps(s) == 2
+        assert var_mean_residence(s) == 0
 
     def test_two_point_variance(self):
         s = ResidenceSample(steps=(1, 3))
-        assert mean_residence_steps(s, exact=True) == 2
-        assert var_mean_residence(s, exact=True) == 1
+        assert mean_residence_steps(s) == 2
+        assert var_mean_residence(s) == 1
 
     def test_one_two_three_variance(self):
-        assert var_mean_residence(ResidenceSample(steps=(1, 2, 3)), exact=True) == Fraction(1, 3)
+        assert var_mean_residence(ResidenceSample(steps=(1, 2, 3))) == Fraction(1, 3)
 
     def test_variance_needs_two(self):
         with pytest.raises(DomainError):
@@ -83,16 +83,16 @@ class TestPointEstimates:
     def test_float_means_use_exact_integer_sums(self, steps):
         s = ResidenceSample(steps=steps)
         s1, s2 = sum(steps), sum(x * x for x in steps)
-        assert mean_residual_steps(s) == 0.5 + s2 / (2.0 * s1)
-        assert mean_residence_steps(s) == s1 / len(steps)
+        assert float(mean_residual_steps(s)) == 0.5 + s2 / (2.0 * s1)
+        assert float(mean_residence_steps(s)) == s1 / len(steps)
 
 
 @given(samples)
 @settings(max_examples=80)
 def test_residual_mean_matches_definition_and_exceeds_one(steps):
     s = ResidenceSample(steps=tuple(steps))
-    assert mean_residual_steps(s, exact=True) == statistic(steps)
-    assert mean_residual_steps(s, exact=True) >= 1
+    assert mean_residual_steps(s) == statistic(steps)
+    assert mean_residual_steps(s) >= 1
     assert math.isclose(mean_residual_steps(s), float(statistic(steps)), rel_tol=1e-13)
 
 
@@ -102,20 +102,20 @@ def test_permutation_invariance(steps, rng):
     shuffled = list(steps)
     rng.shuffle(shuffled)
     a, b = ResidenceSample(steps=tuple(steps)), ResidenceSample(steps=tuple(shuffled))
-    assert mean_residual_steps(a, exact=True) == mean_residual_steps(b, exact=True)
-    assert var_mrt_ratio(a, exact=True) == var_mrt_ratio(b, exact=True)
+    assert mean_residual_steps(a) == mean_residual_steps(b)
+    assert var_mrt_ratio(a) == var_mrt_ratio(b)
     if len(steps) >= 2:
-        assert var_mean_residence(a, exact=True) == var_mean_residence(b, exact=True)
+        assert var_mean_residence(a) == var_mean_residence(b)
 
 
 class TestRatioVariance:
     def test_constant_sample_vanishes(self):
-        assert var_mrt_ratio(ResidenceSample(steps=(4, 4, 4)), exact=True) == 0
+        assert var_mrt_ratio(ResidenceSample(steps=(4, 4, 4))) == 0
 
     def test_matches_moment_polynomial_form(self):
         s = ResidenceSample(steps=(3, 1, 4, 1, 5, 9, 2, 6))
-        mom = sample_moments(s, exact=True)
-        assert var_mrt_ratio(s, exact=True) == ratio_variance_from_moments(mom, s.n)
+        mom = sample_moments(s)
+        assert var_mrt_ratio(s) == ratio_variance_from_moments(mom, s.n)
 
     def test_narrow_uniform_reference_value(self):
         from restime.core import format_rational
@@ -131,7 +131,7 @@ class TestRatioVariance:
     @given(st.lists(st.integers(min_value=1, max_value=10**30), min_size=1, max_size=40))
     @settings(max_examples=80)
     def test_exact_matches_the_integer_sum_oracle(self, steps):
-        assert var_mrt_ratio(ResidenceSample(steps=tuple(steps)), exact=True) == ratio_from_sums(steps)
+        assert var_mrt_ratio(ResidenceSample(steps=tuple(steps))) == ratio_from_sums(steps)
 
     @pytest.mark.parametrize("dist", [
         DistributionSpec.geometric(Fraction(1, 20)),
@@ -147,23 +147,27 @@ class TestRatioVariance:
         assert ratio_variance_from_moments(mom, n) == bracket / (4 * n * m1 * m1)
 
     def test_float_order_two_alone_is_refused(self):
-        from restime.core import MomentVector
-
         mom = MomentVector(mean=2.0, central={2: 1.0})
         with pytest.raises(DomainError, match=r"central orders \[3, 4\] missing"):
             ratio_variance_from_moments(mom, 5)
+
+    def test_int_valued_moments_are_evaluated_exactly(self):
+        # int moments once took the float path, as only a Fraction mean was exact
+        mom = MomentVector(mean=3, central={2: 1, 3: 0, 4: 1})
+        assert ratio_variance_from_moments(mom, 7) == Fraction(16, 567)
+        assert evaluate_expression(generate_expression(2), mom, 7) == Fraction(151, 4116)
 
 
 class TestTaylorVariance:
     def test_constant_sample_vanishes(self):
         s = ResidenceSample(steps=(6, 6, 6, 6))
         for order in range(1, 9):
-            assert var_mrt_taylor(s, order, exact=True) == 0
+            assert var_mrt_taylor(s, order) == 0
 
     def test_order_one_closed_form(self):
         s = ResidenceSample(steps=(2, 9, 4, 4, 7))
-        mom = sample_moments(s, exact=True)
-        assert var_mrt_taylor(s, 1, exact=True) == mom.central[2] / (4 * s.n)
+        mom = sample_moments(s)
+        assert var_mrt_taylor(s, 1) == mom.central[2] / (4 * s.n)
 
     def test_order_bounds(self):
         s = ResidenceSample(steps=(1, 2))
@@ -190,8 +194,8 @@ class TestTaylorVariance:
 @settings(max_examples=40, deadline=None)
 def test_variance_estimators_nonnegative_on_samples(steps):
     s = ResidenceSample(steps=tuple(steps))
-    assert var_mrt_ratio(s, exact=True) >= 0
-    assert var_mrt_taylor(s, 2, exact=True) >= 0
+    assert var_mrt_ratio(s) >= 0
+    assert var_mrt_taylor(s, 2) >= 0
 
 
 class TestIdentity:
@@ -201,14 +205,14 @@ class TestIdentity:
 
     def test_single_value_exact(self):
         rhs = inspection_identity_rhs((5,), exact=True)
-        assert abs(mean_residual_steps(ResidenceSample(steps=(5,)), exact=True) - rhs) == 0
+        assert abs(mean_residual_steps(ResidenceSample(steps=(5,))) - rhs) == 0
 
     @given(samples)
     @settings(max_examples=60)
     def test_exact_identity_everywhere(self, steps):
         s = ResidenceSample(steps=tuple(steps))
         rhs = inspection_identity_rhs(s.steps, exact=True)
-        assert abs(mean_residual_steps(s, exact=True) - rhs) == 0
+        assert abs(mean_residual_steps(s) - rhs) == 0
 
 
 class TestAutocorrelation:

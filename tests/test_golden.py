@@ -3,8 +3,9 @@
 Each case runs the CLI in-process and compares the SHA-256 of its stdout
 with a digest recorded before the float kernels, the estimator-label
 grammar and the per-trace loop were consolidated.  A second set pins the
-series evaluator at every order 1..8 as float scalar, float batch and exact
-rational, and a third the float row kernels row_moments and
+series evaluator at every order 1..8 as float scalar (the float of each
+exact sample estimate, since var_mrt_taylor returns a Fraction), float
+batch and exact rational, and a third the float row kernels row_moments and
 ratio_variance_rows.  A refactor that claims to keep the numbers must keep these
 digests.  The estimate and float-scalar digests were re-pinned once, when
 each estimate number became its exact value rounded once, and the autocorr
@@ -146,7 +147,7 @@ def _moment_rows():
 
 def _float_scalar() -> bytes:
     sample = ResidenceSample(steps=tuple(_steps()))
-    return ",".join(var_mrt_taylor(sample, m).hex() for m in range(1, 9)).encode()
+    return ",".join(float(var_mrt_taylor(sample, m)).hex() for m in range(1, 9)).encode()
 
 
 def _float_batch() -> bytes:

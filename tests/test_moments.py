@@ -1,6 +1,5 @@
 import math
 import time
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -16,20 +15,20 @@ from .oracles import central_moments_direct, geometric_raw_interval, raw_from_ce
 
 class TestSampleMoments:
     def test_constant_sample(self):
-        m = sample_moments(ResidenceSample(steps=(2, 2, 2)), exact=True)
+        m = sample_moments(ResidenceSample(steps=(2, 2, 2)))
         assert m.mean == 2
         assert raw_from_central(m.central, m.mean)[2] == 4
         assert all(v == 0 for v in m.central.values())
 
     def test_two_point(self):
-        m = sample_moments(ResidenceSample(steps=(1, 3)), max_central_order=3, exact=True)
+        m = sample_moments(ResidenceSample(steps=(1, 3)), max_central_order=3)
         assert m.mean == 2
         assert m.central[2] == 1
         assert m.central[3] == 0
         assert raw_from_central(m.central, m.mean)[2] == 5
 
     def test_one_two_three(self):
-        m = sample_moments(ResidenceSample(steps=(1, 2, 3)), exact=True)
+        m = sample_moments(ResidenceSample(steps=(1, 2, 3)))
         raw = raw_from_central(m.central, m.mean)
         assert raw[1] == 2
         assert raw[2] == Fraction(14, 3)
@@ -39,30 +38,12 @@ class TestSampleMoments:
         with pytest.raises(DomainError):
             sample_moments(ResidenceSample(steps=(1, 2)), max_central_order=1)
 
-    def test_float_mode_matches_exact(self):
-        s = ResidenceSample(steps=(5, 9, 9, 2, 14, 3, 3))
-        a = sample_moments(s, max_central_order=8, exact=True)
-        b = sample_moments(s, max_central_order=8)
-        assert math.isclose(float(a.mean), b.mean, rel_tol=1e-14)
-        for m in range(2, 9):
-            assert math.isclose(float(a.central[m]), b.central[m], rel_tol=1e-12, abs_tol=1e-12)
-
-    def test_float_mode_survives_large_offsets(self):
-        # raw power sums would cancel catastrophically here; centering must not
-        base = 10_000
-        s = ResidenceSample(steps=(base - 1, base, base + 1))
-        b = sample_moments(s, max_central_order=4)
-        assert math.isclose(b.central[2], 2 / 3, rel_tol=1e-9)
-        assert abs(b.central[3]) < 1e-6
-
-    def test_float_overflow_names_the_first_bad_order(self):
-        s = ResidenceSample(steps=(3, 5, 10**80))
-        assert sample_moments(s, max_central_order=3).central[3] > 0
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DomainError, match="central moment of order 4 overflows float64"):
-                sample_moments(s, max_central_order=8)
-        assert sample_moments(s, max_central_order=8, exact=True).central[8] > 0
+    def test_huge_steps_give_exact_moments(self):
+        # no central moment overflows: each is a Fraction from integer power sums
+        steps = (3, 5, 10**80)
+        m = sample_moments(ResidenceSample(steps=steps), max_central_order=8)
+        assert m.central == central_moments_direct(steps, 8)
+        assert m.central[8] > 0
 
 
 @given(st.lists(st.integers(min_value=1, max_value=50), min_size=1, max_size=30),
@@ -70,7 +51,7 @@ class TestSampleMoments:
 @settings(max_examples=60)
 def test_exact_sample_moments_match_definition(steps, order):
     s = ResidenceSample(steps=tuple(steps))
-    m = sample_moments(s, max_central_order=order, exact=True)
+    m = sample_moments(s, max_central_order=order)
     assert m.central == central_moments_direct(steps, order)
     assert m.central.get(2, 0) >= 0
 
@@ -80,7 +61,7 @@ def test_exact_sample_moments_match_definition(steps, order):
 @settings(max_examples=40)
 def test_exact_sample_moments_match_definition_on_large_steps(steps, order):
     # the binomial transform of raw power sums stays exact however large the steps
-    m = sample_moments(ResidenceSample(steps=tuple(steps)), max_central_order=order, exact=True)
+    m = sample_moments(ResidenceSample(steps=tuple(steps)), max_central_order=order)
     assert m.central == central_moments_direct(steps, order)
     raw = raw_from_central(m.central, m.mean)
     assert raw == {j: Fraction(sum(x**j for x in steps), len(steps)) for j in range(1, order + 1)}
@@ -133,7 +114,7 @@ class TestExactMoments:
     def test_uniform_closed_form_matches_summation(self, a, width):
         # the telescoped power sums give the direct sums over the support
         b = a + width
-        want = sample_moments(ResidenceSample(steps=range(a, b + 1)), 16, exact=True)
+        want = sample_moments(ResidenceSample(steps=range(a, b + 1)), 16)
         assert exact_moments(DistributionSpec.uniform(a, b), max_central_order=16) == want
 
     def test_wide_uniform_costs_no_time_per_support_point(self):
@@ -171,7 +152,7 @@ class TestTransforms:
     @given(st.lists(st.integers(min_value=1, max_value=30), min_size=2, max_size=15))
     @settings(max_examples=40)
     def test_round_trip_on_samples(self, steps):
-        m = sample_moments(ResidenceSample(steps=tuple(steps)), max_central_order=6, exact=True)
+        m = sample_moments(ResidenceSample(steps=tuple(steps)), max_central_order=6)
         raw = raw_from_central(m.central, m.mean)
         back = central_from_raw(raw)
         assert all(back[k] == m.central[k] for k in m.central)
