@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd
 from numbers import Rational
+from types import MappingProxyType
 from typing import Mapping
 
 
@@ -80,7 +81,8 @@ class ResidenceSample:
     The checked steps are kept in `array`, one read-only 1-d array that the
     sample owns: int64, or object dtype holding exact Python ints when some
     step does not fit in int64.  `n` and `histogram` read it.  `steps`, the
-    same values as a tuple of Python ints, is built on first use.  Equality,
+    same values as a tuple of Python ints, is built on first use, and so are
+    the power sums that moments._power_sums keeps on the sample.  Equality,
     hash and repr are those of a frozen dataclass whose one field is `steps`.
     """
 
@@ -162,8 +164,9 @@ class MomentVector:
 
     Each value given as an int, a Fraction or a finite float is stored as a
     Fraction of its exact value; anything else, and a mean <= 0, raises
-    DomainError.  The order-1 central moment is identically zero and not
-    stored.  Every estimator reads only these: the series and the
+    DomainError.  `central` is held as a read-only mapping, so the checks
+    hold for the vector's life.  The order-1 central moment is identically
+    zero and not stored.  Every estimator reads only these: the series and the
     delta-method ratio alike.
     """
 
@@ -180,7 +183,7 @@ class MomentVector:
         if central.get(2, 0) < 0:
             raise DomainError("second central moment cannot be negative")
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "central", central)
+        object.__setattr__(self, "central", MappingProxyType(central))
 
 
 def _exact_number(x) -> Fraction:

@@ -26,14 +26,17 @@ def _power_sums(s: ResidenceSample, top: int) -> list[int]:
     """[n, sum(x), sum(x^2), ..., sum(x^top)] of a sample, as Python ints.
 
     Each sum runs over the distinct values of the histogram, sum(c * v^j), so
-    its cost grows with the number of distinct values, not with n.
+    its cost grows with the number of distinct values, not with n.  The sums
+    are kept on the sample with the last c * v^j, so each order is taken once
+    per sample: a later call extends them only past the highest order so far.
     """
     values, counts = s.histogram
-    sums, weighted = [s.n], counts
-    for _ in range(top):
+    sums, weighted = s.__dict__.get("_power_sums", ([s.n], counts))
+    for _ in range(len(sums), top + 1):
         weighted = weighted * values
         sums.append(int(weighted.sum()))
-    return sums
+    s.__dict__["_power_sums"] = sums, weighted
+    return sums[: top + 1]
 
 
 def row_moments(x: np.ndarray, sums: np.ndarray, max_order: int):

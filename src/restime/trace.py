@@ -70,7 +70,7 @@ def _held(values: np.ndarray, lengths: np.ndarray, trace=None) -> OccupancyTrace
 
 
 def _runs(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Maximal runs of a 1-d uint8 0/1 array in order: each run's value and length."""
+    """Maximal runs of a 1-d 0/1 array in order: each run's value (b's dtype) and length."""
     if not b.size:
         return np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.int64)
     bounds = np.concatenate(([0], np.flatnonzero(b[1:] != b[:-1]) + 1, [b.size]))
@@ -111,23 +111,47 @@ class ExtractionPolicy:
 
 
 def parse_traces(source: Iterable[str]) -> list[OccupancyTrace]:
-    """Read one trace per nonempty line of whitespace-separated 0/1 tokens."""
+    """Read one trace per nonempty line of whitespace-separated 0/1 tokens.
+
+    A line in the canonical spelling, digits each followed by one space and
+    the last by a newline, is checked and read as 16-bit pairs; any other
+    line is checked and converted with one translate.
+    """
     traces = []
     for lineno, line in enumerate(source, start=1):
         # a non-ASCII line is rejoined with single spaces, and a non-ASCII
         # character left in a token becomes b"?", a bad byte
         raw = (line if line.isascii() else " ".join(line.split())).encode("ascii", "replace")
-        b = np.frombuffer(raw.translate(_TO_BITS, _SEPARATORS), dtype=np.uint8)
-        if not b.size:
-            continue
-        # the digits are the only bytes above b" "; two side by side make a longer token
-        digit = np.frombuffer(raw, dtype=np.uint8) > ord(" ")
-        if b.max() > 1 or (digit[1:] & digit[:-1]).any():
-            # some token is bad: walk the tokens to name the first one
-            col, tok = next((c, t) for c, t in enumerate(line.split(), start=1) if t not in ("0", "1"))
-            raise ParseError(f"line {lineno}, column {col}: expected 0 or 1, got {tok!r}")
-        traces.append(_held(*_runs(b)))
+        b = _pair_bits(raw)
+        if b is None:
+            b = np.frombuffer(raw.translate(_TO_BITS, _SEPARATORS), dtype=np.uint8)
+            if not b.size:
+                continue
+            # the digits are the only bytes above b" "; two side by side make a longer token
+            digit = np.frombuffer(raw, dtype=np.uint8) > ord(" ")
+            if b.max() > 1 or (digit[1:] & digit[:-1]).any():
+                # some token is bad: walk the tokens to name the first one
+                col, tok = next((c, t) for c, t in enumerate(line.split(), start=1) if t not in ("0", "1"))
+                raise ParseError(f"line {lineno}, column {col}: expected 0 or 1, got {tok!r}")
+        values, lengths = _runs(b)
+        traces.append(_held(values.astype(np.uint8, copy=False), lengths))
     return traces
+
+
+def _pair_bits(raw: bytes) -> np.ndarray | None:
+    """The 0/1 bits of a canonical line as a uint16 array, or None for any other line.
+
+    A canonical line is pairs of a digit 0 or 1 and one byte, a space in
+    every pair but the last and a newline in the last.  Read little-endian, a
+    pair is (that byte << 8) | digit, and | 1 takes the digit 0 to 1, so one
+    compare checks every pair.
+    """
+    if not raw or len(raw) % 2:
+        return None
+    pairs = np.frombuffer(raw, dtype="<u2")
+    if pairs[-1] | 1 != 0x0A31 or not ((pairs[:-1] | 1) == 0x2031).all():
+        return None
+    return pairs & 1
 
 
 def filter_transient_escapes(x: OccupancyTrace, cfg: FilterConfig) -> OccupancyTrace:

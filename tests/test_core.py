@@ -19,7 +19,7 @@ from restime.core import (
     ResidenceSample,
     format_rational,
 )
-from restime.estimators import EstimateReport
+from restime.estimators import EstimateReport, ratio_variance_from_moments
 from restime.mc import ExperimentConfig
 from restime.taylor import Term, VarianceExpression
 from restime.trace import FilterConfig, OccupancyTrace
@@ -269,6 +269,21 @@ class TestMomentVector:
         assert all(type(v) is Fraction for v in (mom.mean, *mom.central.values()))
         with pytest.raises(dataclasses.FrozenInstanceError):
             mom.mean = Fraction(2)
+
+    def test_central_moments_are_read_only(self):
+        """The checks of construction hold for the vector's life: no central
+        moment can be set, added or removed afterwards."""
+        mom = MomentVector(mean=2, central={2: 1, 3: 0, 4: 1})
+        for key, value in ((3, float("nan")), (2, -5), (6, 1)):
+            with pytest.raises(TypeError):
+                mom.central[key] = value
+        with pytest.raises(TypeError):
+            del mom.central[4]
+        # with a = 2 - 1/2, the bracket is 1 + 0 + (9/4) * 1 - 1, over 4 * 7 * 2^2
+        assert ratio_variance_from_moments(mom, 7) == Fraction(9, 448)
+        assert dict(mom.central) == {2: 1, 3: 0, 4: 1}
+        assert mom == MomentVector(mean=Fraction(2), central={2: 1, 3: 0, 4: 1})
+        assert mom != MomentVector(mean=Fraction(2), central={2: 1, 3: 0, 4: 2})
 
     @pytest.mark.parametrize("mean", [0, -1, Fraction(-1, 2), 0.0, -2.5])
     def test_rejects_a_mean_that_is_not_positive(self, mean):

@@ -317,6 +317,26 @@ class TestReport:
         assert rep == build_report(ResidenceSample(steps=(3, 1, 4, 1, 5, 9)), dt=0.1,
                                    methods=("ratio", "taylor8"))
 
+    def test_each_power_sum_is_taken_once_per_sample(self):
+        """A ratio and order-8 report takes the power sums of orders 1..16
+        once each: one pass over the distinct values per order."""
+
+        class Counted(np.ndarray):
+            passes = 0
+
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                Counted.passes += 1
+                inputs = [x.view(np.ndarray) if isinstance(x, Counted) else x for x in inputs]
+                return getattr(ufunc, method)(*inputs, **kwargs)
+
+        steps = (3, 1, 4, 1, 5, 9, 2, 6)
+        s = ResidenceSample(steps=steps)
+        values, counts = s.histogram
+        vars(s)["histogram"] = values.view(Counted), counts
+        rep = build_report(s, dt=0.1, methods=("ratio", "taylor8"))
+        assert Counted.passes == 16
+        assert rep == build_report(ResidenceSample(steps=steps), dt=0.1, methods=("ratio", "taylor8"))
+
     def test_json_payload_is_complete(self):
         rep = build_report(ResidenceSample(steps=(2, 5, 3)), dt=0.2)
         payload = json.loads(rep.to_json())

@@ -127,6 +127,34 @@ def test_stdout_digest(name, tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# the trace file in spellings that str.split() reads as the same tokens.
+# Tabs, doubled spaces and the mixed one send every line, and a missing final
+# newline the last line, through the translate path rather than the check of
+# canonical "0 "/"1 " pairs; the CLI reads with universal newlines, so each
+# "\r\n" reaches the parser as "\n"
+RESPELLINGS = {
+    "tabs": lambda text: text.replace(" ", "\t"),
+    "double-spaces": lambda text: text.replace(" ", "  "),
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "no-final-newline": lambda text: text.rstrip("\n"),
+    "mixed": lambda text: "\r\n".join(
+        line.replace(" ", "\t" if i % 2 else "  ") for i, line in enumerate(text.splitlines())
+    ),
+}
+
+
+@pytest.mark.parametrize("spelling", sorted(RESPELLINGS))
+@pytest.mark.parametrize("name", ["extract", "extract-include", "extract-wide-k"])
+def test_respelled_traces_give_the_same_digest(name, spelling, tmp_path, capsys):
+    traces = tmp_path / "traces.txt"
+    # newline="" writes "\r\n" as it stands
+    traces.write_text(RESPELLINGS[spelling](_traces()), newline="")
+    argv, digest = CASES[name]
+    assert main([a.format(traces=traces) for a in argv]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def _moment_rows():
     """Mean and central moments 2..16 of 64 seeded samples of 30, one row each.
 

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from restime import mc
 from restime.core import DistributionSpec, DomainError, ResidenceSample
-from restime.moments import central_from_raw, exact_moments, sample_moments
+from restime.moments import _power_sums, central_from_raw, exact_moments, sample_moments
 
 from .oracles import central_moments_direct, geometric_raw_interval, raw_from_central
 
@@ -54,6 +54,19 @@ def test_exact_sample_moments_match_definition(steps, order):
     m = sample_moments(s, max_central_order=order)
     assert m.central == central_moments_direct(steps, order)
     assert m.central.get(2, 0) >= 0
+
+
+@given(st.lists(st.integers(min_value=1, max_value=10**30), min_size=1, max_size=12),
+       st.lists(st.integers(min_value=0, max_value=16), min_size=1, max_size=5))
+@settings(max_examples=40)
+def test_power_sums_kept_on_a_sample_match_fresh_ones(steps, tops):
+    """Whatever orders were taken before, each call returns the power sums
+    0..top of the steps, and a caller's edit reaches no later call."""
+    s = ResidenceSample(steps=tuple(steps))
+    for top in tops:
+        sums = _power_sums(s, top)
+        assert sums == [sum(x**j for x in steps) for j in range(top + 1)]
+        sums.append(0)
 
 
 @given(st.lists(st.integers(min_value=1, max_value=10**30), min_size=1, max_size=12),

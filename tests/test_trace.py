@@ -80,14 +80,38 @@ def _trace_lines(draw):
     return list(io.StringIO("".join(pieces)))
 
 
-@given(lines=_trace_lines())
+# canonical lines ("0 "/"1 " pairs, the last digit followed by "\n") and
+# edits of them in one place, most of which send the line to the translate path
+_CANONICAL_EDITS = ["0", "1", " ", "  ", "\t", "\n", "\r", "", "\x00", "\x01", "2", "?", "\xa0"]
+
+
+@st.composite
+def _canonical_lines(draw):
+    """Trace text of canonical lines, some changed in one place, as a text stream yields it."""
+    lines = []
+    for _ in range(draw(st.integers(1, 4))):
+        bits = draw(st.lists(st.sampled_from("01"), min_size=1, max_size=12))
+        line = " ".join(bits) + "\n"
+        if draw(st.booleans()):
+            # replace, insert or delete one character, anywhere in the line
+            at = draw(st.integers(0, len(line)))
+            width = draw(st.integers(0, 1))
+            line = line[:at] + draw(st.sampled_from(_CANONICAL_EDITS)) + line[at + width :]
+        lines.append(line)
+    return list(io.StringIO("".join(lines)))
+
+
+@given(lines=_trace_lines() | _canonical_lines())
 @example(lines=["1 0\n", "\n", "0\x1c1\x1f0\r\n"])
 @example(lines=["1\xa00\n", "0 1"])
 @example(lines=["1\n", "\n", "0 01\n"])
 @example(lines=["0\t1\n", "1 ? 0\n"])
-@settings(max_examples=300)
+@example(lines=["0 1 1\n", "1 0 "])
+@example(lines=["1\n", "0 1\r\n"])
+@settings(max_examples=500)
 def test_parse_matches_token_walk(lines):
-    """parse_traces gives the bits of the token walk, or raises its message."""
+    """parse_traces gives the bits of the token walk, or raises its message,
+    and holds each trace as read-only (uint8, int64) runs."""
     try:
         want = parse_reference(lines)
     except ValueError as exc:
@@ -99,6 +123,42 @@ def test_parse_matches_token_walk(lines):
         assert [t.bits for t in traces] == want
         # the unchecked traces are what the checked constructor makes of their bytes
         assert all(type(t.bits) is bytes and t == OccupancyTrace(bits=t.bits) for t in traces)
+        for t in traces:
+            assert [(a.dtype, a.flags.writeable) for a in t.runs] == [(np.uint8, False), (np.int64, False)]
+            assert hash(t) == hash(OccupancyTrace(bits=t.bits))
+
+
+@pytest.mark.parametrize(
+    "line, canonical",
+    [("1\n", True), ("0 1 1 0\n", True), ("", False), ("0 1", False), ("0 1 \n", False),
+     ("0  1\n", False), ("0\t1\n", False), ("\x00 1\n", False), ("0 2\n", False),
+     ("1\xa00\n", False), ("0 1\r\n", False), ("01\n", False), ("\x01 1\n", False)],
+)
+def test_canonical_check_takes_only_the_canonical_spelling(line, canonical):
+    """The pair check accepts exactly the canonical lines, and either path
+    reads a line as the token walk does."""
+    raw = (line if line.isascii() else " ".join(line.split())).encode("ascii", "replace")
+    assert (trace._pair_bits(raw) is not None) == canonical
+    try:
+        want = parse_reference(["1 0\n", line])
+    except ValueError as exc:
+        with pytest.raises(ParseError, match=f"^{re.escape(str(exc))}$"):
+            parse_traces(["1 0\n", line])
+    else:
+        assert [t.bits for t in parse_traces(["1 0\n", line])] == want
+
+
+def test_canonical_and_tab_spellings_give_equal_traces():
+    """A line read as pairs and the same bits spelled with tabs, read through
+    translate, hold the same read-only (uint8, int64) runs."""
+    bits = [1, 1, 0, 1, 0, 0, 0, 1]
+    pairs, = parse_traces([" ".join(map(str, bits)) + "\n"])
+    tabbed, = parse_traces(["\t".join(map(str, bits)) + "\n"])
+    for t in (pairs, tabbed):
+        assert [(a.dtype, a.flags.writeable) for a in t.runs] == [(np.uint8, False), (np.int64, False)]
+    assert pairs == tabbed == OccupancyTrace(bits=bits)
+    assert hash(pairs) == hash(tabbed) == hash(OccupancyTrace(bits=bits))
+    assert pairs.bits == tabbed.bits == bytes(bits)
 
 
 def test_producers_skip_the_bit_check(monkeypatch):
