@@ -82,8 +82,8 @@ class ResidenceSample:
     sample owns: int64, or object dtype holding exact Python ints when some
     step does not fit in int64.  `n` and `histogram` read it.  `steps`, the
     same values as a tuple of Python ints, is built on first use, and so are
-    the power sums that moments._power_sums keeps on the sample.  Equality,
-    hash and repr are those of a frozen dataclass whose one field is `steps`.
+    the histogram and the power sums.  Equality, hash and repr are those of a
+    frozen dataclass whose one field is `steps`.
     """
 
     def __init__(self, steps):
@@ -122,6 +122,26 @@ class ResidenceSample:
         values, counts = (a.astype(object) for a in np.unique(self.array, return_counts=True))
         values.flags.writeable = counts.flags.writeable = False
         return values, counts
+
+    def _power_sums(self, top: int) -> tuple[int, ...]:
+        """(n, sum(x), sum(x^2), ..., sum(x^top)) as Python ints.
+
+        Each sum runs over the histogram, sum(c * v^j), so its cost grows with
+        the number of distinct steps, not with n.  The sums taken so far are
+        kept with the last c * v^j, so each order is taken once per sample: a
+        later call extends them only past the highest order so far.  The kept
+        pair is replaced whole, never edited, so calls racing on one sample
+        from several threads at worst take an order twice.
+        """
+        sums, weighted = self.__dict__.get("_sums", ((self.n,), self.histogram[1]))
+        if top >= len(sums):
+            values, more = self.histogram[0], list(sums)
+            for _ in range(len(sums), top + 1):
+                weighted = weighted * values
+                more.append(int(weighted.sum()))
+            sums = tuple(more)
+            self.__dict__["_sums"] = sums, weighted
+        return sums[: top + 1]
 
 
 def _step_array(ints) -> np.ndarray:
@@ -165,7 +185,9 @@ class MomentVector:
     Each value given as an int, a Fraction or a finite float is stored as a
     Fraction of its exact value; anything else, and a mean <= 0, raises
     DomainError.  `central` is held as a read-only mapping, so the checks
-    hold for the vector's life.  The order-1 central moment is identically
+    hold for the vector's life; pickle and copy rebuild the vector from a
+    plain dict, but dataclasses.asdict, which deep-copies the mapping, does
+    not take one.  The order-1 central moment is identically
     zero and not stored.  Every estimator reads only these: the series and the
     delta-method ratio alike.
     """
@@ -184,6 +206,10 @@ class MomentVector:
             raise DomainError("second central moment cannot be negative")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "central", MappingProxyType(central))
+
+    def __reduce__(self):
+        # a mappingproxy cannot be pickled or copied
+        return MomentVector, (self.mean, dict(self.central))
 
 
 def _exact_number(x) -> Fraction:

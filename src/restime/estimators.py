@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .core import DomainError, MomentVector, ResidenceSample, np
-from .moments import _power_sums, sample_moments
+from .moments import sample_moments
 from .taylor import MAX_ORDER, _needed_central, evaluate_expression, generate_expression
 
 
@@ -18,13 +18,13 @@ def mean_residual_steps(s: ResidenceSample) -> Fraction:
 
     Equals 1/2 + sum(x^2)/(2*sum(x)), exact from the integer sums.
     """
-    _, total, squares = _power_sums(s, 2)
+    _, total, squares = s._power_sums(2)
     return Fraction(1, 2) + Fraction(squares, 2 * total)
 
 
 def mean_residence_steps(s: ResidenceSample) -> Fraction:
     """Average residence duration in steps, exactly."""
-    n, total = _power_sums(s, 1)
+    n, total = s._power_sums(1)
     return Fraction(total, n)
 
 
@@ -33,7 +33,7 @@ def var_mean_residence(s: ResidenceSample) -> Fraction:
     n = s.n
     if n < 2:
         raise DomainError("variance of the mean needs at least two residences")
-    _, total, squares = _power_sums(s, 2)
+    _, total, squares = s._power_sums(2)
     # with S = sum(x) and R = sum(x^2), sum((n*x - S)^2) is n^2 R - n S^2
     return Fraction(n * squares - total * total, n * n * (n - 1))
 

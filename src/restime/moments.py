@@ -18,25 +18,8 @@ def sample_moments(s: ResidenceSample, max_central_order: int = 4) -> MomentVect
     """
     if max_central_order < 2:
         raise DomainError("need central moments at least to order 2")
-    n, *sums = _power_sums(s, max_central_order)
+    n, *sums = s._power_sums(max_central_order)
     return _exact_vector({j: Fraction(v, n) for j, v in enumerate(sums, start=1)})
-
-
-def _power_sums(s: ResidenceSample, top: int) -> list[int]:
-    """[n, sum(x), sum(x^2), ..., sum(x^top)] of a sample, as Python ints.
-
-    Each sum runs over the distinct values of the histogram, sum(c * v^j), so
-    its cost grows with the number of distinct values, not with n.  The sums
-    are kept on the sample with the last c * v^j, so each order is taken once
-    per sample: a later call extends them only past the highest order so far.
-    """
-    values, counts = s.histogram
-    sums, weighted = s.__dict__.get("_power_sums", ([s.n], counts))
-    for _ in range(len(sums), top + 1):
-        weighted = weighted * values
-        sums.append(int(weighted.sum()))
-    s.__dict__["_power_sums"] = sums, weighted
-    return sums[: top + 1]
 
 
 def row_moments(x: np.ndarray, sums: np.ndarray, max_order: int):

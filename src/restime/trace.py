@@ -144,9 +144,11 @@ def _pair_bits(raw: bytes) -> np.ndarray | None:
     A canonical line is pairs of a digit 0 or 1 and one byte, a space in
     every pair but the last and a newline in the last.  Read little-endian, a
     pair is (that byte << 8) | digit, and | 1 takes the digit 0 to 1, so one
-    compare checks every pair.
+    compare checks every pair.  The separators of the first 32 pairs are
+    looked at first, so a line spelled another way (tabs, runs of spaces) is
+    turned away before numpy reads it.
     """
-    if not raw or len(raw) % 2:
+    if not raw or len(raw) % 2 or raw[1 : min(len(raw) - 1, 64) : 2].strip(b" "):
         return None
     pairs = np.frombuffer(raw, dtype="<u2")
     if pairs[-1] | 1 != 0x0A31 or not ((pairs[:-1] | 1) == 0x2031).all():

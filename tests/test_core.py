@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import json
 import math
+import pickle
 import re
 import sys
 from collections import Counter
@@ -284,6 +286,13 @@ class TestMomentVector:
         assert dict(mom.central) == {2: 1, 3: 0, 4: 1}
         assert mom == MomentVector(mean=Fraction(2), central={2: 1, 3: 0, 4: 1})
         assert mom != MomentVector(mean=Fraction(2), central={2: 1, 3: 0, 4: 2})
+
+    def test_pickle_and_copy_keep_the_vector_read_only(self):
+        mom = MomentVector(mean=Fraction(3, 2), central={2: Fraction(1, 4), 3: 0, 4: Fraction(1, 16)})
+        for twin in (pickle.loads(pickle.dumps(mom)), copy.copy(mom), copy.deepcopy(mom)):
+            assert twin == mom and twin.central is not mom.central
+            with pytest.raises(TypeError):
+                twin.central[3] = 1
 
     @pytest.mark.parametrize("mean", [0, -1, Fraction(-1, 2), 0.0, -2.5])
     def test_rejects_a_mean_that_is_not_positive(self, mean):

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import time
 from fractions import Fraction
 
@@ -8,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from restime import mc
 from restime.core import DistributionSpec, DomainError, ResidenceSample
-from restime.moments import _power_sums, central_from_raw, exact_moments, sample_moments
+from restime.moments import central_from_raw, exact_moments, sample_moments
 
 from .oracles import central_moments_direct, geometric_raw_interval, raw_from_central
 
@@ -61,12 +63,40 @@ def test_exact_sample_moments_match_definition(steps, order):
 @settings(max_examples=40)
 def test_power_sums_kept_on_a_sample_match_fresh_ones(steps, tops):
     """Whatever orders were taken before, each call returns the power sums
-    0..top of the steps, and a caller's edit reaches no later call."""
+    0..top of the steps."""
     s = ResidenceSample(steps=tuple(steps))
     for top in tops:
-        sums = _power_sums(s, top)
-        assert sums == [sum(x**j for x in steps) for j in range(top + 1)]
-        sums.append(0)
+        assert s._power_sums(top) == tuple(sum(x**j for x in steps) for j in range(top + 1))
+
+
+def test_power_sums_racing_on_one_sample_agree():
+    """Two threads taking interleaved orders on one sample each get the sums
+    0..top, and the sums kept on the sample stay right for a later call."""
+    rng = np.random.default_rng(3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads inside the loop over orders
+    try:
+        for _ in range(4):
+            steps = rng.integers(1, 10**6, size=5_000)
+            want = ResidenceSample(steps=steps)._power_sums(16)
+            s = ResidenceSample(steps=steps)
+            start = threading.Barrier(2)
+            got = []
+
+            def take(tops):
+                start.wait()
+                got.extend((top, s._power_sums(top)) for top in tops)
+
+            threads = [threading.Thread(target=take, args=(tops,)) for tops in ((2, 5, 9, 16), (3, 7, 12, 16))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            assert len(got) == 8
+            assert all(sums == want[: top + 1] for top, sums in got)
+            assert s._power_sums(16) == want
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @given(st.lists(st.integers(min_value=1, max_value=10**30), min_size=1, max_size=12),

@@ -90,7 +90,8 @@ def _canonical_lines(draw):
     """Trace text of canonical lines, some changed in one place, as a text stream yields it."""
     lines = []
     for _ in range(draw(st.integers(1, 4))):
-        bits = draw(st.lists(st.sampled_from("01"), min_size=1, max_size=12))
+        # up to 80 bits, so that an edit may fall past the 32 pairs looked at first
+        bits = draw(st.lists(st.sampled_from("01"), min_size=1, max_size=80))
         line = " ".join(bits) + "\n"
         if draw(st.booleans()):
             # replace, insert or delete one character, anywhere in the line
@@ -108,7 +109,7 @@ def _canonical_lines(draw):
 @example(lines=["0\t1\n", "1 ? 0\n"])
 @example(lines=["0 1 1\n", "1 0 "])
 @example(lines=["1\n", "0 1\r\n"])
-@settings(max_examples=500)
+@settings(max_examples=600)
 def test_parse_matches_token_walk(lines):
     """parse_traces gives the bits of the token walk, or raises its message,
     and holds each trace as read-only (uint8, int64) runs."""
@@ -132,7 +133,8 @@ def test_parse_matches_token_walk(lines):
     "line, canonical",
     [("1\n", True), ("0 1 1 0\n", True), ("", False), ("0 1", False), ("0 1 \n", False),
      ("0  1\n", False), ("0\t1\n", False), ("\x00 1\n", False), ("0 2\n", False),
-     ("1\xa00\n", False), ("0 1\r\n", False), ("01\n", False), ("\x01 1\n", False)],
+     ("1\xa00\n", False), ("0 1\r\n", False), ("01\n", False), ("\x01 1\n", False),
+     ("1 " * 40 + "0\n", True), ("1 " * 40 + "0\t1\n", False), ("0 " * 40 + "2 1\n", False)],
 )
 def test_canonical_check_takes_only_the_canonical_spelling(line, canonical):
     """The pair check accepts exactly the canonical lines, and either path
