@@ -80,10 +80,12 @@ class ResidenceSample:
 
     The checked steps are kept in `array`, one read-only 1-d array that the
     sample owns: int64, or object dtype holding exact Python ints when some
-    step does not fit in int64.  `n` and `histogram` read it.  `steps`, the
-    same values as a tuple of Python ints, is built on first use, and so are
-    the histogram and the power sums.  Equality, hash and repr are those of a
-    frozen dataclass whose one field is `steps`.
+    step does not fit in int64; _checked_array checks the steps.  `n` and
+    `histogram` read it.  `steps`, the same values as a tuple of Python
+    ints, is built on first use, and so are the histogram and the power
+    sums.  Every exact estimator reads the sample as sample_moments and N.
+    Equality, hash and repr are those of a frozen dataclass whose one field
+    is `steps`.
     """
 
     def __init__(self, steps):
@@ -131,7 +133,8 @@ class ResidenceSample:
         kept with the last c * v^j, so each order is taken once per sample: a
         later call extends them only past the highest order so far.  The kept
         pair is replaced whole, never edited, so calls racing on one sample
-        from several threads at worst take an order twice.
+        from several threads at worst take an order twice.  Its one caller is
+        moments.sample_moments; every estimator reads the sums through it.
         """
         sums, weighted = self.__dict__.get("_sums", ((self.n,), self.histogram[1]))
         if top >= len(sums):
@@ -163,19 +166,14 @@ def _checked_array(steps) -> np.ndarray:
     if is_int64 and steps.size and steps.min() >= 1:
         return steps
     # an int64 array's Python ints, so an error names x as a tuple would
-    return _step_array(_positive_ints(steps.tolist() if is_int64 else steps))
-
-
-def _positive_ints(steps) -> tuple[int, ...]:
-    """The steps as a tuple of Python ints; DomainError names the first bad one."""
-    steps = tuple(steps)
+    steps = tuple(steps.tolist() if is_int64 else steps)
     if steps and (set(map(type, steps)) != {int} or min(steps) < 1):
         # bools, numpy ints and integral floats are converted; the first bad value is named
         for x in steps:
             if not _is_positive_int(x):
                 raise DomainError(f"residence durations must be integers >= 1, got {x!r}")
         steps = tuple(map(int, steps))
-    return steps
+    return _step_array(steps)
 
 
 @dataclass(frozen=True)

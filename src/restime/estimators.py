@@ -14,28 +14,25 @@ from .taylor import MAX_ORDER, _needed_central, evaluate_expression, generate_ex
 
 
 def mean_residual_steps(s: ResidenceSample) -> Fraction:
-    """Expected remaining steps of the stay in progress at a random instant.
-
-    Equals 1/2 + sum(x^2)/(2*sum(x)), exact from the integer sums.
-    """
-    _, total, squares = s._power_sums(2)
-    return Fraction(1, 2) + Fraction(squares, 2 * total)
+    """Expected remaining steps of the stay in progress at a random instant:
+    1/2 + E[X^2]/(2 E[X]) = 1/2 + (mu2 + m^2)/(2m) on the exact plug-in
+    mean m and second central moment mu2 of sample_moments."""
+    mom = sample_moments(s, 2)
+    return Fraction(1, 2) + (mom.central[2] + mom.mean**2) / (2 * mom.mean)
 
 
 def mean_residence_steps(s: ResidenceSample) -> Fraction:
-    """Average residence duration in steps, exactly."""
-    n, total = s._power_sums(1)
-    return Fraction(total, n)
+    """Average residence duration in steps: the exact plug-in mean of sample_moments."""
+    return sample_moments(s, 2).mean
 
 
 def var_mean_residence(s: ResidenceSample) -> Fraction:
-    """Variance of the mean residence time: unbiased sample variance over N, exactly."""
+    """Variance of the mean residence time: unbiased sample variance over N,
+    mu2/(N - 1) on the exact plug-in second central moment of sample_moments."""
     n = s.n
     if n < 2:
         raise DomainError("variance of the mean needs at least two residences")
-    _, total, squares = s._power_sums(2)
-    # with S = sum(x) and R = sum(x^2), sum((n*x - S)^2) is n^2 R - n S^2
-    return Fraction(n * squares - total * total, n * n * (n - 1))
+    return sample_moments(s, 2).central[2] / (n - 1)
 
 
 def var_mrt_ratio(s: ResidenceSample) -> Fraction:
@@ -172,11 +169,12 @@ def build_report(
     Every number is computed exactly and rounded to a float once: residual-
     and residence-time values scale by dt, their variances by dt squared,
     and each sd is the correctly rounded square root of its exact variance.
-    A negative variance from any estimator is a defect and is rejected; a
-    value past float64's range raises DomainError naming it.
+    A dt that is not positive and finite, a negative variance from any
+    estimator (a defect) and a value past float64's range each raise
+    DomainError naming it.
     """
-    if dt is not None and not dt > 0:
-        raise DomainError("dt must be positive")
+    if dt is not None and not 0 < dt < math.inf:
+        raise DomainError(f"dt must be positive and finite, got {dt}")
     mrt_var: dict[str, Fraction] = {}
     for label in methods:
         order = _series_order(label)

@@ -96,6 +96,38 @@ def test_residual_mean_matches_definition_and_exceeds_one(steps):
     assert math.isclose(mean_residual_steps(s), float(statistic(steps)), rel_tol=1e-13)
 
 
+# int64 arrays of steps up to 2^63 - 1, and tuples with one step past int64
+# (up to 10^40), which a sample holds as an object array of Python ints
+_int64_samples = st.lists(st.integers(min_value=1, max_value=2**63 - 1), min_size=1, max_size=40)
+_wide_samples = st.builds(
+    lambda xs, big: (*xs, big),
+    st.lists(st.integers(min_value=1, max_value=10**40), max_size=39),
+    st.integers(min_value=2**63, max_value=10**40),
+)
+
+
+@given(st.one_of(_int64_samples.map(lambda xs: np.array(xs, dtype=np.int64)), _wide_samples))
+@settings(max_examples=120)
+@example(np.array([1], dtype=np.int64))
+@example(np.array([2**63 - 1, 1], dtype=np.int64))
+@example((1, 10**40))
+def test_point_estimates_and_mean_variance_match_definitions(steps):
+    """mRT, its variance and mrT equal their exact Fraction definitions,
+    whatever the steps' size and dtype."""
+    s = ResidenceSample(steps=steps)
+    assert s.array.dtype == (np.int64 if isinstance(steps, np.ndarray) else object)
+    xs = [int(x) for x in steps]
+    n, total = len(xs), sum(xs)
+    m = Fraction(total, n)
+    assert mean_residence_steps(s) == m
+    assert mean_residual_steps(s) == Fraction(1, 2) + Fraction(sum(x * x for x in xs), 2 * total)
+    if n < 2:
+        with pytest.raises(DomainError, match="at least two residences"):
+            var_mean_residence(s)
+    else:
+        assert var_mean_residence(s) == sum((x - m) ** 2 for x in xs) / (n * (n - 1))
+
+
 @given(samples, st.randoms())
 @settings(max_examples=50)
 def test_permutation_invariance(steps, rng):
@@ -288,6 +320,9 @@ class TestReport:
     def test_rejects_bad_dt(self):
         with pytest.raises(DomainError, match="dt must be positive"):
             build_report(ResidenceSample(steps=(2, 3)), dt=0.0)
+        for dt in (math.inf, np.float64("inf")):
+            with pytest.raises(DomainError, match="^dt must be positive and finite, got inf$"):
+                build_report(ResidenceSample(steps=(3, 5, 9)), dt=dt)
 
     def test_sd_squares_back_to_variance(self):
         rep = build_report(ResidenceSample(steps=(3, 1, 4, 1, 5, 9)), dt=0.1)
