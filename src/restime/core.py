@@ -83,7 +83,9 @@ class ResidenceSample:
     step does not fit in int64; _checked_array checks the steps.  `n` and
     `histogram` read it.  `steps`, the same values as a tuple of Python
     ints, is built on first use, and so are the histogram and the power
-    sums.  Every exact estimator reads the sample as sample_moments and N.
+    sums; moments.sample_moments keeps the moment vector of the highest
+    order it took.  Every exact estimator reads the sample as sample_moments
+    and N.
     Equality, hash and repr are those of a frozen dataclass whose one field
     is `steps`.
     """

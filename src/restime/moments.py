@@ -14,12 +14,20 @@ def sample_moments(s: ResidenceSample, max_central_order: int = 4) -> MomentVect
 
     Central moments use the biased 1/N form throughout.  The raw power means
     of the sample's histogram go through central_from_raw, as exact_moments'
-    do.
+    do.  The vector of the highest order taken so far is kept on the sample,
+    replaced whole; a lower order is served from its values.
     """
     if max_central_order < 2:
         raise DomainError("need central moments at least to order 2")
-    n, *sums = s._power_sums(max_central_order)
-    return _exact_vector({j: Fraction(v, n) for j, v in enumerate(sums, start=1)})
+    kept = s.__dict__.get("_moments")
+    if kept is None or max(kept.central) < max_central_order:
+        n, *sums = s._power_sums(max_central_order)
+        kept = _exact_vector({j: Fraction(v, n) for j, v in enumerate(sums, start=1)})
+        s.__dict__["_moments"] = kept
+    if max(kept.central) == max_central_order:
+        return kept
+    central = kept.central
+    return MomentVector(mean=kept.mean, central={m: central[m] for m in range(2, max_central_order + 1)})
 
 
 def row_moments(x: np.ndarray, sums: np.ndarray, max_order: int):

@@ -8,18 +8,22 @@ how index labels repeat inside the two index sets, so terms are grouped by
 repetition pattern and counted combinatorially instead of being enumerated
 one tuple at a time.
 
-Each (k, l) block exists in two forms, both built from one per-pattern
-kernel.  The raw block (_build_block) is one integer row per pattern,
-covariance term and power of N: 52,677 rows at order 8, built only by
-expression_blocks and never kept.  The merged block (_merged_block), all
-that generate_expression reads, sums those rows per (power of N, moment
-powers) without making them: patterns are first summed per slot count and
+The per-pattern kernel (_pattern_kernel) combines a head slot with a
+tail run of slots that is kept for every block (_tails) with its running
+summary: count denominator, pair sums, slot count and the moment powers of
+both covariance parts.  Top-level runs are streamed, not kept.
+
+Each (k, l) block exists in two forms, both built from that kernel.  The
+raw block (_build_block) is one integer row per pattern, covariance term
+and power of N: 52,677 rows at order 8, built only by expression_blocks
+and never kept.  The merged block (_merged_block), all that
+generate_expression reads, sums those rows per (power of N, moment powers)
+without making them: patterns are first summed per slot count and
 covariance term, as weights on the four parts of the coefficient product.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -86,40 +90,6 @@ class VarianceExpression:
 
 
 @lru_cache(maxsize=None)
-def _slot_runs(top: tuple[int, int], kr: int, lr: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Every non-increasing run of slots (a, b) with a + b >= 2, none above
-    top, using up exactly kr and lr.
-
-    Shared by all (k, l) blocks: a run's tail depends only on its last slot
-    and on what is left of the two index sets.
-    """
-    if not kr and not lr:
-        return ((),)
-    ta, tb = top
-    runs = []
-    for a in range(min(ta, kr), -1, -1):
-        for b in range(min(tb if a == ta else lr, lr), max(1 - a, -1), -1):
-            slot, rest = (a, b), (kr - a, lr - b)
-            # a bound above what is left bounds nothing, so such states are shared
-            runs.extend((slot,) + tail for tail in _slot_runs(min(slot, rest), *rest))
-    return tuple(runs)
-
-
-def _pattern_slots(k: int, l: int) -> list[tuple[tuple[int, int], ...]]:
-    """Sorted slot tuples of every repetition pattern for index set sizes k, l.
-
-    Slot (a, b) is one label seen a times in the first set, b in the second;
-    thin slots (a + b < 2) and patterns sharing no label have zero covariance.
-    """
-    if k < 1 or l < 1:
-        raise DomainError("both index set sizes must be >= 1")
-    # runs arrive in non-increasing order; reversed is canonical
-    found = [run[::-1] for run in _slot_runs((k, l), k, l) if any(a and b for a, b in run)]
-    found.sort()
-    return found
-
-
-@lru_cache(maxsize=None)
 def _coefficient_parts(k: int) -> tuple[tuple[int, int], tuple[int, int]]:
     """The constant and per-pair parts of twice an order-k coefficient's
     N-polynomial, each as one (exponent, integer) pair.
@@ -137,23 +107,6 @@ def _coefficient_parts(k: int) -> tuple[tuple[int, int], tuple[int, int]]:
     return (-k, -sign * factorial(k)), (1 - k, 2 * sign * factorial(k - 2) if k > 1 else 0)
 
 
-def _sigma_slots(slots: tuple[tuple[int, int], ...]):
-    """Covariance of one pattern's two centered products, in central moments:
-    (sign, powers) pairs, the joint expectation minus the marginals' product."""
-    combined: dict[int, int] = {}
-    for a, b in slots:
-        combined[a + b] = combined.get(a + b, 0) + 1
-    # every slot has a + b >= 2, so the joint product never sees order 1
-    out = [(1, tuple(sorted(combined.items())))]
-    if all(a != 1 and b != 1 for a, b in slots):
-        powers: dict[int, int] = {}
-        for m in itertools.chain.from_iterable(slots):
-            if m:
-                powers[m] = powers.get(m, 0) + 1
-        out.append((-1, tuple(sorted(powers.items()))))
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
 def _falling_factorial(d: int) -> tuple[tuple[int, int], ...]:
     """N*(N-1)*...*(N-d+1) as (exponent, integer coefficient) pairs."""
@@ -168,32 +121,67 @@ def _falling_factorial(d: int) -> tuple[tuple[int, int], ...]:
     return tuple(poly.items())
 
 
-def _slot_sums(slots: tuple[tuple[int, int], ...]) -> tuple[int, int, int]:
-    """(count, Pa, Pb) of a sorted pattern, in one pass over its slots.
+@lru_cache(maxsize=None)
+def _plus(powers: tuple[tuple[int, int], ...], *ms: int) -> tuple[tuple[int, int], ...]:
+    """Sorted (order, count) pairs with one more of each nonzero m; a few
+    hundred distinct calls serve every block."""
+    counts = dict(powers)
+    for m in ms:
+        if m:
+            counts[m] = counts.get(m, 0) + 1
+    return tuple(sorted(counts.items()))
 
-    count is k!l!/prod(a!b!) divided by r! for each run of r equal slots;
-    Pa and Pb are the pair sums sum(C(a, 2)) and sum(C(b, 2)).
+
+def _runs(top: tuple[int, int], kr: int, lr: int):
+    """Summary of every non-increasing run of slots (a, b) with a + b >= 2,
+    none above top, using up exactly kr and lr: one head slot on a _tails one.
+
+    Slot (a, b) is one label seen a times in the first index set, b in the
+    second.  A summary is (first slot, its run length r, prod(a!b!r!) over
+    the runs, sum(a(a-1)), sum(b(b-1)), slot count, joint powers {a + b},
+    marginal powers {nonzero a and b} or None once some a or b is 1, shared:
+    some slot has a and b both nonzero), each multiset as sorted pairs.
     """
-    # k!l!/prod(a!b!) counts position assignments to d labeled slots; swapping
-    # identical slots never fixes an assignment, so the division is exact
-    k = l = pa = pb = 0
-    den, run, prev = 1, 0, None
-    for slot in slots:
-        a, b = slot
-        k += a
-        l += b
-        pa += a * (a - 1)
-        pb += b * (b - 1)
-        run = run + 1 if slot == prev else 1
-        den *= factorial(a) * factorial(b) * run
-        prev = slot
-    return factorial(k) * factorial(l) // den, pa // 2, pb // 2
+    ta, tb = top
+    for a in range(min(ta, kr), -1, -1):
+        for b in range(min(tb if a == ta else lr, lr), max(1 - a, -1), -1):
+            slot, rest = (a, b), (kr - a, lr - b)
+            fact, sa, sb = factorial(a) * factorial(b), a * (a - 1), b * (b - 1)
+            single, both = a == 1 or b == 1, a > 0 < b
+            # a bound above what is left bounds nothing, so such tails are shared
+            for first, run, den, pa, pb, d, joint, marg, shared in _tails(min(slot, rest), *rest):
+                run = run + 1 if first == slot else 1
+                marg = None if single or marg is None else _plus(marg, a, b)
+                yield (slot, run, den * fact * run, pa + sa, pb + sb, d + 1, _plus(joint, a + b), marg,
+                       shared or both)
+
+
+@lru_cache(maxsize=None)
+def _tails(top: tuple[int, int], kr: int, lr: int) -> tuple:
+    """_runs(top, kr, lr), kept for every block: a run's tail depends only on
+    its last slot and on what is left of the two index sets."""
+    if not kr and not lr:
+        return ((None, 0, 1, 0, 0, 0, (), (), False),)
+    return tuple(_runs(top, kr, lr))
 
 
 def _pattern_kernel(k: int, l: int):
-    """Per repetition pattern of the (k, l) block: (count, Pa, Pb, d, covariance)."""
-    for slots in _pattern_slots(k, l):
-        yield (*_slot_sums(slots), len(slots), _sigma_slots(slots))
+    """Per repetition pattern of the (k, l) block: (count, Pa, Pb, d, covariance).
+
+    Patterns are the runs of _runs((k, l), k, l) that share a label; thin
+    slots and patterns sharing no label have zero covariance.  count is
+    k!l!/prod(a!b!r!) and Pa, Pb are sum(C(a, 2)), sum(C(b, 2)).  The
+    covariance of the two centered products is (sign, powers) pairs: the
+    joint expectation minus the marginals' product, zero when some a or b is 1.
+    """
+    if k < 1 or l < 1:
+        raise DomainError("both index set sizes must be >= 1")
+    # k!l!/prod(a!b!) counts position assignments to d labeled slots; swapping
+    # identical slots never fixes an assignment, so the division is exact
+    top = factorial(k) * factorial(l)
+    for _, _, den, pa, pb, d, joint, marg, shared in _runs((k, l), k, l):
+        if shared:
+            yield top // den, pa // 2, pb // 2, d, ((1, joint),) + (() if marg is None else ((-1, marg),))
 
 
 def _n_poly(k: int, l: int, d: int, weights) -> tuple[tuple[int, int], ...]:
@@ -349,7 +337,7 @@ def _collapsed(expr: VarianceExpression, n) -> tuple:
     for t in expr.terms:
         if t.mu_exponent + sum(m * c for m, c in t.moment_powers) != 2:
             raise DomainError(f"term {t.text()} is not of total degree 2 in the moments")
-    ratios = [Fraction(t.coef).as_integer_ratio() for t in expr.terms]
+    ratios = [t.coef.as_integer_ratio() for t in expr.terms]
     den = lcm(*(q for _, q in ratios))
     top = max((t.n_exponent for t in expr.terms), default=0)
     shift = max([0, *(-t.mu_exponent for t in expr.terms)])

@@ -3,7 +3,9 @@
 Everything here is deliberately written from first principles, without
 importing any package internals, so a shared bug cannot hide: finite
 differences for derivative coefficients, explicit enumeration (by tuple
-and by weighted multiset) for exact variances and pattern counts, a
+and by weighted multiset) for exact variances and pattern counts, the
+series patterns one at a time from their sorted slots
+(`pattern_kernel_reference`, against the package's cached-tail walk), a
 direct double sum for the truncated series, a plain scan and a window-sum
 construction for the gap filter, a plain scan for run extraction, a token
 walk for trace parsing, partial sums with rigorous tail bounds for
@@ -30,6 +32,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 import numpy as np
@@ -243,6 +246,86 @@ def count_tuples_by_pattern(n: int, k: int, l: int) -> dict[tuple, int]:
             slots = tuple(sorted((ci.get(x, 0), cj.get(x, 0)) for x in labels))
             counts[slots] += 1
     return dict(counts)
+
+
+@lru_cache(maxsize=None)
+def slot_runs(top: tuple[int, int], kr: int, lr: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Every non-increasing run of slots (a, b) with a + b >= 2, none above
+    top, using up exactly kr and lr.
+
+    Shared by all (k, l) blocks: a run's tail depends only on its last slot
+    and on what is left of the two index sets.
+    """
+    if not kr and not lr:
+        return ((),)
+    ta, tb = top
+    runs = []
+    for a in range(min(ta, kr), -1, -1):
+        for b in range(min(tb if a == ta else lr, lr), max(1 - a, -1), -1):
+            slot, rest = (a, b), (kr - a, lr - b)
+            # a bound above what is left bounds nothing, so such states are shared
+            runs.extend((slot,) + tail for tail in slot_runs(min(slot, rest), *rest))
+    return tuple(runs)
+
+
+def pattern_slots(k: int, l: int) -> list[tuple[tuple[int, int], ...]]:
+    """Sorted slot tuples of every repetition pattern for index set sizes k, l.
+
+    Slot (a, b) is one label seen a times in the first set, b in the second;
+    thin slots (a + b < 2) and patterns sharing no label have zero covariance.
+    """
+    if k < 1 or l < 1:
+        raise DomainError("both index set sizes must be >= 1")
+    # runs arrive in non-increasing order; reversed is canonical
+    found = [run[::-1] for run in slot_runs((k, l), k, l) if any(a and b for a, b in run)]
+    found.sort()
+    return found
+
+
+def sigma_slots(slots: tuple[tuple[int, int], ...]):
+    """Covariance of one pattern's two centered products, in central moments:
+    (sign, powers) pairs, the joint expectation minus the marginals' product."""
+    combined: dict[int, int] = {}
+    for a, b in slots:
+        combined[a + b] = combined.get(a + b, 0) + 1
+    # every slot has a + b >= 2, so the joint product never sees order 1
+    out = [(1, tuple(sorted(combined.items())))]
+    if all(a != 1 and b != 1 for a, b in slots):
+        powers: dict[int, int] = {}
+        for m in itertools.chain.from_iterable(slots):
+            if m:
+                powers[m] = powers.get(m, 0) + 1
+        out.append((-1, tuple(sorted(powers.items()))))
+    return tuple(out)
+
+
+def slot_sums(slots: tuple[tuple[int, int], ...]) -> tuple[int, int, int]:
+    """(count, Pa, Pb) of a sorted pattern, in one pass over its slots.
+
+    count is k!l!/prod(a!b!) divided by r! for each run of r equal slots;
+    Pa and Pb are the pair sums sum(C(a, 2)) and sum(C(b, 2)).
+    """
+    # k!l!/prod(a!b!) counts position assignments to d labeled slots; swapping
+    # identical slots never fixes an assignment, so the division is exact
+    k = l = pa = pb = 0
+    den, run, prev = 1, 0, None
+    for slot in slots:
+        a, b = slot
+        k += a
+        l += b
+        pa += a * (a - 1)
+        pb += b * (b - 1)
+        run = run + 1 if slot == prev else 1
+        den *= factorial(a) * factorial(b) * run
+        prev = slot
+    return factorial(k) * factorial(l) // den, pa // 2, pb // 2
+
+
+def pattern_kernel_reference(k: int, l: int):
+    """The (count, Pa, Pb, d, covariance) tuples of taylor._pattern_kernel,
+    one pattern at a time from its sorted slots."""
+    for slots in pattern_slots(k, l):
+        yield (*slot_sums(slots), len(slots), sigma_slots(slots))
 
 
 def filter_by_convolution(bits, k: int) -> tuple[int, ...]:

@@ -73,11 +73,11 @@ class TestPointEstimates:
         "steps",
         [
             (1, 2, 3),
-            (67108863, 67108863),  # n*max^2 just under 2^53: sums from the float array
-            (67108864, 67108864),  # exactly 2^53 and above: Python-int sums
-            (10**8, 10**8),
-            (3, 5, 10**20),
-            (10, 69057710105581731),  # float sums would move the mean by one ulp
+            (67108863, 67108863),  # sum of squares 2^53 - 2^28 + 2, just under 2^53
+            (67108864, 67108864),  # sum of squares 2^53, where floats stop holding every integer
+            (10**8, 10**8),  # sum of squares 2 * 10^16, past 2^53
+            (3, 5, 10**20),  # a step past int64, held as a Python int in an object array
+            (10, 69057710105581731),  # a float sum of the steps would move the mean by one ulp
         ],
     )
     def test_float_means_use_exact_integer_sums(self, steps):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from restime import mc
+from restime import mc, moments
 from restime.core import DistributionSpec, DomainError, ResidenceSample
 from restime.moments import central_from_raw, exact_moments, sample_moments
 
@@ -69,6 +69,31 @@ def test_power_sums_kept_on_a_sample_match_fresh_ones(steps, tops):
         assert s._power_sums(top) == tuple(sum(x**j for x in steps) for j in range(top + 1))
 
 
+@given(st.lists(st.integers(min_value=1, max_value=10**30), min_size=1, max_size=12),
+       st.lists(st.integers(min_value=2, max_value=16), min_size=1, max_size=5))
+@settings(max_examples=40)
+def test_moments_served_from_a_kept_vector_match_fresh_ones(steps, orders):
+    """Whatever orders were taken before, orders 2 and 4 and each order taken
+    equal the vector that a fresh sample gives."""
+    s = ResidenceSample(steps=tuple(steps))
+    for order in (*orders, 2, 4):
+        assert sample_moments(s, order) == sample_moments(ResidenceSample(steps=tuple(steps)), order)
+
+
+def test_lower_orders_are_served_from_the_highest_kept(monkeypatch):
+    steps = (1, 2, 2, 7, 40, 10**20)
+    fresh = {order: sample_moments(ResidenceSample(steps=steps), order) for order in (2, 4, 15, 16)}
+    s = ResidenceSample(steps=steps)
+    top = sample_moments(s, 16)
+    # past the highest order, nothing takes power sums or a binomial transform again
+    monkeypatch.setattr(moments, "central_from_raw", lambda raw: pytest.fail("transform taken again"))
+    monkeypatch.setitem(s.__dict__, "_power_sums", lambda top: pytest.fail("power sums taken again"))
+    assert sample_moments(s, 16) is top
+    for order, want in fresh.items():
+        got = sample_moments(s, order)
+        assert got == want and sorted(got.central) == list(range(2, order + 1))
+
+
 def test_power_sums_racing_on_one_sample_agree():
     """Two threads taking interleaved orders on one sample each get the sums
     0..top, and the sums kept on the sample stay right for a later call."""
@@ -95,6 +120,38 @@ def test_power_sums_racing_on_one_sample_agree():
             assert len(got) == 8
             assert all(sums == want[: top + 1] for top, sums in got)
             assert s._power_sums(16) == want
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_moment_vectors_racing_on_one_sample_agree():
+    """Two threads taking interleaved orders through sample_moments on one
+    sample each get the vector that a fresh sample gives, and whatever vector
+    is kept afterwards serves every order right."""
+    rng = np.random.default_rng(5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads between the check and the store
+    try:
+        for _ in range(4):
+            steps = rng.integers(1, 10**6, size=2_000)
+            want = {top: sample_moments(ResidenceSample(steps=steps), top) for top in range(2, 17)}
+            s = ResidenceSample(steps=steps)
+            start = threading.Barrier(2)
+            got = []
+
+            def take(tops):
+                start.wait()
+                got.extend((top, sample_moments(s, top)) for top in tops)
+
+            threads = [threading.Thread(target=take, args=(tops,)) for tops in ((16, 2, 9, 4), (3, 12, 2, 16))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert len(got) == 8
+            assert all(mom == want[top] for top, mom in got)
+            assert all(sample_moments(s, top) == want[top] for top in range(2, 17))
     finally:
         sys.setswitchinterval(interval)
 

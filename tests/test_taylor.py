@@ -25,10 +25,8 @@ from restime.taylor import (
     Term,
     VarianceExpression,
     _falling_factorial,
-    _pattern_slots,
+    _pattern_kernel,
     _prepared,
-    _sigma_slots,
-    _slot_sums,
     evaluate_expression,
     evaluate_expression_batch,
     expression_blocks,
@@ -41,7 +39,11 @@ from .oracles import (
     count_tuples_by_pattern,
     fd_partial,
     normalize_expression,
+    pattern_kernel_reference,
+    pattern_slots,
     per_term_series,
+    sigma_slots,
+    slot_sums,
     uncorrected_coefficient,
 )
 
@@ -67,7 +69,7 @@ RAW_ROWS_SHA256 = "0714cb203dbe2f4eb9da8f3a42ae52d09fe28bc0c2c91947873cbe89a449f
 
 
 def eval_count(slots, n: int) -> int:
-    count = _slot_sums(slots)[0]
+    count = slot_sums(slots)[0]
     return count * sum(q * n**e for e, q in _falling_factorial(len(slots)))
 
 
@@ -82,21 +84,21 @@ def random_moment_vector(rng: random.Random, max_order: int) -> MomentVector:
 
 class TestEnumerate:
     def test_single_shared_index(self):
-        assert _pattern_slots(1, 1) == [((1, 1),)]
+        assert pattern_slots(1, 1) == [((1, 1),)]
 
     def test_two_one(self):
         # the split {(1,1),(1,0)} dies on the thin (1,0) slot
-        assert _pattern_slots(2, 1) == [((2, 1),)]
+        assert pattern_slots(2, 1) == [((2, 1),)]
 
     def test_label_renaming_gives_same_pattern(self):
         # labels are interchangeable, so each pattern appears once, sorted
-        pats = _pattern_slots(4, 3)
+        pats = pattern_slots(4, 3)
         assert ((2, 0), (2, 3)) in pats
         assert ((2, 3), (2, 0)) not in pats
 
     def test_all_patterns_valid(self):
         for k, l in ((2, 2), (3, 2), (4, 4)):
-            pats = _pattern_slots(k, l)
+            pats = pattern_slots(k, l)
             assert len(pats) == len(set(pats))
             for slots in pats:
                 assert list(slots) == sorted(slots)
@@ -106,7 +108,25 @@ class TestEnumerate:
 
     def test_rejects_empty_sets(self):
         with pytest.raises(DomainError):
-            _pattern_slots(0, 1)
+            pattern_slots(0, 1)
+
+
+class TestPatternKernel:
+    """The kernel's cached-tail walk against the oracle's pattern-at-a-time one."""
+
+    def test_matches_the_per_pattern_oracle(self):
+        total = 0
+        for k in range(1, 9):
+            for l in range(k, 9):
+                got = Counter(_pattern_kernel(k, l))
+                assert got == Counter(pattern_kernel_reference(k, l)), (k, l)
+                total += sum(got.values())
+        assert total == 5055
+
+    @pytest.mark.parametrize("k, l", [(0, 1), (1, 0), (-1, 3)])
+    def test_rejects_empty_sets(self, k, l):
+        with pytest.raises(DomainError):
+            list(_pattern_kernel(k, l))
 
 
 class TestCoefficient:
@@ -146,16 +166,16 @@ class TestCoefficient:
 
 class TestSigma:
     def test_worked_pattern(self):
-        assert _sigma_slots(((2, 0), (2, 3))) == (
+        assert sigma_slots(((2, 0), (2, 3))) == (
             (1, ((2, 1), (5, 1))),
             (-1, ((2, 2), (3, 1))),
         )
 
     def test_single_appearance_kills_marginal(self):
-        assert _sigma_slots(((1, 1),)) == ((1, ((2, 1),)),)
+        assert sigma_slots(((1, 1),)) == ((1, ((2, 1),)),)
 
     def test_marginal_survives_when_every_multiplicity_repeats(self):
-        assert _sigma_slots(((2, 2),)) == ((1, ((4, 1),)), (-1, ((2, 2),)))
+        assert sigma_slots(((2, 2),)) == ((1, ((4, 1),)), (-1, ((2, 2),)))
 
 
 class TestPatternCount:
@@ -174,7 +194,7 @@ class TestPatternCount:
                 for l in range(1, 7 - k):
                     counts = count_tuples_by_pattern(n, k, l)
                     assert sum(counts.values()) == n ** (k + l)
-                    for slots in _pattern_slots(k, l):
+                    for slots in pattern_slots(k, l):
                         assert eval_count(slots, n) == counts.get(slots, 0)
 
 
