@@ -82,10 +82,7 @@ class ResidenceSample:
     sample owns: int64, or object dtype holding exact Python ints when some
     step does not fit in int64; _checked_array checks the steps.  `n` and
     `histogram` read it.  `steps`, the same values as a tuple of Python
-    ints, is built on first use, and so are the histogram and the power
-    sums; moments.sample_moments keeps the moment vector of the highest
-    order it took.  Every exact estimator reads the sample as sample_moments
-    and N.
+    ints, and the histogram are built on first use.
     Equality, hash and repr are those of a frozen dataclass whose one field
     is `steps`.
     """
@@ -126,27 +123,6 @@ class ResidenceSample:
         values, counts = (a.astype(object) for a in np.unique(self.array, return_counts=True))
         values.flags.writeable = counts.flags.writeable = False
         return values, counts
-
-    def _power_sums(self, top: int) -> tuple[int, ...]:
-        """(n, sum(x), sum(x^2), ..., sum(x^top)) as Python ints.
-
-        Each sum runs over the histogram, sum(c * v^j), so its cost grows with
-        the number of distinct steps, not with n.  The sums taken so far are
-        kept with the last c * v^j, so each order is taken once per sample: a
-        later call extends them only past the highest order so far.  The kept
-        pair is replaced whole, never edited, so calls racing on one sample
-        from several threads at worst take an order twice.  Its one caller is
-        moments.sample_moments; every estimator reads the sums through it.
-        """
-        sums, weighted = self.__dict__.get("_sums", ((self.n,), self.histogram[1]))
-        if top >= len(sums):
-            values, more = self.histogram[0], list(sums)
-            for _ in range(len(sums), top + 1):
-                weighted = weighted * values
-                more.append(int(weighted.sum()))
-            sums = tuple(more)
-            self.__dict__["_sums"] = sums, weighted
-        return sums[: top + 1]
 
 
 def _step_array(ints) -> np.ndarray:

@@ -83,6 +83,13 @@ def _series_order(label: str) -> int:
     return _LABEL_ORDERS[label]
 
 
+def _central_order(labels) -> int:
+    """Highest central order that a report with these estimator labels reads:
+    4 for 'ratio', 2M for 'taylorM', and at least 2, for mrT and the
+    variance of the mean."""
+    return max((2 * _series_order(label) or 4 for label in labels), default=2)
+
+
 def var_mrt_taylor(s: ResidenceSample, order: int = 8) -> Fraction:
     """Series variance estimator of the given order on the exact plug-in
     sample moments."""
@@ -175,6 +182,8 @@ def build_report(
     """
     if dt is not None and not 0 < dt < math.inf:
         raise DomainError(f"dt must be positive and finite, got {dt}")
+    # the top order first, so that every estimator below slices its moments from it
+    sample_moments(s, _central_order(methods))
     mrt_var: dict[str, Fraction] = {}
     for label in methods:
         order = _series_order(label)

@@ -12,22 +12,36 @@ from .taylor import MAX_ORDER
 def sample_moments(s: ResidenceSample, max_central_order: int = 4) -> MomentVector:
     """Exact plug-in mean and central moments of orders 2..max of a sample.
 
-    Central moments use the biased 1/N form throughout.  The raw power means
-    of the sample's histogram go through central_from_raw, as exact_moments'
-    do.  The vector of the highest order taken so far is kept on the sample,
-    replaced whole; a lower order is served from its values.
+    Central moments use the biased 1/N form throughout: _histogram_moments
+    of the sample's histogram.  The vector of the highest order taken so far
+    is the one moment cache on a sample, replaced whole; a lower order is
+    sliced from it, and a higher one takes every power sum again.
     """
     if max_central_order < 2:
         raise DomainError("need central moments at least to order 2")
     kept = s.__dict__.get("_moments")
     if kept is None or max(kept.central) < max_central_order:
-        n, *sums = s._power_sums(max_central_order)
-        kept = _exact_vector({j: Fraction(v, n) for j, v in enumerate(sums, start=1)})
+        kept = _histogram_moments(*s.histogram, max_central_order)
         s.__dict__["_moments"] = kept
     if max(kept.central) == max_central_order:
         return kept
     central = kept.central
     return MomentVector(mean=kept.mean, central={m: central[m] for m in range(2, max_central_order + 1)})
+
+
+def _histogram_moments(values: np.ndarray, weights: np.ndarray, top: int) -> MomentVector:
+    """Exact mean and central moments 2..top of values under weights.
+
+    values and weights are object arrays of exact numbers (ints or
+    Fractions, weights >= 0 with a positive total).  raw_j = sum(w * v^j) /
+    sum(w) takes one pass over the values per order and goes through
+    central_from_raw, as exact_moments' raw moments do.
+    """
+    total, weighted, raw = weights.sum(), weights, {}
+    for j in range(1, top + 1):
+        weighted = weighted * values
+        raw[j] = Fraction(weighted.sum(), total)
+    return _exact_vector(raw)
 
 
 def row_moments(x: np.ndarray, sums: np.ndarray, max_order: int):

@@ -9,8 +9,9 @@ series patterns one at a time from their sorted slots
 direct double sum for the truncated series, a plain scan and a window-sum
 construction for the gap filter, a plain scan for run extraction, a token
 walk for trace parsing, partial sums with rigorous tail bounds for
-geometric moments, a binomial transform from central to raw moments, the
-delta-method ratio estimator from integer step sums, a per-term Fraction
+geometric moments, weighted plug-in moments from their definition, a
+binomial transform from central to raw moments, the delta-method ratio
+estimator from integer step sums, a per-term Fraction
 sum for the series value, every number of an estimate report from plain
 sums over its steps (`report_reference`) with a midpoint test for a
 rounded square root, a per-row inverse-CDF for replicate draws, a merge of
@@ -204,6 +205,17 @@ def central_moments_direct(xs, max_order: int) -> dict[int, Fraction]:
     mean = Fraction(sum(xs), n)
     return {
         m: sum((Fraction(x) - mean) ** m for x in xs) / n
+        for m in range(2, max_order + 1)
+    }
+
+
+def weighted_moments_direct(values, weights, max_order: int) -> tuple[Fraction, dict[int, Fraction]]:
+    """Mean and central moments 2..max_order of values under weights, straight
+    from their definition, in rationals."""
+    total = Fraction(sum(weights))
+    mean = sum(w * v for v, w in zip(values, weights)) / total
+    return mean, {
+        m: sum(w * (v - mean) ** m for v, w in zip(values, weights)) / total
         for m in range(2, max_order + 1)
     }
 

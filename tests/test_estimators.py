@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from restime import mc
 from restime.core import DistributionSpec, DomainError, MomentVector, ResidenceSample
 from restime.estimators import (
+    EstimateReport,
     build_report,
     mean_residence_steps,
     mean_residual_steps,
@@ -352,9 +353,31 @@ class TestReport:
         assert rep == build_report(ResidenceSample(steps=(3, 1, 4, 1, 5, 9)), dt=0.1,
                                    methods=("ratio", "taylor8"))
 
-    def test_each_power_sum_is_taken_once_per_sample(self):
-        """A ratio and order-8 report takes the power sums of orders 1..16
-        once each: one pass over the distinct values per order."""
+    def test_no_methods_gives_the_point_estimates_alone(self):
+        rep = build_report(ResidenceSample(steps=(2, 5, 3)), dt=0.5, methods=())
+        assert rep == EstimateReport(
+            n=3, dt=0.5, methods=(), mrt_steps=2.4, mrt_var_steps={}, mrt_sd_steps={},
+            mRT_steps=3.3333333333333335, mRT_var_steps=0.7777777777777778,
+            mRT_sd_steps=0.8819171036881969, mrt_time=1.2, mrt_var_time={}, mrt_sd_time={},
+            mRT_time=1.6666666666666667, mRT_var_time=0.19444444444444445,
+            mRT_sd_time=0.44095855184409843,
+        )
+
+    def test_a_report_leaves_one_moment_vector_on_the_sample(self):
+        s = ResidenceSample(steps=(3, 1, 4, 1, 5, 9, 2, 6))
+        build_report(s, methods=("ratio", "taylor8"))
+        assert set(vars(s)) == {"array", "histogram", "_moments"}
+        assert sorted(vars(s)["_moments"].central) == list(range(2, 17))
+
+    @pytest.mark.parametrize(
+        "methods, passes",
+        [(("ratio", "taylor8"), 16), (("ratio",), 4), (("taylor1",), 2), (("taylor8", "ratio"), 16)],
+        ids=lambda case: "+".join(case) if isinstance(case, tuple) else str(case),
+    )
+    def test_each_power_sum_is_taken_once_per_sample(self, methods, passes):
+        """A report takes the power sums of orders 1..top once each, top being
+        the highest central order its estimators read: one pass over the
+        distinct values per order, whatever the order of the labels."""
 
         class Counted(np.ndarray):
             passes = 0
@@ -368,9 +391,9 @@ class TestReport:
         s = ResidenceSample(steps=steps)
         values, counts = s.histogram
         vars(s)["histogram"] = values.view(Counted), counts
-        rep = build_report(s, dt=0.1, methods=("ratio", "taylor8"))
-        assert Counted.passes == 16
-        assert rep == build_report(ResidenceSample(steps=steps), dt=0.1, methods=("ratio", "taylor8"))
+        rep = build_report(s, dt=0.1, methods=methods)
+        assert Counted.passes == passes
+        assert rep == build_report(ResidenceSample(steps=steps), dt=0.1, methods=methods)
 
     def test_json_payload_is_complete(self):
         rep = build_report(ResidenceSample(steps=(2, 5, 3)), dt=0.2)

@@ -12,7 +12,7 @@ from restime import mc, moments
 from restime.core import DistributionSpec, DomainError, ResidenceSample
 from restime.moments import central_from_raw, exact_moments, sample_moments
 
-from .oracles import central_moments_direct, geometric_raw_interval, raw_from_central
+from .oracles import central_moments_direct, geometric_raw_interval, raw_from_central, weighted_moments_direct
 
 
 class TestSampleMoments:
@@ -58,15 +58,22 @@ def test_exact_sample_moments_match_definition(steps, order):
     assert m.central.get(2, 0) >= 0
 
 
-@given(st.lists(st.integers(min_value=1, max_value=10**30), min_size=1, max_size=12),
-       st.lists(st.integers(min_value=0, max_value=16), min_size=1, max_size=5))
+@given(st.lists(st.tuples(st.integers(min_value=1, max_value=10**30), st.integers(min_value=1, max_value=40),
+                          st.integers(min_value=1, max_value=12)), min_size=1, max_size=12),
+       st.integers(min_value=2, max_value=16), st.integers(min_value=2, max_value=10**6))
 @settings(max_examples=40)
-def test_power_sums_kept_on_a_sample_match_fresh_ones(steps, tops):
-    """Whatever orders were taken before, each call returns the power sums
-    0..top of the steps."""
-    s = ResidenceSample(steps=tuple(steps))
-    for top in tops:
-        assert s._power_sums(top) == tuple(sum(x**j for x in steps) for j in range(top + 1))
+def test_histogram_moments_match_the_definition(rows, top, k):
+    """Int counts, the counts scaled by k or by 1/k, and Fraction weights each
+    give the weighted mean and central moments of their own definition, exactly."""
+    values = np.array([v for v, _, _ in rows], dtype=object)
+    counts = np.array([c for _, c, _ in rows], dtype=object)
+    fractions = np.array([Fraction(c, d) for _, c, d in rows], dtype=object)
+    want = weighted_moments_direct(values, counts, top)
+    for weights in (counts, counts * k, counts * Fraction(1, k)):
+        got = moments._histogram_moments(values, weights, top)
+        assert (got.mean, got.central) == want
+    got = moments._histogram_moments(values, fractions, top)
+    assert (got.mean, got.central) == weighted_moments_direct(values, fractions, top)
 
 
 @given(st.lists(st.integers(min_value=1, max_value=10**30), min_size=1, max_size=12),
@@ -87,41 +94,11 @@ def test_lower_orders_are_served_from_the_highest_kept(monkeypatch):
     top = sample_moments(s, 16)
     # past the highest order, nothing takes power sums or a binomial transform again
     monkeypatch.setattr(moments, "central_from_raw", lambda raw: pytest.fail("transform taken again"))
-    monkeypatch.setitem(s.__dict__, "_power_sums", lambda top: pytest.fail("power sums taken again"))
+    monkeypatch.setattr(moments, "_histogram_moments", lambda *args: pytest.fail("power sums taken again"))
     assert sample_moments(s, 16) is top
     for order, want in fresh.items():
         got = sample_moments(s, order)
         assert got == want and sorted(got.central) == list(range(2, order + 1))
-
-
-def test_power_sums_racing_on_one_sample_agree():
-    """Two threads taking interleaved orders on one sample each get the sums
-    0..top, and the sums kept on the sample stay right for a later call."""
-    rng = np.random.default_rng(3)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads inside the loop over orders
-    try:
-        for _ in range(4):
-            steps = rng.integers(1, 10**6, size=5_000)
-            want = ResidenceSample(steps=steps)._power_sums(16)
-            s = ResidenceSample(steps=steps)
-            start = threading.Barrier(2)
-            got = []
-
-            def take(tops):
-                start.wait()
-                got.extend((top, s._power_sums(top)) for top in tops)
-
-            threads = [threading.Thread(target=take, args=(tops,)) for tops in ((2, 5, 9, 16), (3, 7, 12, 16))]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            assert len(got) == 8
-            assert all(sums == want[: top + 1] for top, sums in got)
-            assert s._power_sums(16) == want
-    finally:
-        sys.setswitchinterval(interval)
 
 
 def test_moment_vectors_racing_on_one_sample_agree():
